@@ -12,24 +12,32 @@ torus and a k-type is a plain integer pair (p, q) with p >= q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import ConstructionError, UnknownCaseError, UsageError
 from .rootdata import (
     RootSystem,
     Vector,
+    combine,
     coroot_pairing,
     half_sum,
     norm_sq,
     vadd,
     vec,
     vneg,
-    vscale,
     vsub,
 )
-from .weyl import WeylWord, apply_word, matrix_apply, minimal_coset_reps, word_matrix
+from .weyl import (
+    WeylWord,
+    apply_word,
+    int_root_coords,
+    minimal_coset_reps,
+    word_matrices,
+)
 
 FIXED_FAMILIES = (
     "EI",
@@ -89,6 +97,8 @@ class CaseData:
     g_fund_weights: tuple[Vector, ...]
     k_has_center: bool
     w1: tuple[WeylWord, ...]
+    # integer matrix of each w1 element on g's simple-root coordinates
+    w1_matrices: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @property
     def rank_k(self) -> int:
@@ -138,11 +148,7 @@ def ktype_to_ambient(case: CaseData, mu) -> Vector:
     coords = _normalize_ktype(case, mu)
     if case.k_has_center:
         return vec(*coords)
-    total = tuple(Q(0) for _ in range(case.k_system.ambient_dim))
-    for c, w in zip(coords, case.k_fund_weights, strict=True):
-        if c:
-            total = vadd(total, vscale(c, w))
-    return total
+    return combine(case.k_fund_weights, coords)
 
 
 def ambient_to_ktype(case: CaseData, v: Vector) -> KType:
@@ -166,23 +172,12 @@ def ambient_to_ktype(case: CaseData, v: Vector) -> KType:
 # ---------------------------------------------------------------------------
 
 
-def _zero(dim: int) -> Vector:
-    return tuple(Q(0) for _ in range(dim))
-
-
-def _combine(simples: tuple[Vector, ...], coeffs) -> Vector:
-    total = _zero(len(simples[0]))
-    for c, s in zip(coeffs, simples, strict=True):
-        total = vadd(total, vscale(c, s))
-    return total
-
-
 def _build_g2():
     a1, a2 = vec(1, -1, 0), vec(-2, 1, 1)
     g = RootSystem.from_simples([a1, a2])
-    k = RootSystem.from_simples([a1, _combine((a1, a2), (3, 2))])
+    k = RootSystem.from_simples([a1, combine((a1, a2), (3, 2))])
     p = frozenset(g.positive_roots) - frozenset(k.positive_roots)
-    beta = _combine((a1, a2), (3, 1))
+    beta = combine((a1, a2), (3, 1))
     return g, k, p, beta
 
 
@@ -199,7 +194,7 @@ def _f4_short_first_simples() -> tuple[Vector, ...]:
 def _build_f1():
     simples = _f4_short_first_simples()
     g = RootSystem.from_simples(simples)
-    gamma4 = _combine(simples, (2, 4, 3, 2))
+    gamma4 = combine(simples, (2, 4, 3, 2))
     k = RootSystem.from_simples([simples[0], simples[1], simples[2], gamma4])
     p = frozenset(g.positive_roots) - frozenset(k.positive_roots)
     beta = vec(1, 0, 1, 0)
@@ -271,7 +266,7 @@ def _build_e_case(family: str):
     alpha = _e8_simples()
 
     def comb(coeffs):
-        return _combine(alpha[: len(coeffs)], coeffs)
+        return combine(alpha[: len(coeffs)], coeffs)
 
     if family == "EII":
         g = RootSystem.from_simples(alpha[:6])
@@ -299,10 +294,7 @@ def _build_e_case(family: str):
         raise UnknownCaseError(f"unknown case family {family!r}")
     k = RootSystem.from_simples(gammas)
     p = frozenset(g.positive_roots) - frozenset(k.positive_roots)
-    beta = _zero(8)
-    for c, w in zip(beta_coords, k.fundamental_weights, strict=True):
-        if c:
-            beta = vadd(beta, vscale(c, w))
+    beta = combine(k.fundamental_weights, beta_coords)
     return g, k, p, beta
 
 
@@ -386,7 +378,12 @@ def build_case(case_id: CaseId) -> CaseData:
     rho_n = half_sum(sorted(p))
     rho = vadd(rho_c, rho_n)
     w1 = tuple(minimal_coset_reps(g, k))
-    variants = tuple(vsub(apply_word(w, rho, g), rho_c) for w in w1)
+    w1_matrices = tuple(word_matrices(w1, g))
+    rho_coords, scale = int_root_coords(g, [rho])
+    variants = tuple(
+        vsub(combine(g.simple_roots, [Q(int(c), scale) for c in w_rho]), rho_c)
+        for w_rho in (m @ rho_coords[:, 0] for m in w1_matrices)
+    )
     if variants[0] != rho_n:
         raise ConstructionError(
             f"{case_id.label}: identity coset image disagrees with the "
@@ -412,6 +409,7 @@ def build_case(case_id: CaseId) -> CaseData:
         g_fund_weights=g.fundamental_weights,
         k_has_center=k_has_center,
         w1=w1,
+        w1_matrices=w1_matrices,
     )
     return case
 
@@ -455,20 +453,25 @@ def validate_case(case: CaseData) -> list[CheckResult]:
         case.rho == vadd(case.rho_c, case.rho_n_variants[0]),
         f"rho={case.rho} differs from rho_c + rho_n",
     )
-    plus_minus_p = case.p_positive | {vneg(r) for r in case.p_positive}
-    for j, (word, variant) in enumerate(zip(case.w1, case.rho_n_variants)):
-        image = apply_word(word, case.rho, case.g_restricted)
+    g = case.g_restricted
+    # positive roots, then the noncompact ones, on simple-root coordinates
+    coords, scale = int_root_coords(g, g.positive_roots + tuple(case.p_positive))
+    roots = coords[:, : len(g.positive_roots)]
+    noncompact = {tuple(c) for c in coords[:, len(g.positive_roots):].T}
+    plus_minus_p = noncompact | {tuple(-c for c in r) for r in noncompact}
+    for j, (word, m, variant) in enumerate(
+        zip(case.w1, case.w1_matrices, case.rho_n_variants)
+    ):
+        image = apply_word(word, case.rho, g)
         record(
             f"variant-{j}-via-word",
             image == vadd(case.rho_c, variant),
             f"word {word} image {image}",
         )
         # the noncompact weights that stay positive in the twisted order
-        cols = word_matrix(word, case.g_restricted)
-        twisted = half_sum(
-            s
-            for r in case.g_restricted.positive_roots
-            if (s := matrix_apply(cols, r)) in plus_minus_p
+        kept = [s for s in (m @ roots).T if tuple(s) in plus_minus_p]
+        twisted = combine(
+            g.simple_roots, [Q(int(c), 2 * scale) for c in np.sum(kept, axis=0)]
         )
         record(
             f"variant-{j}-via-halfsum",

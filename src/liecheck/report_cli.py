@@ -3,7 +3,7 @@
 Every subcommand prints a human-readable summary to stdout and, with
 ``--report PATH``, writes a JSON document whose payload is deterministic:
 rationals are serialized as "p/q" strings, keys are sorted, and the only
-run-dependent field is elapsed_ms.
+run-dependent fields are elapsed_ms and, for verify, results.elapsed_ms.
 
 Exit codes: 0 success, 1 verification or selftest failure, 2 bad usage,
 3 unknown case label.
@@ -18,6 +18,9 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction as Q
+from itertools import islice
+
+import numpy as np
 
 from . import __version__
 from .cases import (
@@ -31,6 +34,7 @@ from .cases import (
 )
 from .data import golden
 from .errors import ConstructionError, UnknownCaseError, UsageError
+from .fastscan import build_tables, bulk_spin_sq_scaled
 from .pencil import (
     coordinate_names,
     default_box,
@@ -44,12 +48,6 @@ from .spin import spin_norm_sq, variant_norms_sq
 from .usmall import enumerate_usmall, iter_usmall
 
 LONG_RUN_FAMILIES = ("EVIII", "EIX")
-
-
-def _fmt_q(value) -> str:
-    """Rational as p/q, integers without the denominator (human output)."""
-    q = Q(value)
-    return str(q)
 
 
 def _encode(value):
@@ -101,10 +99,13 @@ def _word_text(word) -> str:
 
 
 # ----------------------------------------------------------------- commands
+#
+# Each cmd_* prints its human-readable summary and returns
+# (exit code, (case label, command, parameters, results)); main times the
+# call and writes the --report document from that tuple.
 
 
-def cmd_list_cases(args) -> int:
-    t0 = time.monotonic()
+def cmd_list_cases(args):
     rows = list_cases()
     print(
         f"{'family':<8} {'param':>5} {'rank(g)':>7} {'rank(k)':>7}"
@@ -117,23 +118,16 @@ def cmd_list_cases(args) -> int:
             f" {'yes' if d.k_has_center else 'no':>6}"
             f" {'-' if d.num_variants is None else d.num_variants:>8}"
         )
-    elapsed = 1000 * (time.monotonic() - t0)
-    if args.report:
-        _write_report(
-            args.report,
-            "-",
-            "list-cases",
-            {},
-            {"cases": [asdict(d) for d in rows]},
-            elapsed,
-        )
-    return 0
+    return 0, ("-", "list-cases", {}, {"cases": [asdict(d) for d in rows]})
 
 
-def cmd_case_show(args) -> int:
-    t0 = time.monotonic()
+def cmd_case_show(args):
     case = _case_from_args(args)
     names = coordinate_names(case)
+
+    def vec(v):
+        return "(" + ", ".join(map(str, v)) + ")"
+
     print(f"case {case.id.label}")
     print(f"  ambient dimension : {len(case.rho)}")
     print(f"  restricted rank   : {case.g_restricted.rank}")
@@ -141,177 +135,121 @@ def cmd_case_show(args) -> int:
     print(f"  k rank            : {case.rank_k}"
           f"  (center: {'yes' if case.k_has_center else 'no'})")
     print(f"  k-type coordinates: {', '.join(names)}")
-    print(f"  rho               : ({', '.join(_fmt_q(c) for c in case.rho)})")
-    print(f"  rho_c             : ({', '.join(_fmt_q(c) for c in case.rho_c)})")
-
-    def vec(v):
-        return "(" + ", ".join(_fmt_q(c) for c in v) + ")"
-
+    print(f"  rho               : {vec(case.rho)}")
+    print(f"  rho_c             : {vec(case.rho_c)}")
     print(f"  step direction    : {case.beta_ktype}  (ambient {vec(case.beta)})")
     if case.beta_second is not None:
         second = ambient_to_ktype(case, case.beta_second)
         print(f"  second direction  : {second}  (ambient {vec(case.beta_second)})")
     print(f"  |W^1|             : {case.num_variants}")
     print("  spin shifts (k-type coordinates):")
-    for j, v in enumerate(case.rho_n_variants):
-        if case.k_has_center:
-            coords = tuple(_fmt_q(c) for c in v)
-        else:
-            coords = ambient_to_ktype(case, v)
-        print(f"    [{j:>3}] {coords}")
-    elapsed = 1000 * (time.monotonic() - t0)
-    if args.report:
-        shifts = []
-        for v in case.rho_n_variants:
-            if case.k_has_center:
-                shifts.append([Q(c) for c in v])
-            else:
-                shifts.append(list(ambient_to_ktype(case, v)))
-        results = {
-            "label": case.id.label,
-            "ambient_dimension": len(case.rho),
-            "positive_roots": len(case.g_restricted.positive_roots),
-            "rank_k": case.rank_k,
-            "k_has_center": case.k_has_center,
-            "coordinate_names": list(names),
-            "rho": [Q(c) for c in case.rho],
-            "rho_c": [Q(c) for c in case.rho_c],
-            "step_direction": list(case.beta_ktype),
-            "num_variants": case.num_variants,
-            "spin_shifts": shifts,
-        }
-        _write_report(args.report, case.id.label, "case show", {}, results, elapsed)
-    return 0
+    shifts = [
+        v if case.k_has_center else ambient_to_ktype(case, v)
+        for v in case.rho_n_variants
+    ]
+    for j, shift in enumerate(shifts):
+        shown = tuple(map(str, shift)) if case.k_has_center else shift
+        print(f"    [{j:>3}] {shown}")
+    results = {
+        "label": case.id.label,
+        "ambient_dimension": len(case.rho),
+        "positive_roots": len(case.g_restricted.positive_roots),
+        "rank_k": case.rank_k,
+        "k_has_center": case.k_has_center,
+        "coordinate_names": names,
+        "rho": case.rho,
+        "rho_c": case.rho_c,
+        "step_direction": case.beta_ktype,
+        "num_variants": case.num_variants,
+        "spin_shifts": shifts,
+    }
+    return 0, (case.id.label, "case show", {}, results)
 
 
-def cmd_usmall_count(args) -> int:
-    t0 = time.monotonic()
+def cmd_usmall_count(args):
     case = _case_from_args(args)
     count = enumerate_usmall(case, jobs=args.jobs)
     print(count)
-    elapsed = 1000 * (time.monotonic() - t0)
-    if args.report:
-        _write_report(
-            args.report,
-            case.id.label,
-            "usmall count",
-            {"jobs": args.jobs},
-            {"count": count},
-            elapsed,
-        )
-    return 0
+    return 0, (case.id.label, "usmall count", {"jobs": args.jobs}, {"count": count})
 
 
-def cmd_usmall_dump(args) -> int:
-    t0 = time.monotonic()
+_DUMP_CHUNK = 4096
+
+
+def _usmall_norms(case: CaseData):
+    """Every u-small k-type with its exact squared spin norm.
+
+    The norms come from the scaled integer engine in chunks; the u-small
+    rows bound every coordinate, so the int64 sums cannot overflow.
+    """
+    tables = build_tables(case)
+    ktypes = iter_usmall(case)
+    while chunk := list(islice(ktypes, _DUMP_CHUNK)):
+        norms = bulk_spin_sq_scaled(tables, np.array(chunk, dtype=np.int64))
+        for coords, scaled in zip(chunk, norms.tolist()):
+            yield coords, Q(scaled, tables.scale)
+
+
+def cmd_usmall_dump(args):
     case = _case_from_args(args)
     names = coordinate_names(case)
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="")
     count = 0
     try:
-        if args.format == "csv":
-            writer = csv.writer(out)
+        writer = csv.writer(out) if args.format == "csv" else None
+        if writer is not None:
             writer.writerow(list(names) + ["spin_norm_sq"])
-            for coords in iter_usmall(case):
-                s = spin_norm_sq(case, coords)
-                writer.writerow(list(coords) + [f"{s.numerator}/{s.denominator}"])
-                count += 1
-        else:
-            for coords in iter_usmall(case):
-                s = spin_norm_sq(case, coords)
-                out.write(
-                    json.dumps(
-                        {
-                            "coords": list(coords),
-                            "spin_norm_sq": f"{s.numerator}/{s.denominator}",
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                count += 1
+        for coords, s in _usmall_norms(case):
+            text = f"{s.numerator}/{s.denominator}"
+            if writer is not None:
+                writer.writerow(list(coords) + [text])
+            else:
+                row = {"coords": list(coords), "spin_norm_sq": text}
+                out.write(json.dumps(row, sort_keys=True) + "\n")
+            count += 1
     finally:
         if out is not sys.stdout:
             out.close()
     if args.out != "-":
         print(f"wrote {count} rows to {args.out}")
-    elapsed = 1000 * (time.monotonic() - t0)
-    if args.report:
-        _write_report(
-            args.report,
-            case.id.label,
-            "usmall dump",
-            {"format": args.format, "out": args.out},
-            {"count": count},
-            elapsed,
-        )
-    return 0
+    parameters = {"format": args.format, "out": args.out}
+    return 0, (case.id.label, "usmall dump", parameters, {"count": count})
 
 
-def cmd_spin_norm(args) -> int:
-    t0 = time.monotonic()
+def cmd_spin_norm(args):
     case = _case_from_args(args)
     coords = _parse_coords(args.mu)
     value = spin_norm_sq(case, coords)
-    print(_fmt_q(value))
-    per_variant = None
+    print(value)
+    results = {"mu": coords, "spin_norm_sq": value}
     if args.variants:
-        per_variant = variant_norms_sq(case, coords)
-        for j, v in enumerate(per_variant):
-            print(f"  [{j:>3}] {_fmt_q(v)}")
-    elapsed = 1000 * (time.monotonic() - t0)
-    if args.report:
-        results = {"mu": list(coords), "spin_norm_sq": value}
-        if per_variant is not None:
-            results["variants"] = list(per_variant)
-        _write_report(
-            args.report,
-            case.id.label,
-            "spin-norm",
-            {"mu": list(coords)},
-            results,
-            elapsed,
-        )
-    return 0
+        results["variants"] = variant_norms_sq(case, coords)
+        for j, v in enumerate(results["variants"]):
+            print(f"  [{j:>3}] {v}")
+    return 0, (case.id.label, "spin-norm", {"mu": coords}, results)
 
 
-def cmd_w1(args) -> int:
-    t0 = time.monotonic()
+def cmd_w1(args):
     case = _case_from_args(args)
     print(case.num_variants)
+    results = {"size": case.num_variants}
     if args.words:
         for j, word in enumerate(case.w1):
             print(f"  [{j:>3}] {_word_text(word)}")
-    elapsed = 1000 * (time.monotonic() - t0)
-    if args.report:
-        results = {"size": case.num_variants}
-        if args.words:
-            results["words"] = [[i + 1 for i in word] for word in case.w1]
-        _write_report(args.report, case.id.label, "w1", {}, results, elapsed)
-    return 0
+        results["words"] = [[i + 1 for i in word] for word in case.w1]
+    return 0, (case.id.label, "w1", {}, results)
 
 
-def cmd_bounds(args) -> int:
-    t0 = time.monotonic()
+def cmd_bounds(args):
     case = _case_from_args(args)
     naive = naive_bound(case)
     table = [parabolic_bound(case, k) for k in range(1, case.rank_k + 1)]
     print(f"case {case.id.label}")
-    print(f"  naive step bound: {_fmt_q(naive)}")
+    print(f"  naive step bound: {naive}")
     print("  parabolic bounds by omitted k-simple root:")
     for k, value in enumerate(table, start=1):
-        print(f"    k={k}: {_fmt_q(value)}")
-    elapsed = 1000 * (time.monotonic() - t0)
-    if args.report:
-        _write_report(
-            args.report,
-            case.id.label,
-            "bounds",
-            {},
-            {"naive": naive, "parabolic": table},
-            elapsed,
-        )
-    return 0
+        print(f"    k={k}: {value}")
+    return 0, (case.id.label, "bounds", {}, {"naive": naive, "parabolic": table})
 
 
 def _verify_payload(case: CaseData, rep) -> dict:
@@ -322,7 +260,7 @@ def _verify_payload(case: CaseData, rep) -> dict:
         "scanned": rep.scanned,
         "filtered": rep.filtered,
         "violations": [
-            {"coords": list(coords), "margin_sq": margin}
+            {"coords": coords, "margin_sq": margin}
             for coords, margin in rep.violations
         ],
         "min_margin_sq": rep.min_margin_sq,
@@ -330,8 +268,7 @@ def _verify_payload(case: CaseData, rep) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify(args):
     case = _case_from_args(args)
     if (
         case.id.family in LONG_RUN_FAMILIES
@@ -356,36 +293,28 @@ def cmd_verify(args) -> int:
     print(f"scanned   : {rep.scanned}")
     print(f"filtered  : {rep.filtered}")
     if rep.min_margin_sq is not None:
-        print(f"min margin: {_fmt_q(rep.min_margin_sq)}")
+        print(f"min margin: {rep.min_margin_sq}")
     print(f"violations: {len(rep.violations)}")
     shown = rep.violations[:20]
     for coords, margin in shown:
-        print(f"  {coords}: margin {_fmt_q(margin)}")
+        print(f"  {coords}: margin {margin}")
     if len(rep.violations) > len(shown):
         print(f"  ... and {len(rep.violations) - len(shown)} more")
     if rep.ok:
         print("OK: every filtered k-type in the box has a strictly positive step margin")
     else:
         print("VIOLATION: some step margins are not strictly positive")
-    elapsed = 1000 * (time.monotonic() - t0)
-    if args.report:
-        _write_report(
-            args.report,
-            case.id.label,
-            "verify",
-            {
-                "box": box.render(names),
-                "jobs": args.jobs,
-                "shortcut": not args.no_shortcut,
-            },
-            _verify_payload(case, rep),
-            elapsed,
-        )
-    return 0 if rep.ok else 1
+    parameters = {
+        "box": box.render(names),
+        "jobs": args.jobs,
+        "shortcut": not args.no_shortcut,
+    }
+    return (0 if rep.ok else 1), (
+        case.id.label, "verify", parameters, _verify_payload(case, rep)
+    )
 
 
-def cmd_sp4r_pencils(args) -> int:
-    t0 = time.monotonic()
+def cmd_sp4r_pencils(args):
     table = golden()["sp4r_pencils"]
     results = {}
     for direction in ("descending", "ascending"):
@@ -399,32 +328,22 @@ def cmd_sp4r_pencils(args) -> int:
         for m in range(min_m, args.m_max + 1):
             pt = sp4r_family(m, direction)
             print(
-                f"  {m:>4} {str(pt.member):>12} {_fmt_q(pt.good_sq):>14}"
-                f" {_fmt_q(pt.mid_sq):>12} {_fmt_q(pt.bad_sq):>12}"
+                f"  {m:>4} {str(pt.member):>12} {str(pt.good_sq):>14}"
+                f" {str(pt.mid_sq):>12} {str(pt.bad_sq):>12}"
             )
             rows.append(
                 {
                     "m": m,
-                    "member": list(pt.member),
-                    "good_member": list(pt.good_member),
-                    "bad_member": list(pt.bad_member),
+                    "member": pt.member,
+                    "good_member": pt.good_member,
+                    "bad_member": pt.bad_member,
                     "good_sq": pt.good_sq,
                     "mid_sq": pt.mid_sq,
                     "bad_sq": pt.bad_sq,
                 }
             )
         results[direction] = rows
-    elapsed = 1000 * (time.monotonic() - t0)
-    if args.report:
-        _write_report(
-            args.report,
-            "SP4R",
-            "sp4r pencils",
-            {"m_max": args.m_max},
-            results,
-            elapsed,
-        )
-    return 0
+    return 0, ("SP4R", "sp4r pencils", {"m_max": args.m_max}, results)
 
 
 # ----------------------------------------------------------------- selftest
@@ -592,7 +511,7 @@ def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
             f"verify-box-{family}",
             "0 violations",
             f"{len(rep.violations)} violations,"
-            f" min margin {_fmt_q(rep.min_margin_sq)}"
+            f" min margin {rep.min_margin_sq}"
             f" over {rep.filtered} filtered of {rep.scanned} scanned",
             rep.ok,
         )
@@ -600,24 +519,16 @@ def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
     return items
 
 
-def cmd_selftest(args) -> int:
-    t0 = time.monotonic()
+def cmd_selftest(args):
     items = run_selftest(long=args.long, jobs=args.jobs, log=print)
     failures = [item.name for item in items if not item.ok]
     print(f"{len(items)} items, {len(failures)} failed")
     for name in failures:
         print(f"  FAIL {name}")
-    elapsed = 1000 * (time.monotonic() - t0)
-    if args.report:
-        _write_report(
-            args.report,
-            "-",
-            "selftest",
-            {"long": args.long, "jobs": args.jobs},
-            {"items": [asdict(item) for item in items], "failures": len(failures)},
-            elapsed,
-        )
-    return 1 if failures else 0
+    results = {"items": [asdict(item) for item in items], "failures": len(failures)}
+    return (1 if failures else 0), (
+        "-", "selftest", {"long": args.long, "jobs": args.jobs}, results
+    )
 
 
 # ----------------------------------------------------------------- parser
@@ -758,7 +669,14 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        t0 = time.monotonic()
+        code, (case_label, command, parameters, results) = args.func(args)
+        if args.report:
+            elapsed_ms = 1000 * (time.monotonic() - t0)
+            _write_report(
+                args.report, case_label, command, parameters, results, elapsed_ms
+            )
+        return code
     except UnknownCaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

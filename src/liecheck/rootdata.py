@@ -6,8 +6,10 @@ No floating point is used anywhere in this module.
 
 A RootSystem bundles the simple roots of one (possibly reducible, possibly
 non-reduced) root system together with its positive roots and fundamental
-weights. Fundamental weights are solved inside the span of the simple
-roots, so systems of rank lower than the ambient dimension work too.
+weights. Root coordinates and fundamental weights both come from the
+inverse Gram matrix of the simple roots, computed once per system, so they
+live inside the span of the simple roots and systems of rank lower than
+the ambient dimension work too.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ __all__ = [
     "norm_sq",
     "coroot_pairing",
     "reflect",
+    "combine",
     "half_sum",
     "generate_positive_roots",
-    "fundamental_weights",
     "solve_linear",
     "RootSystem",
 ]
@@ -89,6 +91,14 @@ def reflect(v: Vector, alpha: Vector) -> Vector:
     return vsub(v, vscale(coroot_pairing(v, alpha), alpha))
 
 
+def combine(vectors: Sequence[Vector], coeffs: Iterable) -> Vector:
+    """The linear combination sum_i coeffs[i] * vectors[i]."""
+    terms = [(Q(c), v) for c, v in zip(coeffs, vectors, strict=True) if c]
+    return tuple(
+        sum((c * v[d] for c, v in terms), Q(0)) for d in range(len(vectors[0]))
+    )
+
+
 def half_sum(roots: Iterable[Vector]) -> Vector:
     """Half the sum of the given vectors (a multiset: repeats count)."""
     roots = list(roots)
@@ -121,24 +131,22 @@ def solve_linear(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q]:
     return [aug[r][n] for r in range(n)]
 
 
-def _independent(vectors: Sequence[Vector]) -> bool:
-    # rank by fraction-exact row reduction
-    mat = [list(v) for v in vectors]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank == len(vectors)
+def _gram_inverse(simples: Sequence[Vector]) -> tuple[tuple[Q, ...], ...]:
+    """Inverse of the Gram matrix of the simple roots.
+
+    Raises ConstructionError if the roots are linearly dependent, which is
+    exactly when their Gram matrix is singular.
+    """
+    n = len(simples)
+    gram = [[inner(a, b) for b in simples] for a in simples]
+    try:
+        # solved column by column; the inverse is symmetric, so these are rows
+        return tuple(
+            tuple(solve_linear(gram, [Q(int(i == j)) for j in range(n)]))
+            for i in range(n)
+        )
+    except ConstructionError:
+        raise ConstructionError("simple roots are linearly dependent") from None
 
 
 _MAX_HEIGHT = 64  # any honest finite system stabilizes far below this
@@ -159,8 +167,7 @@ def generate_positive_roots(simple_roots: Sequence[Vector]) -> set[Vector]:
         raise ConstructionError("empty simple system")
     if any(norm_sq(s) == 0 for s in simples):
         raise ConstructionError("zero vector in simple system")
-    if not _independent(simples):
-        raise ConstructionError("simple roots are linearly dependent")
+    _gram_inverse(simples)  # raises on dependent simples
     for a in simples:
         for b in simples:
             pairing = coroot_pairing(a, b)
@@ -195,31 +202,6 @@ def generate_positive_roots(simple_roots: Sequence[Vector]) -> set[Vector]:
     return roots
 
 
-def fundamental_weights(simple_roots: Sequence[Vector], ambient_dim: int) -> list[Vector]:
-    """Vectors in span(simples) pairing to the identity against the coroots.
-
-    The i-th output w_i satisfies coroot_pairing(w_i, simple_j) == δ_ij and
-    lies in the rational span of the simple roots (components orthogonal to
-    the span are zero).
-    """
-    simples = [tuple(Q(c) for c in s) for s in simple_roots]
-    if any(len(s) != ambient_dim for s in simples):
-        raise UsageError("simple root does not match ambient dimension")
-    n = len(simples)
-    # write w_i = sum_k c_k * simple_k and solve the Cartan system
-    cartan = [[coroot_pairing(simples[k], simples[j]) for k in range(n)] for j in range(n)]
-    out = []
-    for i in range(n):
-        rhs = [Q(1) if j == i else Q(0) for j in range(n)]
-        coeffs = solve_linear(cartan, rhs)
-        w = tuple(
-            sum((coeffs[k] * simples[k][d] for k in range(n)), Q(0))
-            for d in range(ambient_dim)
-        )
-        out.append(w)
-    return out
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """Simple roots plus derived data for one root system.
@@ -235,14 +217,21 @@ class RootSystem:
     positive_roots: tuple[Vector, ...]
     reduced: bool = True
     _pos_set: frozenset[Vector] = field(init=False, repr=False, compare=False)
+    _gram_inv: tuple[tuple[Q, ...], ...] = field(init=False, repr=False, compare=False)
     _weights: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_pos_set", frozenset(self.positive_roots))
+        object.__setattr__(self, "_gram_inv", _gram_inverse(self.simple_roots))
+        # <w_i, alpha_j> = delta_ij |alpha_i|^2 / 2 puts the i-th fundamental
+        # weight at |alpha_i|^2 / 2 times row i of the inverse Gram matrix
         object.__setattr__(
             self,
             "_weights",
-            tuple(fundamental_weights(self.simple_roots, self.ambient_dim)),
+            tuple(
+                combine(self.simple_roots, [norm_sq(a) / 2 * c for c in row])
+                for a, row in zip(self.simple_roots, self._gram_inv)
+            ),
         )
         for r in self.positive_roots:
             coeffs = self.root_coords(r)
@@ -281,15 +270,11 @@ class RootSystem:
         return v in self._pos_set
 
     def root_coords(self, v: Vector) -> list[Q]:
-        """Coordinates of v in the simple-root basis (exact; least squares
-        is never needed since roots lie in the span)."""
-        n = self.rank
-        gram = [
-            [inner(self.simple_roots[i], self.simple_roots[j]) for j in range(n)]
-            for i in range(n)
-        ]
-        rhs = [inner(v, self.simple_roots[i]) for i in range(n)]
-        return solve_linear(gram, rhs)
+        """Coordinates of v in the simple-root basis: its pairings with the
+        simple roots times the cached inverse Gram matrix (v must lie in the
+        span of the simple roots)."""
+        pairings = [inner(v, a) for a in self.simple_roots]
+        return [inner(row, pairings) for row in self._gram_inv]
 
     def half_positive_sum(self) -> Vector:
         return half_sum(self.positive_roots)
@@ -300,6 +285,3 @@ class RootSystem:
         for w in self._weights[1:]:
             total = vadd(total, w)
         return total
-
-    def is_dominant(self, v: Vector) -> bool:
-        return all(coroot_pairing(v, s) >= 0 for s in self.simple_roots)

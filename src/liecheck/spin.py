@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 
 from .cases import CaseData, _normalize_ktype, ktype_is_dominant, ktype_to_ambient
 from .errors import UsageError
-from .rootdata import Vector, norm_sq, vadd, vneg, vsub
+from .rootdata import Vector, norm_sq, vadd, vsub
 from .weyl import to_dominant
 
 
@@ -50,8 +50,3 @@ def spin_argmin(case: CaseData, mu) -> set[int]:
     norms = variant_norms_sq(case, mu)
     best = min(norms)
     return {j for j, v in enumerate(norms) if v == best}
-
-
-def spin_lowest_weights(case: CaseData) -> set[Vector]:
-    """Lowest weights of the spin module, one per twist variant."""
-    return {vneg(v) for v in case.rho_n_variants}

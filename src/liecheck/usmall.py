@@ -18,7 +18,7 @@ from .cases import CaseData, KType, ktype_is_dominant, _normalize_ktype
 from .data import golden
 from .errors import ConstructionError, UsageError
 from .rootdata import inner
-from .weyl import matrix_apply, word_matrix
+from .weyl import int_root_coords
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,21 @@ def usmall_system(case: CaseData) -> InequalitySystem:
     if case.k_has_center:
         raise UsageError("hyperplane construction needs k without center")
     g = case.g_restricted
+    # the xi on simple-root coordinates, and what w(xi) is paired with
+    xis, scale = int_root_coords(g, case.g_fund_weights)
+    fw_pairs = [[inner(fw, a) for a in g.simple_roots] for fw in case.k_fund_weights]
+    rho_c_pairs = [inner(case.rho_c, a) for a in g.simple_roots]
+    rho_xi = [inner(case.rho, xi) for xi in case.g_fund_weights]
     raw = set()
-    for word in case.w1:
-        cols = word_matrix(word, g)
-        for xi in case.g_fund_weights:
-            image = matrix_apply(cols, xi)
-            coeffs = [inner(fw, image) for fw in case.k_fund_weights]
+    for word, m in zip(case.w1, case.w1_matrices):
+        # column i: scale times the coordinates of w(xi_i)
+        for image, r_xi in zip((m @ xis).T.tolist(), rho_xi):
+            coeffs = [inner(row, image) / scale for row in fw_pairs]
             if any(c < 0 for c in coeffs):
                 raise ConstructionError(
-                    f"{case.id.label}: negative coefficient against {image}"
+                    f"{case.id.label}: negative coefficient for word {word}"
                 )
-            bound = 2 * (inner(case.rho, xi) - inner(case.rho_c, image))
+            bound = 2 * (r_xi - inner(rho_c_pairs, image) / scale)
             raw.add(_primitive_row(coeffs, bound))
     return InequalitySystem(_prune_dominated(raw))
 

@@ -1,9 +1,11 @@
 """Weyl-group algorithms on top of rootdata.
 
-Group elements are represented by words in the simple reflections of a
+Group elements are named by words in the simple reflections of a
 designated RootSystem. A word (i1, ..., in) denotes the composition
 s_{i1} s_{i2} ... s_{in} with the LEFTMOST letter applied LAST; indices are
-0-based positions into system.simple_roots.
+0-based positions into system.simple_roots. To act with an element in
+bulk, word_matrices turns words into integer matrices on simple-root
+coordinates; apply_word is the single-vector exact path.
 
 For a non-reduced system the simple roots are those of the underlying
 reduced system, so every function here works unchanged.
@@ -11,7 +13,6 @@ reduced system, so every function here works unchanged.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from math import lcm
 
 import numpy as np
@@ -35,7 +36,8 @@ __all__ = [
     "longest_element",
     "parabolic_longest",
     "minimal_coset_reps",
-    "word_positive_root_sum",
+    "word_matrices",
+    "int_root_coords",
     "word_length",
     "orbit",
 ]
@@ -49,24 +51,6 @@ def apply_word(word: WeylWord, v: Vector, system: RootSystem) -> Vector:
             raise UsageError(f"letter {i} out of range for rank {len(simples)}")
         v = reflect(v, simples[i])
     return v
-
-
-def word_matrix(word: WeylWord, system: RootSystem) -> tuple[Vector, ...]:
-    """Columns (images of the ambient basis vectors) of the word's element."""
-    dim = system.ambient_dim
-    return tuple(
-        apply_word(word, tuple(Q(1) if j == i else Q(0) for j in range(dim)), system)
-        for i in range(dim)
-    )
-
-
-def matrix_apply(columns: tuple[Vector, ...], v: Vector) -> Vector:
-    if len(columns) != len(v):
-        raise UsageError("matrix and vector sizes differ")
-    return tuple(
-        sum((c * col[j] for c, col in zip(v, columns) if c), Q(0))
-        for j in range(len(columns[0]))
-    )
 
 
 def to_dominant(
@@ -116,11 +100,7 @@ def parabolic_longest(system: RootSystem, omit_index: int) -> WeylWord:
     letters = tuple(i for i in range(rank) if i != omit_index)
     if not letters:
         return ()
-    anti = vneg(
-        vadd(system.fundamental_weights[letters[0]], _wsum(system, letters[1:]))
-        if len(letters) > 1
-        else system.fundamental_weights[letters[0]]
-    )
+    anti = vneg(_wsum(system, letters))
     _, word = to_dominant(anti, system, letters=letters)
     return word
 
@@ -147,26 +127,6 @@ def word_length(word: WeylWord, system: RootSystem) -> int:
         if all(c <= 0 for c in system.root_coords(img)):
             count += 1
     return count
-
-
-def word_positive_root_sum(word: WeylWord, system: RootSystem) -> Vector:
-    """Sum over k of s_{i1}...s_{i(k-1)} applied to the k-th letter's root.
-
-    For a reduced word every summand is a positive root and the total equals
-    rho_sys - u(rho_sys), where u is the element the word spells and rho_sys
-    the half positive sum. Callers holding a word for u^{-1} get
-    rho_sys - u^{-1}(rho_sys), which is how the bound on pairings against a
-    dominant weight is extracted. Non-reduced words are processed by the
-    same formula without error.
-    """
-    if not word:
-        dim = system.ambient_dim
-        return tuple(Q(0) for _ in range(dim))
-    total = None
-    for k in range(len(word)):
-        img = apply_word(word[:k], system.simple_roots[word[k]], system)
-        total = img if total is None else vadd(total, img)
-    return total
 
 
 def orbit(v: Vector, system: RootSystem) -> set[Vector]:
@@ -198,11 +158,29 @@ def _reflection_matrices(system: RootSystem) -> list[np.ndarray]:
     return mats
 
 
-def _int_root_coords(system: RootSystem, v: Vector) -> tuple[np.ndarray, int]:
-    """Root-basis coordinates of v scaled to integers; returns (vec, scale)."""
-    coords = system.root_coords(v)
-    scale = lcm(*[c.denominator for c in coords]) if coords else 1
-    return np.array([int(c * scale) for c in coords], dtype=np.int64), scale
+def word_matrices(words, system: RootSystem) -> list[np.ndarray]:
+    """Integer matrix of each word's element on simple-root coordinates.
+
+    Column j holds the simple-root coordinates of the image of simple root
+    j, so matrix @ root_coords(v) == root_coords(apply_word(word, v)).
+    """
+    refl = _reflection_matrices(system)
+    out = []
+    for word in words:
+        m = np.eye(system.rank, dtype=np.int64)
+        for i in word:
+            m = m @ refl[i]
+        out.append(m)
+    return out
+
+
+def int_root_coords(system: RootSystem, vectors) -> tuple[np.ndarray, int]:
+    """Simple-root coordinates of the vectors as the columns of one integer
+    matrix, times their least common denominator; returns (matrix, scale)."""
+    coords = [system.root_coords(v) for v in vectors]
+    scale = lcm(*(c.denominator for col in coords for c in col))
+    cols = [[int(c * scale) for c in col] for col in coords]
+    return np.array(cols, dtype=np.int64).reshape(len(cols), system.rank).T, scale
 
 
 def minimal_coset_reps(g_system: RootSystem, k_system: RootSystem) -> list[WeylWord]:
@@ -223,14 +201,12 @@ def minimal_coset_reps(g_system: RootSystem, k_system: RootSystem) -> list[WeylW
             )
     rank = g_system.rank
     refl = _reflection_matrices(g_system)
-    gammas = [_int_root_coords(g_system, gamma)[0] for gamma in k_system.simple_roots]
-    fingerprint_seed, _ = _int_root_coords(g_system, g_system.dominance_vector())
+    gammas, _ = int_root_coords(g_system, k_system.simple_roots)
+    seed, _ = int_root_coords(g_system, [g_system.dominance_vector()])
+    fingerprint_seed = seed[:, 0]
 
     def member(m_inv: np.ndarray) -> bool:
-        for gvec in gammas:
-            if (m_inv @ gvec < 0).any():
-                return False
-        return True
+        return not (m_inv @ gammas < 0).any()
 
     ident = np.eye(rank, dtype=np.int64)
     words: list[WeylWord] = [()]

@@ -122,13 +122,13 @@ def test_variants_all_distinct_same_rho_norm(family):
 
 
 def test_w1_words_are_reduced_and_distinct():
-    from liecheck.weyl import word_length, word_matrix
+    from liecheck.weyl import word_length
 
     for family in ("G", "FI", "EI", "SP4R"):
         case = sample_case(family)
         matrices = set()
-        for word in case.w1:
+        for word, m in zip(case.w1, case.w1_matrices, strict=True):
             assert word_length(word, case.g_restricted) == len(word)
-            matrices.add(word_matrix(word, case.g_restricted))
+            matrices.add(tuple(m.flat))
         assert len(matrices) == case.num_variants
         assert case.w1[0] == ()

@@ -7,8 +7,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from liecheck.cases import get_case
 from liecheck.data import golden
 from liecheck.report_cli import main, run_selftest
+from liecheck.spin import spin_norm_sq
+from liecheck.usmall import enumerate_usmall
 
 
 def strip_timing(doc):
@@ -165,6 +168,17 @@ def test_dump_to_stdout(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "a,b,spin_norm_sq"
     assert len(lines) == 30
+
+
+@pytest.mark.parametrize("family", ["G", "FII", "SP4R"])
+def test_dump_norms_are_exact_spin_norms(family, capsys):
+    case = get_case(family)
+    assert main(["usmall", "dump", family]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert len(rows) - 1 == enumerate_usmall(case)
+    for row in rows[1:]:
+        mu = tuple(int(x) for x in row[:-1])
+        assert Q(row[-1]) == spin_norm_sq(case, mu), mu
 
 
 def test_sp4r_pencils_table(capsys):

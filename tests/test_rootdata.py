@@ -8,6 +8,7 @@ from liecheck.cases import ALL_FAMILIES
 from liecheck.errors import ConstructionError
 from liecheck.rootdata import (
     RootSystem,
+    combine,
     coroot_pairing,
     generate_positive_roots,
     half_sum,
@@ -84,6 +85,15 @@ def test_solve_linear_exact():
         solve_linear([[Q(1), Q(2)], [Q(2), Q(4)]], [Q(1), Q(1)])
 
 
+def test_dependent_simple_roots_rejected():
+    # pairwise obtuse and integral, but they sum to zero (affine A2)
+    dependent = [vec(1, -1, 0), vec(0, 1, -1), vec(-1, 0, 1)]
+    with pytest.raises(ConstructionError, match="linearly dependent"):
+        RootSystem.from_simples(dependent)
+    with pytest.raises(ConstructionError, match="linearly dependent"):
+        RootSystem.non_reduced(dependent, dependent)
+
+
 def test_generate_positive_roots_closure():
     positives = generate_positive_roots([vec(1, -1, 0), vec(0, 1, -1)])
     assert vec(1, 0, -1) in positives
@@ -110,3 +120,15 @@ def test_case_systems_internally_consistent(family):
         if system.reduced:
             regenerated = generate_positive_roots(system.simple_roots)
             assert regenerated == set(system.positive_roots)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_root_coords_match_direct_solve(family):
+    case = sample_case(family)
+    for system in (case.g_restricted, case.k_system):
+        simples = system.simple_roots
+        gram = [[inner(a, b) for b in simples] for a in simples]
+        for r in system.positive_roots:
+            coords = system.root_coords(r)
+            assert coords == solve_linear(gram, [inner(r, a) for a in simples])
+            assert combine(simples, coords) == r

@@ -16,13 +16,12 @@ from liecheck.rootdata import (
 from liecheck.weyl import (
     apply_word,
     longest_element,
-    matrix_apply,
     minimal_coset_reps,
     orbit,
     parabolic_longest,
     to_dominant,
     word_length,
-    word_matrix,
+    word_matrices,
 )
 
 B2 = RootSystem.from_simples([vec(1, -1), vec(0, 1)])
@@ -66,9 +65,11 @@ def test_apply_word_composes_right_to_left():
 
 def test_word_matrix_agrees_with_apply():
     word = (0, 1, 0, 1)
-    cols = word_matrix(word, B2)
+    (m,) = word_matrices([word], B2)
     for v in [vec(1, 0), vec(0, 1), vec(Q(3, 2), Q(-5, 2))]:
-        assert matrix_apply(cols, v) == apply_word(word, v, B2)
+        coords = B2.root_coords(v)
+        image = [sum(int(x) * c for x, c in zip(row, coords)) for row in m]
+        assert image == B2.root_coords(apply_word(word, v, B2))
 
 
 def test_word_length_counts_inversions():
@@ -110,7 +111,7 @@ def test_minimal_coset_reps_small():
     reps = minimal_coset_reps(B2, sub)
     assert len(reps) == 4
     assert () in reps
-    matrices = {word_matrix(w, B2) for w in reps}
+    matrices = {tuple(m.flat) for m in word_matrices(reps, B2)}
     assert len(matrices) == len(reps)
     rho = B2.half_positive_sum()
     for word in reps:
