@@ -11,10 +11,15 @@ prunes, none of which can change the reported outcome:
   * a subtree entirely unitarily small contributes no checked points;
   * a subtree entirely unitarily large with no dominant mu - beta
     contributes no checked points;
-  * once some margin m has been computed, a subtree whose cheap lower
-    bound already exceeds max(0, m) is counted but not evaluated (the
-    bound is a valid lower bound for every margin inside, so no
-    violation and no new minimum can hide there).
+  * a subtree whose cheap lower bound already exceeds max(0, m) is
+    counted but not evaluated, where m is the smaller of the box seed and
+    the slice's running minimum. The seed is the minimum margin of the
+    first kernel batch of the lowest slice, computed once per box and
+    handed to every slice. Both are margins of filtered points of the box,
+    so m is at least the box minimum; the bound is a valid lower bound for
+    every margin inside, so no violation and no point attaining the
+    minimum can hide there. A slice reports only minima of points it
+    evaluated, so the report does not depend on --jobs or on resuming.
 """
 
 from __future__ import annotations
@@ -37,6 +42,10 @@ from .usmall import usmall_system
 _BLOCK_TAIL = 4  # innermost coordinates enumerated as one numpy block
 _FLUSH_SEEDED = 50_000
 _FLUSH_UNSEEDED = 4_096
+# Bumped whenever a checkpointed slice record changes meaning. Format 2:
+# min_scaled is the minimum over the points the slice evaluated under the
+# box seed, not over every filtered point of the slice.
+_SCAN_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -179,11 +188,12 @@ def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     m = coords
     quad = np.einsum("nk,kl,nl->n", m, tables.gram_s, m)
     base_pair = m @ tables.pairing.T
-    lin = m @ tables.variant_s.T  # (n, s)
     mu_rc = m @ tables.rho_c_lin_s  # (n,)
     best = None
     for j in range(len(tables.shift)):
-        xx = quad - 2 * lin[:, j] + tables.variant_nrm_s[j]
+        # one variant's linear term at a time: an (n, s) table of them
+        # would dominate the scan's memory on the E8 cases
+        xx = quad - 2 * (m @ tables.variant_s[j]) + tables.variant_nrm_s[j]
         x_rc = mu_rc - tables.rho_c_var_s[j]
         floor = (
             xx + 2 * np.maximum(0, x_rc) + tables.rho_c_nrm_s
@@ -305,23 +315,75 @@ class _Scanner:
             total *= max(0, int(self.hi_p[k]) - lo + 1)
         return total
 
-    def scan_slice(self, first_value: int) -> _SliceResult:
+    def scan_slice(self, first_value: int, seed: int | None = None) -> _SliceResult:
+        """Scan the slice whose first walked coordinate is first_value.
+
+        With the shortcut, subtrees are pruned against min(seed, running
+        minimum); min_scaled covers only the points this slice evaluated.
+        """
         state = _SliceResult()
-        self._buffer = []
-        self._buffered = 0
-        prefix = np.zeros(self.dim, dtype=np.int64)
-        prefix[0] = first_value
-        partial = self.coeff_p[:, 0] * first_value
-        cheap_partial = int(self.cheap_p[0]) * first_value
-        prefix_dom = first_value >= int(self.beta_p[0])
-        if self.dim == 1 or 1 >= self.block_depth:
-            self._block(prefix, partial, cheap_partial, prefix_dom, state)
-        else:
-            self._walk(1, prefix, partial, cheap_partial, prefix_dom, state)
-        self._flush(state)
+        for coords in self._batches(first_value, state, seed):
+            margins = bulk_margins_scaled(self.tables, coords)
+            low = int(margins.min())
+            if state.min_scaled is None or low < state.min_scaled:
+                state.min_scaled = low
+            for i in np.nonzero(margins <= 0)[0]:
+                state.violations.append(
+                    (tuple(int(x) for x in coords[i]), int(margins[i]))
+                )
         return state
 
-    def _walk(self, depth, prefix, partial, cheap_partial, prefix_dom, state):
+    def first_batch_min(self, values) -> int | None:
+        """Minimum margin of the first kernel batch of an unseeded walk over
+        the slices in values, taken in order; None if none has a point to
+        evaluate. Used as the box seed of scan_slice."""
+        for value in values:
+            for coords in self._batches(value, _SliceResult(), None):
+                return int(bulk_margins_scaled(self.tables, coords).min())
+        return None
+
+    def _cutoff(self, state, seed):
+        """Cheap bound above which a point cannot matter, or None."""
+        if not self.shortcut:
+            return None
+        known = [m for m in (seed, state.min_scaled) if m is not None]
+        return max(0, min(known)) if known else None
+
+    def _batches(self, first_value, state, seed):
+        """Yield the points of one slice to evaluate, in kernel batches.
+
+        The walk reads the cutoff at every prune, so a caller that lowers
+        state.min_scaled between batches tightens the rest of the walk.
+        """
+        prefix = np.zeros(self.dim, dtype=np.int64)
+        prefix[0] = first_value
+        args = (
+            prefix,
+            self.coeff_p[:, 0] * first_value,
+            int(self.cheap_p[0]) * first_value,
+            first_value >= int(self.beta_p[0]),
+            state,
+            seed,
+        )
+        if self.block_depth == 1:
+            picks = [self._block(*args)]
+        else:
+            picks = self._walk(1, *args)
+        buffer, buffered = [], 0
+        for coords in picks:
+            if coords is not None:
+                buffer.append(coords)
+                buffered += len(coords)
+            known = seed is not None or state.min_scaled is not None
+            if buffered >= (_FLUSH_SEEDED if known else _FLUSH_UNSEEDED):
+                yield np.concatenate(buffer, axis=0)
+                buffer, buffered = [], 0
+        if buffered:
+            yield np.concatenate(buffer, axis=0)
+
+    def _walk(self, depth, prefix, partial, cheap_partial, prefix_dom, state, seed):
+        """Yield, block by block, the points of this subtree to evaluate
+        (None for a block with none)."""
         if np.all(partial + self.max_rest[depth] <= self.row_bounds):
             state.scanned += self.subtree_size(depth)
             return
@@ -330,30 +392,31 @@ class _Scanner:
             if dom == 0:
                 state.scanned += self.subtree_size(depth)
                 return
+            cutoff = self._cutoff(state, seed)
             if (
-                self.shortcut
-                and state.min_scaled is not None
+                cutoff is not None
                 and cheap_partial + int(self.cheap_rest[depth]) - self.tables.cheap_const_s
-                > max(0, state.min_scaled)
+                > cutoff
             ):
                 state.scanned += self.subtree_size(depth)
                 state.filtered += dom
                 return
         if depth >= self.block_depth:
-            self._block(prefix, partial, cheap_partial, prefix_dom, state)
+            yield self._block(prefix, partial, cheap_partial, prefix_dom, state, seed)
             return
         col = self.coeff_p[:, depth]
         cheap_c = int(self.cheap_p[depth])
         beta_d = int(self.beta_p[depth])
         for v in range(int(self.lo_p[depth]), int(self.hi_p[depth]) + 1):
             prefix[depth] = v
-            self._walk(
+            yield from self._walk(
                 depth + 1,
                 prefix,
                 partial + col * v,
                 cheap_partial + cheap_c * v,
                 prefix_dom and v >= beta_d,
                 state,
+                seed,
             )
 
     def _build_coords(self, prefix, rows):
@@ -364,12 +427,13 @@ class _Scanner:
             coords[:, orig] = self.tail_coords[rows, i]
         return coords
 
-    def _block(self, prefix, partial, cheap_partial, prefix_dom, state):
+    def _block(self, prefix, partial, cheap_partial, prefix_dom, state, seed):
+        """The points of one block to evaluate, or None."""
         state.scanned += self.tail_count
         small = (self.tail_lhs + partial <= self.row_bounds).all(axis=1)
         if self.semisimple:
             if not prefix_dom:
-                return
+                return None
             eligible = ~small & self.tail_dom
         else:
             coords = self._build_coords(prefix, np.arange(self.tail_count))
@@ -379,35 +443,15 @@ class _Scanner:
             eligible = ~small & dominant
         count = int(eligible.sum())
         if count == 0:
-            return
+            return None
         state.filtered += count
         picked = eligible
-        if self.shortcut and state.min_scaled is not None:
+        cutoff = self._cutoff(state, seed)
+        if cutoff is not None:
             cheap = self.tail_cheap + (cheap_partial - self.tables.cheap_const_s)
-            picked = eligible & (cheap <= max(0, state.min_scaled))
+            picked = eligible & (cheap <= cutoff)
         rows = np.nonzero(picked)[0]
-        if rows.size:
-            self._buffer.append(self._build_coords(prefix, rows))
-            self._buffered += rows.size
-        limit = _FLUSH_SEEDED if state.min_scaled is not None else _FLUSH_UNSEEDED
-        if self._buffered >= limit:
-            self._flush(state)
-
-    def _flush(self, state):
-        if not self._buffered:
-            return
-        coords = np.concatenate(self._buffer, axis=0)
-        self._buffer = []
-        self._buffered = 0
-        margins = bulk_margins_scaled(self.tables, coords)
-        low = int(margins.min())
-        if state.min_scaled is None or low < state.min_scaled:
-            state.min_scaled = low
-        bad = np.nonzero(margins <= 0)[0]
-        for i in bad:
-            state.violations.append(
-                (tuple(int(x) for x in coords[i]), int(margins[i]))
-            )
+        return self._build_coords(prefix, rows) if rows.size else None
 
 
 def _merge(results, scale) -> dict:
@@ -425,16 +469,23 @@ def _merge(results, scale) -> dict:
     }
 
 
-def _slice_for_pool(args):
-    case, ranges, shortcut, value = args
-    scanner = _Scanner(case, ranges, shortcut)
-    return value, scanner.scan_slice(value)
+_worker = None  # (scanner, seed) of a --jobs pool worker
+
+
+def _start_worker(scanner, seed):
+    global _worker
+    _worker = (scanner, seed)
+
+
+def _slice_for_pool(value):
+    scanner, seed = _worker
+    return value, scanner.scan_slice(value, seed)
 
 
 def _checkpoint_path(directory, case, ranges, shortcut):
     key = json.dumps(
         {"case": case.id.label, "ranges": [list(r) for r in ranges],
-         "shortcut": bool(shortcut)},
+         "shortcut": bool(shortcut), "format": _SCAN_FORMAT},
         sort_keys=True,
     )
     digest = sha1(key.encode()).hexdigest()[:16]
@@ -493,11 +544,16 @@ def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
         ckpath = _checkpoint_path(checkpoint_dir, case, ranges, shortcut)
-        done = _load_checkpoint(ckpath)
-        done = {v: r for v, r in done.items() if v in set(slice_values)}
+        size = probe.subtree_size(1)
+        done = {
+            v: r
+            for v, r in _load_checkpoint(ckpath).items()
+            if first_lo <= v <= first_hi and r.scanned == size
+        }
     todo = [v for v in slice_values if v not in done]
 
     t0 = time.monotonic()
+    seed = probe.first_batch_min(slice_values) if shortcut and todo else None
     completed = 0
 
     def note(value):
@@ -512,17 +568,15 @@ def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
     if jobs > 1 and len(todo) > 1:
         import multiprocessing as mp
 
-        with mp.Pool(jobs) as pool:
-            for value, result in pool.imap_unordered(
-                _slice_for_pool, [(case, ranges, shortcut, v) for v in todo]
-            ):
+        with mp.Pool(jobs, initializer=_start_worker, initargs=(probe, seed)) as pool:
+            for value, result in pool.imap_unordered(_slice_for_pool, todo):
                 done[value] = result
                 if ckpath:
                     _save_checkpoint(ckpath, done)
                 note(value)
     else:
         for value in todo:
-            done[value] = probe.scan_slice(value)
+            done[value] = probe.scan_slice(value, seed)
             if ckpath:
                 _save_checkpoint(ckpath, done)
             note(value)

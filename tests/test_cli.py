@@ -170,7 +170,7 @@ def test_dump_to_stdout(capsys):
     assert len(lines) == 30
 
 
-@pytest.mark.parametrize("family", ["G", "FII", "SP4R"])
+@pytest.mark.parametrize("family", ["G", "FII", "SP4R", "EIV", "EI", "FI"])
 def test_dump_norms_are_exact_spin_norms(family, capsys):
     case = get_case(family)
     assert main(["usmall", "dump", family]) == 0

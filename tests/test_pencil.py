@@ -237,6 +237,127 @@ def test_checkpoint_ignores_other_boxes(tmp_path):
     assert len(list(tmp_path.glob("scan-*.json"))) == 2
 
 
+def _payload(rep):
+    return (rep.scanned, rep.filtered, rep.violations, rep.min_margin_sq)
+
+
+def _only_checkpoint(directory):
+    (path,) = directory.glob("scan-*.json")
+    return path
+
+
+def test_checkpoint_rejects_slice_of_wrong_size(tmp_path):
+    case = get_case("FII")
+    box = default_box(case)
+    fresh = verify_box(case, box)
+    verify_box(case, box, checkpoint_dir=str(tmp_path))
+    path = _only_checkpoint(tmp_path)
+    state = json.loads(path.read_text())
+    rec = state["slices"][min(state["slices"], key=int)]
+    rec["scanned"] -= 1
+    rec["min_scaled"] = -10**6
+    path.write_text(json.dumps(state))
+    assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
+
+
+def test_checkpoint_ignores_records_of_older_scan_format(tmp_path):
+    # slice records written before the box seed were keyed by case, ranges
+    # and shortcut alone; a file under that key must not be read back
+    import hashlib
+
+    case = get_case("FII")
+    box = default_box(case)
+    fresh = verify_box(case, box)
+    verify_box(case, box, checkpoint_dir=str(tmp_path))
+    path = _only_checkpoint(tmp_path)
+    state = json.loads(path.read_text())
+    for rec in state["slices"].values():
+        rec["min_scaled"] = -10**6
+    path.unlink()
+    old_key = json.dumps(
+        {"case": case.id.label, "ranges": [list(r) for r in box.ranges],
+         "shortcut": True},
+        sort_keys=True,
+    )
+    digest = hashlib.sha1(old_key.encode()).hexdigest()[:16]
+    (tmp_path / f"scan-{case.id.family}-{digest}.json").write_text(json.dumps(state))
+    assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
+
+
+# Boxes for the exactness of the seeded cheap-bound prune. EI's minimum lies
+# outside its lowest slice; the EII sub-box is walked along a, its default
+# box along f; the SP4R box has violations and an empty lowest slice.
+SEEDED_BOXES = {
+    "EI": None,
+    "FI": None,
+    "EII": "a:0..14,b:0..3,c:1..4,d:0..3,e:0..6,f:17..19",
+    "SP4R": "p:-3..4,q:-4..3",
+}
+
+
+def _seeded_box(family):
+    case = get_case(family)
+    spec = SEEDED_BOXES[family]
+    return case, default_box(case) if spec is None else parse_box(spec, case)
+
+
+def test_seeded_boxes_cover_the_hard_cases():
+    from liecheck.fastscan import _Scanner
+
+    case, box = _seeded_box("EI")
+    axis = _Scanner(case, box.ranges, True).perm[0]
+    lowest = list(box.ranges)
+    lowest[axis] = (box.ranges[axis][0],) * 2
+    box_min = verify_box(case, box).min_margin_sq
+    assert verify_box(case, Box(tuple(lowest))).min_margin_sq > box_min
+
+    case, box = _seeded_box("EII")
+    walked = _Scanner(case, box.ranges, True).perm[0]
+    assert walked != _Scanner(case, default_box(case).ranges, True).perm[0]
+
+
+@pytest.mark.parametrize("family", sorted(SEEDED_BOXES))
+def test_seeded_prune_is_exact(family):
+    case, box = _seeded_box(family)
+    exhaustive = verify_box(case, box, shortcut=False)
+    assert _payload(verify_box(case, box)) == _payload(exhaustive)
+    assert _payload(verify_box(case, box, jobs=2)) == _payload(exhaustive)
+
+
+@pytest.mark.parametrize("family", sorted(SEEDED_BOXES))
+def test_seeded_prune_resume_is_exact(family, tmp_path):
+    case, box = _seeded_box(family)
+    fresh = verify_box(case, box)
+    verify_box(case, box, checkpoint_dir=str(tmp_path))
+    path = _only_checkpoint(tmp_path)
+    state = json.loads(path.read_text())
+    kept = dict(sorted(state["slices"].items(), key=lambda kv: int(kv[0]))[1::2])
+    path.write_text(json.dumps({"slices": kept}))
+    resumed = verify_box(case, box, checkpoint_dir=str(tmp_path), jobs=2)
+    assert _payload(resumed) == _payload(fresh)
+
+
+def test_prune_skips_points_only_with_the_shortcut(monkeypatch):
+    # --no-shortcut sends every filtered point to the kernel exactly once,
+    # with no seed probe; the seeded shortcut sends fewer
+    from liecheck import fastscan
+
+    rows = []
+    kernel = fastscan.bulk_margins_scaled
+
+    def counted(tables, coords):
+        rows.append(len(coords))
+        return kernel(tables, coords)
+
+    monkeypatch.setattr(fastscan, "bulk_margins_scaled", counted)
+    case, box = _seeded_box("EI")
+    full = verify_box(case, box, shortcut=False)
+    assert sum(rows) == full.filtered
+    rows.clear()
+    verify_box(case, box)
+    assert sum(rows) < full.filtered
+
+
 def test_sp4r_families_closed_forms():
     # descending members reproduce the published quadratics; the ascending
     # middle value follows the recomputed closed form 2m^2-2m+5, matching
