@@ -5,6 +5,8 @@ integers, pairings against coroots are integers, and every rational
 constant (weight Gram matrix, rho_c pairings) is cleared to a common
 denominator once per case. Squared spin norms come out as int64 values
 scaled by that single denominator, so comparisons and minima are exact.
+A box whose coordinates could carry an intermediate beyond int64 is
+refused before the scan starts (magnitude_bound).
 
 The box scan is a depth-first walk over coordinate prefixes with three
 prunes, none of which can change the reported outcome:
@@ -30,7 +32,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from hashlib import sha1
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -42,6 +44,11 @@ from .usmall import usmall_system
 _BLOCK_TAIL = 4  # innermost coordinates enumerated as one numpy block
 _FLUSH_SEEDED = 50_000
 _FLUSH_UNSEEDED = 4_096
+# Rows per best-first kernel chunk. Its (rows x variants) tables and pair
+# arrays grow with it: on the published boxes, 1,024 rows raised peak memory
+# by 7% over a per-variant kernel and 512 rows by 2%, at the same speed.
+_CHUNK_ROWS = 512
+_INT64_MAX = 2**63 - 1
 # Bumped whenever a checkpointed slice record changes meaning. Format 2:
 # min_scaled is the minimum over the points the slice evaluated under the
 # box seed, not over every filtered point of the slice.
@@ -66,6 +73,7 @@ class ScanTables:
     beta_coords: np.ndarray  # (l,) k-type coordinates of beta
     cheap_coef_s: np.ndarray  # (l,): 2 * scale * <basis_k, beta>, nonneg
     cheap_const_s: int  # scale * (2<rho_c,beta> + 2 max_j<rho_n_j,beta> + |beta|^2)
+    coroot_nrm: Q  # max over k's simple roots delta of ||delta coroot||^2
 
 
 def _as_int_array(values, what: str) -> np.ndarray:
@@ -153,6 +161,45 @@ def build_tables(case: CaseData) -> ScanTables:
         beta_coords=_as_int_array(list(beta_c), "beta coordinates"),
         cheap_coef_s=scaled(cheap_coef),
         cheap_const_s=_as_int(cheap_const * scale, "cheap constant"),
+        coroot_nrm=max((4 / norm_sq(d) for d in deltas), default=Q(0)),
+    )
+
+
+def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
+    """Bound on the absolute value of every integer that the margin kernel
+    and the cheap-bound prune compute for k-type coordinates of absolute
+    value at most coord_max (rows mu and mu - beta alike).
+
+    Each term bounds one family of intermediates by the sum of the absolute
+    values of its addends. A sweep keeps |x|, and |<y, delta coroot>| <=
+    |y| ||delta coroot||, so the norm of x bounds every pairing coordinate
+    a sweep passes through.
+    """
+
+    def abs_sum(arr):
+        return int(np.abs(arr).sum())
+
+    def abs_max(arr):  # largest absolute entry, or row sum for a matrix
+        arr = np.abs(arr)
+        return int((arr.sum(axis=1) if arr.ndim == 2 else arr).max(initial=0))
+
+    a = coord_max + abs_max(tables.beta_coords)
+    # scale * |x|^2 for x = mu - rho_n^j, and each of its parts
+    norm_x = (
+        a * a * abs_sum(tables.gram_s)
+        + 2 * a * abs_max(tables.variant_s)
+        + abs_max(tables.variant_nrm_s)
+    )
+    rho_c_term = 2 * (a * abs_sum(tables.rho_c_lin_s) + abs_max(tables.rho_c_var_s))
+    q = norm_x * tables.coroot_nrm / tables.scale  # >= (max pairing coordinate)^2
+    pairing = isqrt(q.numerator // q.denominator) + 1
+    cheap = coord_max * abs_sum(tables.cheap_coef_s) + abs(tables.cheap_const_s)
+    return (
+        2 * norm_x
+        + rho_c_term
+        + pairing * (abs_max(tables.cartan) + abs_sum(tables.rho_c_pair2_s))
+        + tables.rho_c_nrm_s
+        + cheap
     )
 
 
@@ -180,38 +227,56 @@ def conjugate_dominant_bulk(c: np.ndarray, cartan: np.ndarray) -> np.ndarray:
 def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     """Squared spin norms (times tables.scale) for rows of coords.
 
-    A variant j can only lower the running minimum when its sweep-free
-    lower bound |x|^2 + 2 max(0, <x, rho_c>) + |rho_c|^2 beats it (the
-    dominant conjugate maximizes the rho_c pairing over the orbit, and
-    that pairing is nonnegative), so most variants never get swept.
+    The norm is the minimum over the rho_n variants j of
+    |dom(x_j) + rho_c|^2 with x_j = mu - rho_n^j, and each variant has the
+    sweep-free floor |x_j|^2 + 2 max(0, <x_j, rho_c>) + |rho_c|^2 <= that
+    value (the dominant conjugate maximizes the rho_c pairing over the
+    orbit, and that pairing is nonnegative). The kernel is best-first:
+    it sweeps each row's lowest-floor variant, then only the (row,
+    variant) pairs whose floor is still below the row's value. A skipped
+    pair has floor >= value, so it cannot lower the minimum, and the
+    result is exact. Rows go in chunks of _CHUNK_ROWS, because the
+    (rows x variants) floor table and the pair arrays grow with them.
     """
-    m = coords
-    quad = np.einsum("nk,kl,nl->n", m, tables.gram_s, m)
+    out = np.empty(len(coords), dtype=np.int64)
+    for start in range(0, len(coords), _CHUNK_ROWS):
+        chunk = coords[start:start + _CHUNK_ROWS]
+        out[start:start + len(chunk)] = _best_first(tables, chunk)
+    return out
+
+
+def _best_first(tables: ScanTables, m: np.ndarray) -> np.ndarray:
+    # The (rows x variants) tables leave out the row constant
+    # scale * (|mu|^2 + |rho_c|^2): it changes neither the argmin nor the
+    # floor test, and is added to the result at the end. lin is
+    # scale * -2 <mu, rho_n^j>; einsum beats matmul on int64 here.
+    lin = np.einsum("nk,ks->ns", -2 * m, np.ascontiguousarray(tables.variant_s.T))
+    floor = np.add.outer(
+        2 * (m @ tables.rho_c_lin_s), tables.variant_nrm_s - 2 * tables.rho_c_var_s
+    )
+    # scale * (|rho_n^j|^2 + 2 max(0, <x_j, rho_c>)), then the linear term
+    np.maximum(floor, tables.variant_nrm_s, out=floor)
+    floor += lin
     base_pair = m @ tables.pairing.T
-    mu_rc = m @ tables.rho_c_lin_s  # (n,)
-    best = None
-    for j in range(len(tables.shift)):
-        # one variant's linear term at a time: an (n, s) table of them
-        # would dominate the scan's memory on the E8 cases
-        xx = quad - 2 * (m @ tables.variant_s[j]) + tables.variant_nrm_s[j]
-        x_rc = mu_rc - tables.rho_c_var_s[j]
-        floor = (
-            xx + 2 * np.maximum(0, x_rc) + tables.rho_c_nrm_s
-        )
-        if best is None:
-            rows = slice(None)
-        else:
-            mask = floor < best
-            if not mask.any():
-                continue
-            rows = np.nonzero(mask)[0]
-        c = base_pair[rows] - tables.shift[j]
+
+    def sweep(rows, variants):
+        c = base_pair[rows] - tables.shift[variants]
         conjugate_dominant_bulk(c, tables.cartan)
-        total = xx[rows] + c @ tables.rho_c_pair2_s + tables.rho_c_nrm_s
-        if best is None:
-            best = total
-        else:
-            best[rows] = np.minimum(best[rows], total)
+        return (
+            lin[rows, variants]
+            + tables.variant_nrm_s[variants]
+            + c @ tables.rho_c_pair2_s
+        )
+
+    rows = np.arange(len(m))
+    first = floor.argmin(axis=1)
+    best = sweep(rows, first)
+    again = floor < best[:, None]
+    again[rows, first] = False
+    rows, variants = np.divmod(np.flatnonzero(again), again.shape[1])
+    if rows.size:
+        np.minimum.at(best, rows, sweep(rows, variants))
+    best += ((m @ tables.gram_s) * m).sum(axis=1) + tables.rho_c_nrm_s
     return best
 
 
@@ -243,6 +308,14 @@ class _Scanner:
     def __init__(self, case: CaseData, ranges, shortcut: bool):
         self.case = case
         self.tables = build_tables(case)
+        coord_max = max(abs(v) for r in ranges for v in r)
+        bound = magnitude_bound(self.tables, coord_max)
+        if bound > _INT64_MAX:
+            raise ConstructionError(
+                f"{case.id.label}: box coordinates up to {coord_max} are too "
+                f"large for the exact int64 scan (intermediates up to {bound}, "
+                f"beyond 2^63 - 1)"
+            )
         self.shortcut = shortcut
         system = usmall_system(case)
         self.row_coeffs = np.array(

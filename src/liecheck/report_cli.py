@@ -45,7 +45,7 @@ from .pencil import (
     verify_box,
 )
 from .spin import spin_norm_sq, variant_norms_sq
-from .usmall import enumerate_usmall, iter_usmall
+from .usmall import enumerate_usmall, iter_usmall, usmall_system
 
 LONG_RUN_FAMILIES = ("EVIII", "EIX")
 
@@ -366,6 +366,32 @@ def _sorted_tuples(vectors) -> list[tuple]:
     return sorted(tuple(v) for v in vectors)
 
 
+def _at_path(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _row_list(rows) -> list:
+    """Inequality rows (coeffs, bound) as a sorted list in golden form."""
+    return sorted([list(coeffs), bound] for coeffs, bound in rows)
+
+
+def _fit_quad(f, ms):
+    """Integer coefficients [a, b, c] with f(m) = a m^2 + b m + c for every
+    m in ms, or None when no such quadratic exists."""
+    m0 = ms[0]
+    f0, f1, f2 = f(m0), f(m0 + 1), f(m0 + 2)
+    a = Q(f2 - 2 * f1 + f0, 2)
+    b = f1 - f0 - a * (2 * m0 + 1)
+    c = f0 - a * m0 * m0 - b * m0
+    coeffs = [a, b, c]
+    if any(Q(x).denominator != 1 for x in coeffs):
+        return None
+    coeffs = [int(x) for x in coeffs]
+    return coeffs if all(_quad(coeffs, m) == f(m) for m in ms) else None
+
+
 def _bound_matches(computed: Q, expected) -> bool:
     if expected == "pos":
         return computed > 0
@@ -377,11 +403,22 @@ def _bound_matches(computed: Q, expected) -> bool:
 def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
     """Recompute every tabulated constant and compare against the golden data.
 
+    Figures with a recorded erratum are compared in their corrected form,
+    and each erratum is an item of its own: printed and corrected value,
+    ok when the recomputation gives the corrected value.
+
     golden_data overrides the packaged table (used by the negative tests);
     log, when given, receives one formatted line per finished item.
     """
     data = golden_data if golden_data is not None else golden()
+    errata = {tuple(entry["path"]): entry for entry in data["errata"]}
     items: list[SelftestItem] = []
+
+    def published(*path):
+        """The golden figure at path, with its recorded erratum applied."""
+        if path in errata:
+            return errata[path]["corrected"]
+        return _at_path(data, path)
 
     def add(name, expected, computed, ok):
         item = SelftestItem(name, str(expected), str(computed), bool(ok))
@@ -406,11 +443,12 @@ def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
             not bad,
         )
 
-    for family, expected in data["usmall_counts"].items():
+    counts = {}
+    for family in data["usmall_counts"]:
         if family in LONG_RUN_FAMILIES and not long:
             continue
-        case = get_case(family)
-        count = enumerate_usmall(case, jobs=jobs)
+        expected = published("usmall_counts", family)
+        counts[family] = count = enumerate_usmall(get_case(family), jobs=jobs)
         add(f"usmall-count-{family}", expected, count, count == expected)
 
     for family, expected in data["min_coset_counts"].items():
@@ -456,17 +494,15 @@ def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
         computed = naive_bound(case)
         add(f"naive-bound-{family}", expected, computed, computed == Q(expected))
 
-    pencils = data["sp4r_pencils"]
     m_lo, m_hi = 5, 100
 
     def family_mismatches(direction, keys):
-        entry = pencils[direction]
         bad = []
         for m in range(m_lo, m_hi + 1):
             pt = sp4r_family(m, direction)
             for key in keys:
                 got = getattr(pt, f"{key}_sq")
-                want = _quad(entry[key], m)
+                want = _quad(published("sp4r_pencils", direction, key), m)
                 if got != want:
                     bad.append(f"m={m} {key}: {got} != {want}")
         return bad
@@ -480,7 +516,7 @@ def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
     )
     for key in ("good", "mid", "bad"):
         bad = family_mismatches("ascending", (key,))
-        coeffs = pencils["ascending"][key]
+        coeffs = published("sp4r_pencils", "ascending", key)
         add(
             f"sp4r-ascending-{key}",
             f"{coeffs[0]}m^2{coeffs[1]:+d}m{coeffs[2]:+d} for m={m_lo}..{m_hi}",
@@ -514,6 +550,35 @@ def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
             f" min margin {rep.min_margin_sq}"
             f" over {rep.filtered} filtered of {rep.scanned} scanned",
             rep.ok,
+        )
+
+    def recompute(path):
+        """The recomputed value of the figure at path, in its golden form."""
+        if path[0] == "usmall_counts":
+            family = path[1]
+            if family not in counts:
+                counts[family] = enumerate_usmall(get_case(family), jobs=jobs)
+            return counts[family]
+        if path[0] == "usmall_rows":
+            return _row_list(usmall_system(get_case(path[1])).rows)
+        if path[0] == "sp4r_pencils":
+            return _fit_quad(
+                lambda m: getattr(sp4r_family(m, path[1]), f"{path[2]}_sq"),
+                range(m_lo, m_hi + 1),
+            )
+        return None
+
+    for path, entry in errata.items():
+        printed, corrected = entry["printed"], entry["corrected"]
+        computed = recompute(path)
+        if path[0] == "usmall_rows":
+            printed, corrected = _row_list(printed), _row_list(corrected)
+        add(
+            "erratum-" + "-".join(path),
+            f"printed {printed}, corrected {corrected}",
+            "no recomputation for this figure" if computed is None else computed,
+            computed == corrected != printed
+            and entry["printed"] == _at_path(data, path),
         )
 
     return items

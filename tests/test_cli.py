@@ -53,6 +53,12 @@ def test_usage_errors_exit_2():
     assert main(["verify", "G", "--box", "a:9..3,b:1..2"]) == 2
 
 
+def test_verify_box_beyond_int64_exits_2(capsys):
+    box = "a:3000000000..3000000001,b:3000000000..3000000001"
+    assert main(["verify", "G", "--box", box]) == 2
+    assert "too large for the exact int64 scan" in capsys.readouterr().err
+
+
 def test_malformed_flags_exit_2(capsys):
     assert main(["usmall", "count"]) == 2
     assert main(["no-such-command"]) == 2
@@ -203,11 +209,26 @@ def baseline_items():
     return run_selftest(jobs=2)
 
 
-def test_selftest_baseline_failures_are_the_known_two(baseline_items):
+ERRATA_ITEMS = {
+    "erratum-usmall_rows-EII",
+    "erratum-usmall_counts-EII",
+    "erratum-sp4r_pencils-ascending-mid",
+}
+
+
+def test_selftest_baseline_passes_with_errata_reported(baseline_items):
     # the published EII tally and the published ascending middle closed
-    # form both disagree with recomputation; everything else passes
-    failures = {item.name for item in baseline_items if not item.ok}
-    assert failures == {"usmall-count-EII", "sp4r-ascending-mid"}
+    # form are compared with their errata applied, and every erratum is an
+    # item of its own that holds on a clean tree
+    assert [item.name for item in baseline_items if not item.ok] == []
+    by_name = {item.name: item for item in baseline_items}
+    assert {n for n in by_name if n.startswith("erratum-")} == ERRATA_ITEMS
+    tally = by_name["erratum-usmall_counts-EII"]
+    assert (tally.expected, tally.computed) == ("printed 22122, corrected 20995", "20995")
+    mid = by_name["erratum-sp4r_pencils-ascending-mid"]
+    assert (mid.expected, mid.computed) == ("printed [2, 0, 2], corrected [2, -2, 5]", "[2, -2, 5]")
+    assert by_name["usmall-count-EII"].expected == "20995"
+    assert by_name["sp4r-ascending-mid"].expected.startswith("2m^2-2m+5 ")
 
 
 def test_selftest_item_names_cover_contract(baseline_items):
@@ -218,6 +239,7 @@ def test_selftest_item_names_cover_contract(baseline_items):
     assert "rho-n-FI" in names
     assert "verify-box-G" in names
     assert "sp4r-orderings" in names
+    assert ERRATA_ITEMS <= names
     # the long-run counts stay out of the default set
     assert "usmall-count-EVIII" not in names
     assert "verify-box-EV" not in names
@@ -235,10 +257,32 @@ def test_selftest_detects_perturbed_constant(baseline_items):
     assert baseline - perturbed == set()
 
 
-def test_selftest_cli_exit_and_report(tmp_path):
+def test_selftest_detects_broken_erratum(monkeypatch, tmp_path):
+    # a wrong correction fails both the figure and its erratum item; a
+    # printed figure that no longer matches its erratum's quote fails the
+    # erratum item; and the command exits 1
+    data = copy.deepcopy(golden())
+    for entry in data["errata"]:
+        if entry["path"] == ["sp4r_pencils", "ascending", "mid"]:
+            entry["corrected"] = [2, -2, 6]
+    data["usmall_counts"]["EII"] = 22123
+    monkeypatch.setattr("liecheck.report_cli.golden", lambda: data)
     path = tmp_path / "selftest.json"
     assert main(["selftest", "--jobs", "2", "--report", str(path)]) == 1
+    items = json.loads(path.read_text())["results"]["items"]
+    failed = {item["name"] for item in items if not item["ok"]}
+    assert failed == {
+        "sp4r-ascending-mid",
+        "erratum-sp4r_pencils-ascending-mid",
+        "erratum-usmall_counts-EII",
+    }
+
+
+def test_selftest_cli_exit_and_report(tmp_path):
+    path = tmp_path / "selftest.json"
+    assert main(["selftest", "--jobs", "2", "--report", str(path)]) == 0
     doc = json.loads(path.read_text())
-    assert doc["results"]["failures"] == 2
+    assert doc["results"]["failures"] == 0
+    assert ERRATA_ITEMS <= {item["name"] for item in doc["results"]["items"]}
     names = [item["name"] for item in doc["results"]["items"]]
     assert names == sorted(set(names), key=names.index)  # stable, no dups

@@ -1,12 +1,14 @@
 """Pencil margins, bound tables, and the box verification engine."""
 
+import itertools
 import json
 from fractions import Fraction as Q
 
 import pytest
 
 from liecheck.cases import get_case, ktype_is_dominant
-from liecheck.errors import UsageError
+from liecheck.errors import ConstructionError, UsageError
+from liecheck.fastscan import _INT64_MAX, build_tables, magnitude_bound
 from liecheck.pencil import (
     Box,
     coordinate_names,
@@ -356,6 +358,58 @@ def test_prune_skips_points_only_with_the_shortcut(monkeypatch):
     rows.clear()
     verify_box(case, box)
     assert sum(rows) < full.filtered
+
+
+# -- int64 magnitude guard ----------------------------------------------------
+
+
+def test_box_beyond_int64_is_rejected():
+    # at k-type coordinates 3e9 the int64 kernel wraps around (it returned
+    # a negative squared norm for G), so such a box must be refused
+    case = get_case("G")
+    box = parse_box("a:3000000000..3000000001,b:3000000000..3000000001", case)
+    with pytest.raises(ConstructionError, match="2\\^63"):
+        verify_box(case, box)
+
+
+def _largest_accepted(tables):
+    lo, hi = 0, 1 << 40
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if magnitude_bound(tables, mid) <= _INT64_MAX:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("family", ["G", "SP4R"])
+def test_largest_accepted_box_is_exact(family):
+    # the guard admits a box only where the int64 scan is still exact: at
+    # the largest accepted coordinates the report equals a Fraction recount
+    case = get_case(family)
+    top = _largest_accepted(build_tables(case))
+    assert top > 10**8
+    if case.k_has_center:
+        box = Box(((top - 2, top), (-top, -top + 2)))
+    else:
+        box = Box(((top - 2, top),) * 2)
+    beyond = Box(tuple((lo, hi + 1) for lo, hi in box.ranges))
+    with pytest.raises(ConstructionError):
+        verify_box(case, beyond)
+    rep = verify_box(case, box)
+    beta = case.beta_ktype
+    margins = {
+        mu: step_margin_sq(case, mu)
+        for mu in itertools.product(*(range(lo, hi + 1) for lo, hi in box.ranges))
+        if ktype_is_dominant(case, mu)
+        and ktype_is_dominant(case, tuple(m - b for m, b in zip(mu, beta)))
+    }
+    assert rep.filtered == len(margins) > 0
+    assert rep.min_margin_sq == min(margins.values())
+    assert list(rep.violations) == sorted(
+        (mu, m) for mu, m in margins.items() if m <= 0
+    )
 
 
 def test_sp4r_families_closed_forms():

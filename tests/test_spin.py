@@ -1,5 +1,6 @@
 """Spin norm: exact evaluation, bounds, and the vectorized scanner."""
 
+import itertools
 from fractions import Fraction as Q
 
 import numpy as np
@@ -11,9 +12,10 @@ from liecheck.cases import (
     ktype_is_dominant,
     ktype_to_ambient,
 )
+from liecheck import fastscan
 from liecheck.fastscan import build_tables, bulk_margins_scaled, bulk_spin_sq_scaled
 from liecheck.pencil import step_margin_sq
-from liecheck.rootdata import coroot_pairing, norm_sq, vadd, vsub
+from liecheck.rootdata import coroot_pairing, inner, norm_sq, vadd, vsub
 from liecheck.spin import spin_argmin, spin_norm_sq, variant_norms_sq
 from liecheck.usmall import iter_usmall
 from liecheck.weyl import orbit, to_dominant
@@ -130,3 +132,72 @@ def test_bulk_margins_match_step_margin(family, rng):
     margins = bulk_margins_scaled(tables, arr)
     for mu, value in zip(picked, margins):
         assert Q(int(value), tables.scale) == step_margin_sq(case, mu)
+
+
+# -- best-first kernel against the exact norm --------------------------------
+
+
+def _variant_floors(case, mu):
+    """Sweep-free floor |x|^2 + 2 max(0, <x, rho_c>) + |rho_c|^2 of each
+    variant, x = mu - rho_n variant, in exact arithmetic."""
+    ambient = ktype_to_ambient(case, mu)
+    floors = []
+    for variant in case.rho_n_variants:
+        x = vsub(ambient, variant)
+        floors.append(
+            norm_sq(x) + 2 * max(0, inner(x, case.rho_c)) + norm_sq(case.rho_c)
+        )
+    return floors
+
+
+@pytest.mark.parametrize("family", ["G", "FII", "EI", "FI", "SP4R"])
+def test_bulk_kernel_exact_on_tied_floors(family):
+    # rows whose lowest floor is attained by two or more variants: the
+    # kernel sweeps one of them first and must not lose the others
+    case = get_case(family)
+    tables = build_tables(case)
+    lo = -3 if case.k_has_center else 0
+    tied = []
+    for mu in itertools.product(range(lo, 4), repeat=case.ktype_dim):
+        if not ktype_is_dominant(case, mu):
+            continue
+        floors = _variant_floors(case, mu)
+        if floors.count(min(floors)) > 1:
+            tied.append(mu)
+    assert len(tied) >= 5
+    values = bulk_spin_sq_scaled(tables, np.array(tied, dtype=np.int64))
+    for mu, value in zip(tied, values):
+        assert Q(int(value), tables.scale) == spin_norm_sq(case, mu), mu
+
+
+@pytest.mark.parametrize("family", ["G", "SP4R"])
+def test_bulk_kernel_exact_across_chunks(family, rng):
+    # one shuffled array of more than two kernel chunks, so that rows of
+    # every kind meet at the chunk boundaries
+    case = get_case(family)
+    tables = build_tables(case)
+    lo = -40 if case.k_has_center else 0
+    points = [
+        mu
+        for mu in itertools.product(range(lo, 61), repeat=2)
+        if ktype_is_dominant(case, mu)
+    ]
+    coords = rng.sample(points, 2 * fastscan._CHUNK_ROWS + 37)
+    values = bulk_spin_sq_scaled(tables, np.array(coords, dtype=np.int64))
+    assert len(values) == len(coords)
+    for mu, value in zip(coords, values):
+        assert Q(int(value), tables.scale) == spin_norm_sq(case, mu), mu
+
+
+@pytest.mark.parametrize("family", ["G", "EII", "SP4R"])
+def test_bulk_kernel_on_zero_and_one_row(family):
+    case = get_case(family)
+    tables = build_tables(case)
+    empty = np.zeros((0, case.ktype_dim), dtype=np.int64)
+    for kernel in (bulk_spin_sq_scaled, bulk_margins_scaled):
+        out = kernel(tables, empty)
+        assert out.shape == (0,) and out.dtype == np.int64
+    mu = case.beta_ktype if not case.k_has_center else (3, -2)
+    value = bulk_spin_sq_scaled(tables, np.array([mu], dtype=np.int64))
+    assert value.shape == (1,)
+    assert Q(int(value[0]), tables.scale) == spin_norm_sq(case, mu)
