@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from hashlib import sha1
 from pathlib import Path
+
+_GOLDEN = Path(__file__).with_name("golden.json")
 
 
 @lru_cache(maxsize=1)
 def golden() -> dict:
-    path = Path(__file__).with_name("golden.json")
-    with open(path, encoding="utf-8") as fh:
+    with open(_GOLDEN, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@lru_cache(maxsize=1)
+def golden_digest() -> str:
+    """sha1 of the packaged golden.json, as stored."""
+    return sha1(_GOLDEN.read_bytes()).hexdigest()

@@ -8,7 +8,7 @@ scaled by that single denominator, so comparisons and minima are exact.
 A box whose coordinates could carry an intermediate beyond int64 is
 refused before the scan starts (magnitude_bound).
 
-The box scan is a depth-first walk over coordinate prefixes with three
+The box scan is a depth-first walk over coordinate prefixes with these
 prunes, none of which can change the reported outcome:
   * a subtree entirely unitarily small contributes no checked points;
   * a subtree entirely unitarily large with no dominant mu - beta
@@ -21,7 +21,19 @@ prunes, none of which can change the reported outcome:
     so m is at least the box minimum; the bound is a valid lower bound for
     every margin inside, so no violation and no point attaining the
     minimum can hide there. A slice reports only minima of points it
-    evaluated, so the report does not depend on --jobs or on resuming.
+    evaluated, so the report does not depend on --jobs or on resuming;
+  * a block (the innermost coordinates as one numpy grid) that one u-small
+    row already makes u-large skips the per-point u-small test: every
+    point is u-large, so its checked points are exactly the dominant tail
+    points, and those under the cutoff are a prefix of the dominant tail
+    points sorted by cheap bound. The picks are put back in walk order, so
+    the kernel batches are the same as with the per-point test;
+  * for semisimple k every u-small and cheap-bound coefficient is >= 0
+    (checked per scan), so once a walk level reaches a value whose subtree
+    is u-large, has a dominant prefix and lies above the cutoff, every
+    larger value of that level does too. Its points are counted in one
+    step and the level stops. The cutoff never rises during a walk, so
+    none of them would have been evaluated later.
 """
 
 from __future__ import annotations
@@ -32,11 +44,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from hashlib import sha1
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 
 import numpy as np
 
+from . import __version__
 from .cases import CaseData, ambient_to_ktype
+from .data import golden_digest
 from .errors import ConstructionError
 from .rootdata import coroot_pairing, inner, norm_sq
 from .usmall import usmall_system
@@ -224,7 +238,8 @@ def conjugate_dominant_bulk(c: np.ndarray, cartan: np.ndarray) -> np.ndarray:
     return c
 
 
-def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
+def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray,
+                        lin: np.ndarray | None = None) -> np.ndarray:
     """Squared spin norms (times tables.scale) for rows of coords.
 
     The norm is the minimum over the rho_n variants j of
@@ -237,20 +252,32 @@ def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     pair has floor >= value, so it cannot lower the minimum, and the
     result is exact. Rows go in chunks of _CHUNK_ROWS, because the
     (rows x variants) floor table and the pair arrays grow with them.
+
+    lin, if given, is the linear-term table _linear(tables, coords); a
+    caller that already holds it for related rows passes it to save the
+    largest product of the kernel.
     """
     out = np.empty(len(coords), dtype=np.int64)
     for start in range(0, len(coords), _CHUNK_ROWS):
         chunk = coords[start:start + _CHUNK_ROWS]
-        out[start:start + len(chunk)] = _best_first(tables, chunk)
+        chunk_lin = (
+            _linear(tables, chunk) if lin is None
+            else lin[start:start + _CHUNK_ROWS]
+        )
+        out[start:start + len(chunk)] = _best_first(tables, chunk, chunk_lin)
     return out
 
 
-def _best_first(tables: ScanTables, m: np.ndarray) -> np.ndarray:
+def _linear(tables: ScanTables, m: np.ndarray) -> np.ndarray:
+    """The (rows x variants) table scale * -2 <mu, rho_n^j>; einsum beats
+    matmul on int64 here."""
+    return np.einsum("nk,ks->ns", -2 * m, np.ascontiguousarray(tables.variant_s.T))
+
+
+def _best_first(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
     # The (rows x variants) tables leave out the row constant
     # scale * (|mu|^2 + |rho_c|^2): it changes neither the argmin nor the
-    # floor test, and is added to the result at the end. lin is
-    # scale * -2 <mu, rho_n^j>; einsum beats matmul on int64 here.
-    lin = np.einsum("nk,ks->ns", -2 * m, np.ascontiguousarray(tables.variant_s.T))
+    # floor test, and is added to the result at the end.
     floor = np.add.outer(
         2 * (m @ tables.rho_c_lin_s), tables.variant_nrm_s - 2 * tables.rho_c_var_s
     )
@@ -281,10 +308,22 @@ def _best_first(tables: ScanTables, m: np.ndarray) -> np.ndarray:
 
 
 def bulk_margins_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
-    """Scaled step margins spin(mu)^2 - spin(mu - beta)^2 for rows of coords."""
-    return bulk_spin_sq_scaled(tables, coords) - bulk_spin_sq_scaled(
-        tables, coords - tables.beta_coords
-    )
+    """Scaled step margins spin(mu)^2 - spin(mu - beta)^2 for rows of coords.
+
+    The linear-term table of mu - beta is that of mu plus the per-variant
+    constant 2 scale <beta, rho_n^j>, so each chunk builds it once.
+    """
+    step = 2 * (tables.variant_s @ tables.beta_coords)
+    out = np.empty(len(coords), dtype=np.int64)
+    for start in range(0, len(coords), _CHUNK_ROWS):
+        m = coords[start:start + _CHUNK_ROWS]
+        lin = _linear(tables, m)
+        upper = bulk_spin_sq_scaled(tables, m, lin)
+        lin += step
+        out[start:start + len(m)] = upper - bulk_spin_sq_scaled(
+            tables, m - tables.beta_coords, lin
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +361,14 @@ class _Scanner:
             [list(c) for c, _ in system.rows], dtype=np.int64
         )
         self.row_bounds = np.array([b for _, b in system.rows], dtype=np.int64)
+        self.semisimple = not case.k_has_center
+        if self.semisimple and (
+            (self.row_coeffs < 0).any() or (self.tables.cheap_coef_s < 0).any()
+        ):
+            # the u-large and cheap-bound prunes of the walk rely on it
+            raise ConstructionError(
+                f"{case.id.label}: negative u-small or cheap-bound coefficient"
+            )
         self.dim = len(ranges)
         self.lo = np.array([r[0] for r in ranges], dtype=np.int64)
         self.hi = np.array([r[1] for r in ranges], dtype=np.int64)
@@ -332,7 +379,6 @@ class _Scanner:
         self.lo_p = self.lo[order]
         self.hi_p = self.hi[order]
         self.coeff_p = self.row_coeffs[:, order]
-        self.semisimple = not case.k_has_center
         self.beta_p = self.tables.beta_coords[order]
         self.cheap_p = self.tables.cheap_coef_s[order]
 
@@ -340,7 +386,11 @@ class _Scanner:
         nrows = len(self.row_bounds)
         self.min_rest = np.zeros((self.dim + 1, nrows), dtype=np.int64)
         self.max_rest = np.zeros((self.dim + 1, nrows), dtype=np.int64)
-        self.cheap_rest = np.zeros(self.dim + 1, dtype=np.int64)
+        self.cheap_rest = [0] * (self.dim + 1)
+        # points of the subtree below each depth, and its dominant points
+        # when the prefix is dominant
+        self.size_at = [1] * (self.dim + 1)
+        self.dom_at = [1] * (self.dim + 1)
         for d in range(self.dim - 1, -1, -1):
             col = self.coeff_p[:, d]
             self.min_rest[d] = self.min_rest[d + 1] + np.where(
@@ -349,7 +399,12 @@ class _Scanner:
             self.max_rest[d] = self.max_rest[d + 1] + np.where(
                 col > 0, col * self.hi_p[d], col * self.lo_p[d]
             )
-            self.cheap_rest[d] = self.cheap_rest[d + 1] + self.cheap_p[d] * self.lo_p[d]
+            lo, hi = int(self.lo_p[d]), int(self.hi_p[d])
+            self.cheap_rest[d] = self.cheap_rest[d + 1] + int(self.cheap_p[d]) * lo
+            self.size_at[d] = self.size_at[d + 1] * (hi - lo + 1)
+            self.dom_at[d] = self.dom_at[d + 1] * max(
+                0, hi - max(lo, int(self.beta_p[d])) + 1
+            )
         self.block_depth = max(1, self.dim - _BLOCK_TAIL)
 
         # Every block shares one tail grid over the innermost coordinates,
@@ -375,18 +430,15 @@ class _Scanner:
         if self.semisimple:
             tail_beta = self.tables.beta_coords[self.tail_orig]
             self.tail_dom = (self.tail_coords >= tail_beta).all(axis=1)
+            # the dominant tail points by ascending cheap bound, for the
+            # blocks in which every point is u-large
+            dom_rows = np.flatnonzero(self.tail_dom)
+            self.dom_by_cheap = dom_rows[
+                np.argsort(self.tail_cheap[dom_rows], kind="stable")
+            ]
+            self.dom_cheap = self.tail_cheap[self.dom_by_cheap]
         else:
             self.tail_dom = None
-
-    def subtree_size(self, depth: int) -> int:
-        return prod(int(self.hi_p[k] - self.lo_p[k] + 1) for k in range(depth, self.dim))
-
-    def dominant_tail_count(self, depth: int) -> int:
-        total = 1
-        for k in range(depth, self.dim):
-            lo = max(int(self.lo_p[k]), int(self.beta_p[k]))
-            total *= max(0, int(self.hi_p[k]) - lo + 1)
-        return total
 
     def scan_slice(self, first_value: int, seed: int | None = None) -> _SliceResult:
         """Scan the slice whose first walked coordinate is first_value.
@@ -438,10 +490,7 @@ class _Scanner:
             state,
             seed,
         )
-        if self.block_depth == 1:
-            picks = [self._block(*args)]
-        else:
-            picks = self._walk(1, *args)
+        picks = self._walk(1, *args)
         buffer, buffered = [], 0
         for coords in picks:
             if coords is not None:
@@ -456,33 +505,39 @@ class _Scanner:
 
     def _walk(self, depth, prefix, partial, cheap_partial, prefix_dom, state, seed):
         """Yield, block by block, the points of this subtree to evaluate
-        (None for a block with none)."""
+        (None for a block with none). Return True if the subtree is
+        u-large, has dominant points and lies above the cheap cutoff."""
         if np.all(partial + self.max_rest[depth] <= self.row_bounds):
-            state.scanned += self.subtree_size(depth)
+            state.scanned += self.size_at[depth]
             return
-        if self.semisimple and np.any(partial + self.min_rest[depth] > self.row_bounds):
-            dom = self.dominant_tail_count(depth) if prefix_dom else 0
+        large = self.semisimple and np.any(
+            partial + self.min_rest[depth] > self.row_bounds
+        )
+        if large:
+            dom = self.dom_at[depth] if prefix_dom else 0
             if dom == 0:
-                state.scanned += self.subtree_size(depth)
+                state.scanned += self.size_at[depth]
                 return
             cutoff = self._cutoff(state, seed)
             if (
                 cutoff is not None
-                and cheap_partial + int(self.cheap_rest[depth]) - self.tables.cheap_const_s
+                and cheap_partial + self.cheap_rest[depth] - self.tables.cheap_const_s
                 > cutoff
             ):
-                state.scanned += self.subtree_size(depth)
+                state.scanned += self.size_at[depth]
                 state.filtered += dom
-                return
+                return True
         if depth >= self.block_depth:
-            yield self._block(prefix, partial, cheap_partial, prefix_dom, state, seed)
+            yield self._block(prefix, partial, cheap_partial, prefix_dom, large,
+                              state, seed)
             return
         col = self.coeff_p[:, depth]
         cheap_c = int(self.cheap_p[depth])
         beta_d = int(self.beta_p[depth])
-        for v in range(int(self.lo_p[depth]), int(self.hi_p[depth]) + 1):
+        hi = int(self.hi_p[depth])
+        for v in range(int(self.lo_p[depth]), hi + 1):
             prefix[depth] = v
-            yield from self._walk(
+            pruned = yield from self._walk(
                 depth + 1,
                 prefix,
                 partial + col * v,
@@ -491,6 +546,12 @@ class _Scanner:
                 state,
                 seed,
             )
+            if pruned:
+                # Coefficients are >= 0 and the cutoff never rises, so every
+                # later value of this level is pruned the same way.
+                state.scanned += (hi - v) * self.size_at[depth + 1]
+                state.filtered += (hi - v) * self.dom_at[depth + 1]
+                break
 
     def _build_coords(self, prefix, rows):
         coords = np.empty((len(rows), self.dim), dtype=np.int64)
@@ -500,9 +561,20 @@ class _Scanner:
             coords[:, orig] = self.tail_coords[rows, i]
         return coords
 
-    def _block(self, prefix, partial, cheap_partial, prefix_dom, state, seed):
-        """The points of one block to evaluate, or None."""
+    def _block(self, prefix, partial, cheap_partial, prefix_dom, large, state, seed):
+        """The points of one block to evaluate, or None. large: the walk
+        found every point of the block u-large, and some of them dominant."""
         state.scanned += self.tail_count
+        if large:
+            state.filtered += len(self.dom_by_cheap)
+            cutoff = self._cutoff(state, seed)
+            count = len(self.dom_by_cheap) if cutoff is None else np.searchsorted(
+                self.dom_cheap,
+                cutoff - (cheap_partial - self.tables.cheap_const_s),
+                side="right",
+            )
+            rows = np.sort(self.dom_by_cheap[:count])
+            return self._build_coords(prefix, rows) if rows.size else None
         small = (self.tail_lhs + partial <= self.row_bounds).all(axis=1)
         if self.semisimple:
             if not prefix_dom:
@@ -556,9 +628,16 @@ def _slice_for_pool(value):
 
 
 def _checkpoint_path(directory, case, ranges, shortcut):
+    """Checkpoint file of one box scan. Its key holds the package version
+    and the digest of golden.json, so records written by other code or
+    under other data are not read back. It also holds _SCAN_FORMAT, which
+    changes only when a slice record changes meaning: the u-large block
+    path and the per-level exit evaluate the same points as a per-point
+    walk, so their records keep format 2."""
     key = json.dumps(
         {"case": case.id.label, "ranges": [list(r) for r in ranges],
-         "shortcut": bool(shortcut), "format": _SCAN_FORMAT},
+         "shortcut": bool(shortcut), "format": _SCAN_FORMAT,
+         "version": __version__, "data": golden_digest()},
         sort_keys=True,
     )
     digest = sha1(key.encode()).hexdigest()[:16]
@@ -617,7 +696,7 @@ def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
         ckpath = _checkpoint_path(checkpoint_dir, case, ranges, shortcut)
-        size = probe.subtree_size(1)
+        size = probe.size_at[1]
         done = {
             v: r
             for v, r in _load_checkpoint(ckpath).items()

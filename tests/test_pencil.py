@@ -4,6 +4,7 @@ import itertools
 import json
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from liecheck.cases import get_case, ktype_is_dominant
@@ -23,6 +24,7 @@ from liecheck.pencil import (
     verify_box,
 )
 from liecheck.spin import spin_norm_sq, variant_norms_sq
+from liecheck.usmall import usmall_system
 
 # frozen outcomes of the default-box scans for the quick families
 EXPECTED_SCANS = {
@@ -286,13 +288,38 @@ def test_checkpoint_ignores_records_of_older_scan_format(tmp_path):
     assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
 
 
+@pytest.mark.parametrize("key", ["__version__", "golden_digest"])
+def test_checkpoint_ignores_records_of_other_code_or_data(key, tmp_path, monkeypatch):
+    # a record written by another package version or under another
+    # golden.json is scanned again, not read back
+    from liecheck import fastscan
+
+    case = get_case("FII")
+    box = default_box(case)
+    fresh = verify_box(case, box)
+    other = "0.0.0" if key == "__version__" else (lambda: "0" * 40)
+    with monkeypatch.context() as patch:
+        patch.setattr(fastscan, key, other, raising=False)
+        verify_box(case, box, checkpoint_dir=str(tmp_path))
+    path = _only_checkpoint(tmp_path)
+    state = json.loads(path.read_text())
+    for rec in state["slices"].values():
+        rec["min_scaled"] = -10**6
+    path.write_text(json.dumps(state))
+    assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
+    assert len(list(tmp_path.glob("scan-*.json"))) == 2
+
+
 # Boxes for the exactness of the seeded cheap-bound prune. EI's minimum lies
 # outside its lowest slice; the EII sub-box is walked along a, its default
-# box along f; the SP4R box has violations and an empty lowest slice.
+# box along f; the SP4R box has violations and an empty lowest slice. The
+# EVIII sub-box of its lowest published slice has a seed (57) far above its
+# minimum (10), so walk levels end early under a cutoff above the minimum.
 SEEDED_BOXES = {
     "EI": None,
     "FI": None,
     "EII": "a:0..14,b:0..3,c:1..4,d:0..3,e:0..6,f:17..19",
+    "EVIII": "a:0..0,b:0..15,c:0..0,d:0..0,e:0..0,f:0..15,g:1..1,h:0..15",
     "SP4R": "p:-3..4,q:-4..3",
 }
 
@@ -316,6 +343,11 @@ def test_seeded_boxes_cover_the_hard_cases():
     case, box = _seeded_box("EII")
     walked = _Scanner(case, box.ranges, True).perm[0]
     assert walked != _Scanner(case, default_box(case).ranges, True).perm[0]
+
+    case, box = _seeded_box("EVIII")
+    scanner = _Scanner(case, box.ranges, True)
+    seed = scanner.first_batch_min(range(scanner.lo_p[0], scanner.hi_p[0] + 1))
+    assert Q(seed, build_tables(case).scale) - verify_box(case, box).min_margin_sq > 40
 
 
 @pytest.mark.parametrize("family", sorted(SEEDED_BOXES))
@@ -358,6 +390,109 @@ def test_prune_skips_points_only_with_the_shortcut(monkeypatch):
     rows.clear()
     verify_box(case, box)
     assert sum(rows) < full.filtered
+
+
+# -- the walk over u-large blocks ----------------------------------------------
+
+# Sub-boxes of the last slices of the long EVIII and EIX boxes: every block
+# the walk reaches is u-large by a single u-small row, the box seed equals
+# the box minimum, and the cheap bound ends many walk levels early.
+LARGE_BOXES = {
+    "EVIII": "a:42..42,b:0..1,c:0..1,d:0..1,e:0..1,f:0..15,g:1..16,h:0..15",
+    "EIX": "a:0..1,b:1..2,c:0..3,d:0..11,e:0..3,f:0..1,g:1..12,h:55..55",
+}
+
+
+def _large_box_points(family):
+    """The box, its lattice points, and which of them are filtered
+    (dominant, with mu - beta dominant, and not u-small), by direct count."""
+    case = get_case(family)
+    box = parse_box(LARGE_BOXES[family], case)
+    axes = [np.arange(lo, hi + 1) for lo, hi in box.ranges]
+    points = np.stack(
+        [g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1
+    )
+    system = usmall_system(case)
+    coeffs = np.array([list(c) for c, _ in system.rows])
+    bounds = np.array([b for _, b in system.rows])
+    dominant = (points >= 0).all(axis=1) & (points >= case.beta_ktype).all(axis=1)
+    small = (points @ coeffs.T <= bounds).all(axis=1)
+    return case, box, points, dominant & ~small
+
+
+def _walk_order(points, ranges):
+    """points sorted as the walk visits them: lexicographically, longest
+    range first, ties by coordinate index."""
+    order = sorted(range(len(ranges)), key=lambda k: (ranges[k][0] - ranges[k][1], k))
+    return points[np.lexsort([points[:, k] for k in reversed(order)])]
+
+
+@pytest.mark.parametrize("family", sorted(LARGE_BOXES))
+def test_large_block_walk_counts_and_payload(family, monkeypatch):
+    from liecheck.fastscan import _Scanner
+
+    case, box, points, filtered = _large_box_points(family)
+    flags = []
+    block = _Scanner._block
+
+    def recorded(self, prefix, partial, cheap_partial, prefix_dom, large, state, seed):
+        flags.append(large)
+        return block(self, prefix, partial, cheap_partial, prefix_dom, large, state, seed)
+
+    monkeypatch.setattr(_Scanner, "_block", recorded)
+    rep = verify_box(case, box)
+    assert flags and all(flags)
+    assert rep.scanned == len(points)
+    assert rep.filtered == int(filtered.sum())
+    assert _payload(verify_box(case, box, shortcut=False)) == _payload(rep)
+    assert _payload(verify_box(case, box, jobs=2)) == _payload(rep)
+
+
+@pytest.mark.parametrize("family", sorted(LARGE_BOXES))
+def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch):
+    # The seed equals the box minimum here, so the cutoff stays at it: after
+    # the seed probe, the kernel sees exactly the filtered points whose
+    # cheap bound is at most the minimum, in walk order.
+    from liecheck import fastscan
+
+    case, box, points, filtered = _large_box_points(family)
+    batches = []
+    kernel = fastscan.bulk_margins_scaled
+
+    def recorded(tables, coords):
+        batches.append(coords.copy())
+        return kernel(tables, coords)
+
+    monkeypatch.setattr(fastscan, "bulk_margins_scaled", recorded)
+    rep = verify_box(case, box)
+    tables = build_tables(case)
+    scaled = rep.min_margin_sq * tables.scale
+    assert scaled.denominator == 1 and scaled > 0
+    minimum = int(scaled)
+    cheap = points @ tables.cheap_coef_s - tables.cheap_const_s
+    probe, *scan = batches
+    assert kernel(tables, probe).min() == minimum
+    assert (filtered & (cheap > minimum)).any()
+    assert (filtered & (cheap == minimum)).any()
+    needed = _walk_order(points[filtered & (cheap <= minimum)], box.ranges)
+    assert np.array_equal(np.concatenate(scan), needed)
+
+
+def test_walk_refuses_negative_coefficients_for_semisimple_k(monkeypatch):
+    # the per-level exit assumes every u-small coefficient is >= 0
+    from dataclasses import replace
+
+    from liecheck import fastscan
+
+    case = get_case("G")
+    system = usmall_system(case)
+    (coeffs, bound), *rest = system.rows
+    flipped = ((-coeffs[0],) + tuple(coeffs[1:]), bound)
+    monkeypatch.setattr(
+        fastscan, "usmall_system", lambda c: replace(system, rows=(flipped, *rest))
+    )
+    with pytest.raises(ConstructionError, match="negative"):
+        verify_box(case)
 
 
 # -- int64 magnitude guard ----------------------------------------------------
