@@ -121,6 +121,15 @@ class CaseData:
         """Number of coordinates in a k-type for this case."""
         return len(self.beta) if self.k_has_center else self.k_system.rank
 
+    @property
+    def ktype_basis(self) -> tuple[Vector, ...]:
+        """Ambient vectors of the k-type coordinates: the k-fundamental
+        weights, or for SP4R the ambient unit vectors."""
+        if not self.k_has_center:
+            return tuple(self.k_fund_weights)
+        dim = len(self.beta)
+        return tuple(vec(*(int(j == i) for j in range(dim))) for i in range(dim))
+
 
 def _normalize_ktype(case: CaseData, mu) -> KType:
     coords = tuple(mu)

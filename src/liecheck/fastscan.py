@@ -13,15 +13,17 @@ prunes, none of which can change the reported outcome:
   * a subtree entirely unitarily small contributes no checked points;
   * a subtree entirely unitarily large with no dominant mu - beta
     contributes no checked points;
-  * a subtree whose cheap lower bound already exceeds max(0, m) is
-    counted but not evaluated, where m is the smaller of the box seed and
-    the slice's running minimum. The seed is the minimum margin of the
-    first kernel batch of the lowest slice, computed once per box and
-    handed to every slice. Both are margins of filtered points of the box,
-    so m is at least the box minimum; the bound is a valid lower bound for
-    every margin inside, so no violation and no point attaining the
-    minimum can hide there. A slice reports only minima of points it
-    evaluated, so the report does not depend on --jobs or on resuming;
+  * a subtree whose cheap lower bound already exceeds the cutoff is
+    counted but not evaluated. Each process keeps one running minimum per
+    box, the smallest margin it has evaluated so far (seeded from the
+    checkpointed slices or from one probe batch), and every cutoff is
+    max(0, m) for such an m. As m is a margin of a filtered point of the
+    box, every cutoff is at least max(0, box minimum), and the bound is a
+    valid lower bound for every margin inside, so no violation and no
+    point attaining the minimum can hide there. scanned and filtered do
+    not depend on pruning, so the report does not depend on --jobs, on
+    resuming, or on which process saw which slice. Records written under
+    the earlier box seed satisfy the same invariant;
   * a block (the innermost coordinates as one numpy grid) that one u-small
     row already makes u-large skips the per-point u-small test: every
     point is u-large, so its checked points are exactly the dominant tail
@@ -32,8 +34,8 @@ prunes, none of which can change the reported outcome:
     (checked per scan), so once a walk level reaches a value whose subtree
     is u-large, has a dominant prefix and lies above the cutoff, every
     larger value of that level does too. Its points are counted in one
-    step and the level stops. The cutoff never rises during a walk, so
-    none of them would have been evaluated later.
+    step and the level stops. The cutoff never rises, so none of them
+    would have been evaluated later.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction as Q
 from hashlib import sha1
 from math import isqrt, lcm
@@ -64,8 +66,8 @@ _FLUSH_UNSEEDED = 4_096
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
 # Bumped whenever a checkpointed slice record changes meaning. Format 2:
-# min_scaled is the minimum over the points the slice evaluated under the
-# box seed, not over every filtered point of the slice.
+# min_scaled is the minimum over the points the slice evaluated under a
+# pruning cutoff, not over every filtered point of the slice.
 _SCAN_FORMAT = 2
 
 
@@ -109,13 +111,7 @@ def _as_int(v, what: str) -> int:
 
 def build_tables(case: CaseData) -> ScanTables:
     k = case.k_system
-    if case.k_has_center:
-        dim = len(case.beta)
-        basis = [
-            tuple(Q(1) if j == i else Q(0) for j in range(dim)) for i in range(dim)
-        ]
-    else:
-        basis = list(case.k_fund_weights)
+    basis = case.ktype_basis
     deltas = k.simple_roots
     kfw = k.fundamental_weights
 
@@ -336,11 +332,7 @@ class _SliceResult:
     scanned: int = 0
     filtered: int = 0
     min_scaled: int | None = None
-    violations: list | None = None
-
-    def __post_init__(self):
-        if self.violations is None:
-            self.violations = []
+    violations: list = field(default_factory=list)
 
 
 class _Scanner:
@@ -439,19 +431,23 @@ class _Scanner:
             self.dom_cheap = self.tail_cheap[self.dom_by_cheap]
         else:
             self.tail_dom = None
+        # smallest margin this process has evaluated in this box, or None
+        self.best = None
 
-    def scan_slice(self, first_value: int, seed: int | None = None) -> _SliceResult:
+    def scan_slice(self, first_value: int) -> _SliceResult:
         """Scan the slice whose first walked coordinate is first_value.
 
-        With the shortcut, subtrees are pruned against min(seed, running
-        minimum); min_scaled covers only the points this slice evaluated.
+        With the shortcut, subtrees are pruned against self.best, which is
+        lowered after every kernel batch; min_scaled covers only the points
+        this slice evaluated.
         """
         state = _SliceResult()
-        for coords in self._batches(first_value, state, seed):
+        for coords in self._batches(first_value, state):
             margins = bulk_margins_scaled(self.tables, coords)
             low = int(margins.min())
             if state.min_scaled is None or low < state.min_scaled:
                 state.min_scaled = low
+            self.best = low if self.best is None else min(self.best, low)
             for i in np.nonzero(margins <= 0)[0]:
                 state.violations.append(
                     (tuple(int(x) for x in coords[i]), int(margins[i]))
@@ -459,26 +455,25 @@ class _Scanner:
         return state
 
     def first_batch_min(self, values) -> int | None:
-        """Minimum margin of the first kernel batch of an unseeded walk over
-        the slices in values, taken in order; None if none has a point to
-        evaluate. Used as the box seed of scan_slice."""
+        """Minimum margin of the first kernel batch of a walk over the
+        slices in values, taken in order, while self.best is None; None if
+        none has a point to evaluate. scan_box starts self.best with it."""
         for value in values:
-            for coords in self._batches(value, _SliceResult(), None):
+            for coords in self._batches(value, _SliceResult()):
                 return int(bulk_margins_scaled(self.tables, coords).min())
         return None
 
-    def _cutoff(self, state, seed):
+    def _cutoff(self):
         """Cheap bound above which a point cannot matter, or None."""
-        if not self.shortcut:
+        if not self.shortcut or self.best is None:
             return None
-        known = [m for m in (seed, state.min_scaled) if m is not None]
-        return max(0, min(known)) if known else None
+        return max(0, self.best)
 
-    def _batches(self, first_value, state, seed):
+    def _batches(self, first_value, state):
         """Yield the points of one slice to evaluate, in kernel batches.
 
         The walk reads the cutoff at every prune, so a caller that lowers
-        state.min_scaled between batches tightens the rest of the walk.
+        self.best between batches tightens the rest of the walk.
         """
         prefix = np.zeros(self.dim, dtype=np.int64)
         prefix[0] = first_value
@@ -488,7 +483,6 @@ class _Scanner:
             int(self.cheap_p[0]) * first_value,
             first_value >= int(self.beta_p[0]),
             state,
-            seed,
         )
         picks = self._walk(1, *args)
         buffer, buffered = [], 0
@@ -496,14 +490,14 @@ class _Scanner:
             if coords is not None:
                 buffer.append(coords)
                 buffered += len(coords)
-            known = seed is not None or state.min_scaled is not None
-            if buffered >= (_FLUSH_SEEDED if known else _FLUSH_UNSEEDED):
+            flush = _FLUSH_UNSEEDED if self.best is None else _FLUSH_SEEDED
+            if buffered >= flush:
                 yield np.concatenate(buffer, axis=0)
                 buffer, buffered = [], 0
         if buffered:
             yield np.concatenate(buffer, axis=0)
 
-    def _walk(self, depth, prefix, partial, cheap_partial, prefix_dom, state, seed):
+    def _walk(self, depth, prefix, partial, cheap_partial, prefix_dom, state):
         """Yield, block by block, the points of this subtree to evaluate
         (None for a block with none). Return True if the subtree is
         u-large, has dominant points and lies above the cheap cutoff."""
@@ -518,7 +512,7 @@ class _Scanner:
             if dom == 0:
                 state.scanned += self.size_at[depth]
                 return
-            cutoff = self._cutoff(state, seed)
+            cutoff = self._cutoff()
             if (
                 cutoff is not None
                 and cheap_partial + self.cheap_rest[depth] - self.tables.cheap_const_s
@@ -528,8 +522,7 @@ class _Scanner:
                 state.filtered += dom
                 return True
         if depth >= self.block_depth:
-            yield self._block(prefix, partial, cheap_partial, prefix_dom, large,
-                              state, seed)
+            yield self._block(prefix, partial, cheap_partial, prefix_dom, large, state)
             return
         col = self.coeff_p[:, depth]
         cheap_c = int(self.cheap_p[depth])
@@ -544,7 +537,6 @@ class _Scanner:
                 cheap_partial + cheap_c * v,
                 prefix_dom and v >= beta_d,
                 state,
-                seed,
             )
             if pruned:
                 # Coefficients are >= 0 and the cutoff never rises, so every
@@ -561,13 +553,13 @@ class _Scanner:
             coords[:, orig] = self.tail_coords[rows, i]
         return coords
 
-    def _block(self, prefix, partial, cheap_partial, prefix_dom, large, state, seed):
+    def _block(self, prefix, partial, cheap_partial, prefix_dom, large, state):
         """The points of one block to evaluate, or None. large: the walk
         found every point of the block u-large, and some of them dominant."""
         state.scanned += self.tail_count
         if large:
             state.filtered += len(self.dom_by_cheap)
-            cutoff = self._cutoff(state, seed)
+            cutoff = self._cutoff()
             count = len(self.dom_by_cheap) if cutoff is None else np.searchsorted(
                 self.dom_cheap,
                 cutoff - (cheap_partial - self.tables.cheap_const_s),
@@ -591,7 +583,7 @@ class _Scanner:
             return None
         state.filtered += count
         picked = eligible
-        cutoff = self._cutoff(state, seed)
+        cutoff = self._cutoff()
         if cutoff is not None:
             cheap = self.tail_cheap + (cheap_partial - self.tables.cheap_const_s)
             picked = eligible & (cheap <= cutoff)
@@ -614,17 +606,16 @@ def _merge(results, scale) -> dict:
     }
 
 
-_worker = None  # (scanner, seed) of a --jobs pool worker
+_worker = None  # the _Scanner of a --jobs pool worker
 
 
-def _start_worker(scanner, seed):
+def _start_worker(scanner):
     global _worker
-    _worker = (scanner, seed)
+    _worker = scanner
 
 
 def _slice_for_pool(value):
-    scanner, seed = _worker
-    return value, scanner.scan_slice(value, seed)
+    return value, _worker.scan_slice(value)
 
 
 def _checkpoint_path(directory, case, ranges, shortcut):
@@ -633,7 +624,8 @@ def _checkpoint_path(directory, case, ranges, shortcut):
     under other data are not read back. It also holds _SCAN_FORMAT, which
     changes only when a slice record changes meaning: the u-large block
     path and the per-level exit evaluate the same points as a per-point
-    walk, so their records keep format 2."""
+    walk, and the running minimum keeps every cutoff at max(0, m) for a
+    margin m of the box, so their records keep format 2."""
     key = json.dumps(
         {"case": case.id.label, "ranges": [list(r) for r in ranges],
          "shortcut": bool(shortcut), "format": _SCAN_FORMAT,
@@ -651,29 +643,18 @@ def _load_checkpoint(path):
     except (OSError, ValueError):
         return {}
     out = {}
+    fields = asdict(_SliceResult()).keys()
     for key, rec in data.get("slices", {}).items():
-        res = _SliceResult(
-            scanned=rec["scanned"],
-            filtered=rec["filtered"],
-            min_scaled=rec["min_scaled"],
-            violations=[(tuple(c), m) for c, m in rec["violations"]],
-        )
+        if rec.keys() != fields:
+            continue  # a field would take its default: scan the slice again
+        res = _SliceResult(**rec)
+        res.violations = [(tuple(c), m) for c, m in res.violations]
         out[int(key)] = res
     return out
 
 
 def _save_checkpoint(path, done):
-    payload = {
-        "slices": {
-            str(v): {
-                "scanned": r.scanned,
-                "filtered": r.filtered,
-                "min_scaled": r.min_scaled,
-                "violations": [[list(c), m] for c, m in r.violations],
-            }
-            for v, r in sorted(done.items())
-        }
-    }
+    payload = {"slices": {str(v): asdict(r) for v, r in sorted(done.items())}}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -705,33 +686,32 @@ def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
     todo = [v for v in slice_values if v not in done]
 
     t0 = time.monotonic()
-    seed = probe.first_batch_min(slice_values) if shortcut and todo else None
-    completed = 0
+    probe.best = min(
+        (r.min_scaled for r in done.values() if r.min_scaled is not None),
+        default=None,
+    )
+    if probe.best is None and shortcut and todo:
+        probe.best = probe.first_batch_min(slice_values)
 
-    def note(value):
-        nonlocal completed
-        completed += 1
+    def results():
+        if jobs > 1 and len(todo) > 1:
+            import multiprocessing as mp
+
+            with mp.Pool(jobs, initializer=_start_worker, initargs=(probe,)) as pool:
+                yield from pool.imap_unordered(_slice_for_pool, todo)
+        else:
+            for value in todo:
+                yield value, probe.scan_slice(value)
+
+    for completed, (value, result) in enumerate(results(), 1):
+        done[value] = result
+        if ckpath:
+            _save_checkpoint(ckpath, done)
         if log:
             log(
                 f"slice {value} done ({completed}/{len(todo)}), "
                 f"{time.monotonic() - t0:.1f}s elapsed"
             )
-
-    if jobs > 1 and len(todo) > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(jobs, initializer=_start_worker, initargs=(probe, seed)) as pool:
-            for value, result in pool.imap_unordered(_slice_for_pool, todo):
-                done[value] = result
-                if ckpath:
-                    _save_checkpoint(ckpath, done)
-                note(value)
-    else:
-        for value in todo:
-            done[value] = probe.scan_slice(value, seed)
-            if ckpath:
-                _save_checkpoint(ckpath, done)
-            note(value)
 
     merged = _merge([done[v] for v in sorted(done)], scale)
     merged["elapsed_ms"] = int((time.monotonic() - t0) * 1000)

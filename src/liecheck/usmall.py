@@ -3,8 +3,10 @@
 A k-type mu is unitarily small when every twisted fundamental-weight
 hyperplane bound holds: <mu + 2 rho_c, w xi> <= 2 <rho, xi> over all
 minimal coset representatives w and restricted fundamental weights xi.
-In k-type coordinates each such bound is a linear inequality with
-nonnegative coefficients, so exhaustive enumeration prunes monotonically.
+For semisimple k each such bound is, in k-type coordinates, a linear
+inequality with nonnegative coefficients, so exhaustive enumeration prunes
+monotonically. SP4R's k-types are ambient pairs (p, q) with p >= q, and
+its rows mix signs; it is counted from the ranges they give.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .cases import CaseData, KType, ktype_is_dominant, _normalize_ktype
-from .data import golden
 from .errors import ConstructionError, UsageError
 from .rootdata import inner
 from .weyl import int_root_coords
@@ -84,17 +85,14 @@ def _prune_dominated(rows: set[tuple[tuple[int, ...], int]]):
 
 @lru_cache(maxsize=None)
 def usmall_system(case: CaseData) -> InequalitySystem:
-    if case.id.family == "SP4R":
-        rows = tuple(
-            (tuple(coeffs), bound) for coeffs, bound in golden()["usmall_rows"]["SP4R"]
-        )
-        return InequalitySystem(rows)
-    if case.k_has_center:
-        raise UsageError("hyperplane construction needs k without center")
+    """The hyperplane rows in k-type coordinates. For k with center (SP4R)
+    those are ambient coordinates: coefficients may be negative, and the
+    rows are kept unpruned, as the pruning is valid only where every
+    coordinate is >= 0."""
     g = case.g_restricted
     # the xi on simple-root coordinates, and what w(xi) is paired with
     xis, scale = int_root_coords(g, case.g_fund_weights)
-    fw_pairs = [[inner(fw, a) for a in g.simple_roots] for fw in case.k_fund_weights]
+    fw_pairs = [[inner(b, a) for a in g.simple_roots] for b in case.ktype_basis]
     rho_c_pairs = [inner(case.rho_c, a) for a in g.simple_roots]
     rho_xi = [inner(case.rho, xi) for xi in case.g_fund_weights]
     raw = set()
@@ -102,12 +100,14 @@ def usmall_system(case: CaseData) -> InequalitySystem:
         # column i: scale times the coordinates of w(xi_i)
         for image, r_xi in zip((m @ xis).T.tolist(), rho_xi):
             coeffs = [inner(row, image) / scale for row in fw_pairs]
-            if any(c < 0 for c in coeffs):
+            if not case.k_has_center and any(c < 0 for c in coeffs):
                 raise ConstructionError(
                     f"{case.id.label}: negative coefficient for word {word}"
                 )
             bound = 2 * (r_xi - inner(rho_c_pairs, image) / scale)
             raw.add(_primitive_row(coeffs, bound))
+    if case.k_has_center:
+        return InequalitySystem(tuple(sorted(raw)))
     return InequalitySystem(_prune_dominated(raw))
 
 
@@ -118,9 +118,10 @@ def is_usmall(case: CaseData, mu) -> bool:
     return usmall_system(case).satisfied(coords)
 
 
-def _sp4r_ranges():
-    """(p, q) bounds read off the three printed rows plus dominance p >= q."""
-    rows = {tuple(c): b for c, b in golden()["usmall_rows"]["SP4R"]}
+def _sp4r_ranges(case: CaseData):
+    """(p, q) bounds read off three of the derived rows plus dominance
+    p >= q, which implies the other two."""
+    rows = dict(usmall_system(case).rows)
     p_hi = rows[(1, 0)]
     q_lo = -rows[(0, -1)]
     gap = rows[(1, -1)]
@@ -130,7 +131,7 @@ def _sp4r_ranges():
 def iter_usmall(case: CaseData):
     """Yield all unitarily small dominant k-types in lexicographic order."""
     if case.id.family == "SP4R":
-        p_hi, q_lo, gap = _sp4r_ranges()
+        p_hi, q_lo, gap = _sp4r_ranges(case)
         for p in range(q_lo, p_hi + 1):
             for q in range(max(q_lo, p - gap), p + 1):
                 yield (p, q)
@@ -196,7 +197,7 @@ def _count_first_fixed(case: CaseData, first: int) -> int:
 def enumerate_usmall(case: CaseData, jobs: int = 1) -> int:
     """Count the unitarily small k-types by monotone depth-first scan."""
     if case.id.family == "SP4R":
-        p_hi, q_lo, gap = _sp4r_ranges()
+        p_hi, q_lo, gap = _sp4r_ranges(case)
         return sum(
             p - max(q_lo, p - gap) + 1 for p in range(q_lo, p_hi + 1)
         )

@@ -26,6 +26,7 @@ import pytest
 from liecheck.cases import (
     ALL_FAMILIES,
     CLASSICAL_FAMILIES,
+    FIXED_FAMILIES,
     ambient_to_ktype,
     get_case,
     ktype_is_dominant,
@@ -109,7 +110,24 @@ def test_minimal_coset_sizes_match_published(golden_data):
     assert time.monotonic() - t0 < 60
 
 
+@pytest.mark.parametrize("family", ["G", "EI", "FII", "FI"])
+def test_minimal_coset_words_match_published(family, golden_data):
+    words = [list(w) for w in get_case(family).w1]
+    assert words == golden_data["min_coset_words"][family]
+
+
 # ------------------------------------- 3. printed noncompact shift lists
+
+
+@pytest.mark.parametrize("family", [f for f in FIXED_FAMILIES if f != "SP4R"])
+def test_printed_step_direction_ktypes(family, golden_data):
+    assert list(get_case(family).beta_ktype) == golden_data["beta_ktype"][family]
+
+
+def test_printed_step_directions_sp4r(golden_data):
+    case = get_case("SP4R")
+    printed = tuple(tuple(Q(c) for c in v) for v in golden_data["sp4r_beta_pair"])
+    assert (case.beta, case.beta_second) == printed
 
 
 @pytest.mark.parametrize("family", ["G", "EI", "FII", "FI"])
@@ -376,6 +394,23 @@ def test_printed_inequalities_match_construction(family, golden_data):
         "the mirror row [5,4,3,2,1,3] <= 60 and admits 1117 points outside "
         "the convex hull (section 9)."
     )
+
+
+def test_printed_inequalities_match_construction_sp4r(golden_data):
+    # SP4R's rows live in ambient (p, q); the derived rows mix signs, so the
+    # joint box of the other families does not apply. Its dominant points
+    # are p >= q, compared on a window well beyond the u-small set.
+    case = get_case("SP4R")
+    derived = usmall_system(case).rows
+    printed = [
+        (tuple(coeffs), bound)
+        for coeffs, bound in _published(golden_data, "usmall_rows", "SP4R")
+    ]
+    axis = np.arange(-20, 21)
+    pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    pts = pts[pts[:, 0] >= pts[:, 1]]
+    assert np.array_equal(_admits(derived, pts), _admits(printed, pts))
+    assert _admits(printed, pts).sum() == golden_data["usmall_counts"]["SP4R"]
 
 
 def test_partitioned_scan_reports_identical():

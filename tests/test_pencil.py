@@ -250,7 +250,9 @@ def _only_checkpoint(directory):
     return path
 
 
-def test_checkpoint_rejects_slice_of_wrong_size(tmp_path):
+def _assert_damaged_record_is_rescanned(tmp_path, damage):
+    # FII's lowest slice record gets a bogus minimum plus damage(record);
+    # the resumed scan must scan that slice again
     case = get_case("FII")
     box = default_box(case)
     fresh = verify_box(case, box)
@@ -258,10 +260,22 @@ def test_checkpoint_rejects_slice_of_wrong_size(tmp_path):
     path = _only_checkpoint(tmp_path)
     state = json.loads(path.read_text())
     rec = state["slices"][min(state["slices"], key=int)]
-    rec["scanned"] -= 1
+    damage(rec)
     rec["min_scaled"] = -10**6
     path.write_text(json.dumps(state))
     assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
+
+
+def test_checkpoint_rejects_slice_of_wrong_size(tmp_path):
+    def damage(rec):
+        rec["scanned"] -= 1
+
+    _assert_damaged_record_is_rescanned(tmp_path, damage)
+
+
+def test_checkpoint_rejects_record_with_missing_field(tmp_path):
+    # not read with the missing field's default (no violations)
+    _assert_damaged_record_is_rescanned(tmp_path, lambda rec: rec.pop("violations"))
 
 
 def test_checkpoint_ignores_records_of_older_scan_format(tmp_path):
@@ -371,6 +385,55 @@ def test_seeded_prune_resume_is_exact(family, tmp_path):
     assert _payload(resumed) == _payload(fresh)
 
 
+def test_resume_starts_from_the_records_without_a_probe(tmp_path, monkeypatch):
+    # the loaded records' smallest minimum starts the running minimum, so a
+    # resumed scan with records present walks no probe batch
+    from liecheck.fastscan import _Scanner
+
+    case, box = _seeded_box("EI")
+    fresh = verify_box(case, box)
+    verify_box(case, box, checkpoint_dir=str(tmp_path))
+    path = _only_checkpoint(tmp_path)
+    state = json.loads(path.read_text())
+    kept = dict(sorted(state["slices"].items(), key=lambda kv: int(kv[0]))[1::2])
+    path.write_text(json.dumps({"slices": kept}))
+
+    def no_probe(self, values):
+        raise AssertionError("probe walked on resume")
+
+    monkeypatch.setattr(_Scanner, "first_batch_min", no_probe)
+    resumed = verify_box(case, box, checkpoint_dir=str(tmp_path))
+    assert _payload(resumed) == _payload(fresh)
+
+
+def test_serial_scan_prunes_at_the_box_minimum_once_found(monkeypatch):
+    # a serial scan carries its running minimum from slice to slice: once a
+    # batch has reached the box minimum, no later batch holds a point whose
+    # cheap bound lies above max(0, minimum)
+    from liecheck import fastscan
+
+    batches = []
+    kernel = fastscan.bulk_margins_scaled
+
+    def recorded(tables, coords):
+        batches.append(coords.copy())
+        return kernel(tables, coords)
+
+    monkeypatch.setattr(fastscan, "bulk_margins_scaled", recorded)
+    case, box = _seeded_box("EI")
+    rep = verify_box(case, box)
+    tables = build_tables(case)
+    minimum = rep.min_margin_sq * tables.scale
+    assert minimum.denominator == 1
+    cutoff = max(0, int(minimum))
+    lows = [int(kernel(tables, coords).min()) for coords in batches]
+    first = lows.index(int(minimum))
+    later = batches[first + 1:]
+    assert later
+    for coords in later:
+        assert (coords @ tables.cheap_coef_s - tables.cheap_const_s <= cutoff).all()
+
+
 def test_prune_skips_points_only_with_the_shortcut(monkeypatch):
     # --no-shortcut sends every filtered point to the kernel exactly once,
     # with no seed probe; the seeded shortcut sends fewer
@@ -435,9 +498,9 @@ def test_large_block_walk_counts_and_payload(family, monkeypatch):
     flags = []
     block = _Scanner._block
 
-    def recorded(self, prefix, partial, cheap_partial, prefix_dom, large, state, seed):
+    def recorded(self, prefix, partial, cheap_partial, prefix_dom, large, state):
         flags.append(large)
-        return block(self, prefix, partial, cheap_partial, prefix_dom, large, state, seed)
+        return block(self, prefix, partial, cheap_partial, prefix_dom, large, state)
 
     monkeypatch.setattr(_Scanner, "_block", recorded)
     rep = verify_box(case, box)
