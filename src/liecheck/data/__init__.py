@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from hashlib import sha1
 from pathlib import Path
 
 _GOLDEN = Path(__file__).with_name("golden.json")
@@ -19,4 +18,8 @@ def golden() -> dict:
 @lru_cache(maxsize=1)
 def golden_digest() -> str:
     """sha1 of the packaged golden.json, as stored."""
+    # imported here: hashlib loads OpenSSL, several MB of resident memory
+    # that only checkpointed scans need
+    from hashlib import sha1
+
     return sha1(_GOLDEN.read_bytes()).hexdigest()

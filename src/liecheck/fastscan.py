@@ -45,7 +45,6 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction as Q
-from hashlib import sha1
 from math import isqrt, lcm
 
 import numpy as np
@@ -626,6 +625,8 @@ def _checkpoint_path(directory, case, ranges, shortcut):
     path and the per-level exit evaluate the same points as a per-point
     walk, and the running minimum keeps every cutoff at max(0, m) for a
     margin m of the box, so their records keep format 2."""
+    from hashlib import sha1  # see golden_digest: only checkpoints need it
+
     key = json.dumps(
         {"case": case.id.label, "ranges": [list(r) for r in ranges],
          "shortcut": bool(shortcut), "format": _SCAN_FORMAT,
@@ -642,14 +643,23 @@ def _load_checkpoint(path):
             data = json.load(fh)
     except (OSError, ValueError):
         return {}
+    slices = data.get("slices") if isinstance(data, dict) else None
+    if not isinstance(slices, dict):
+        return {}
     out = {}
     fields = asdict(_SliceResult()).keys()
-    for key, rec in data.get("slices", {}).items():
-        if rec.keys() != fields:
-            continue  # a field would take its default: scan the slice again
+    for key, rec in slices.items():
+        # a record of another shape, or one whose field would take its
+        # default, is absent: its slice is scanned again
+        if not isinstance(rec, dict) or rec.keys() != fields:
+            continue
+        try:
+            value = int(key)
+        except ValueError:
+            continue
         res = _SliceResult(**rec)
         res.violations = [(tuple(c), m) for c, m in res.violations]
-        out[int(key)] = res
+        out[value] = res
     return out
 
 

@@ -4,10 +4,19 @@ Vectors are plain tuples of Fraction living in a fixed ambient Euclidean
 space; the inner product is the standard dot product in those coordinates.
 No floating point is used anywhere in this module.
 
+Exactness is kept without a Fraction per term: inner products, coroot
+pairings and the coordinates of linear combinations sum the integer
+products of their nonzero terms over one common denominator and make one
+Fraction at the end, and a reflection rebuilds only the coordinates where
+the root is nonzero, each as one Fraction. generate_positive_roots closes
+the system in integer simple-root coordinates against the integer Cartan
+matrix, building each ambient root once.
+
 A RootSystem bundles the simple roots of one (possibly reducible, possibly
 non-reduced) root system together with its positive roots and fundamental
 weights. Root coordinates and fundamental weights both come from the
-inverse Gram matrix of the simple roots, computed once per system, so they
+inverse Gram matrix of the simple roots, computed once per system by one
+Gauss-Jordan elimination over all unit right-hand sides, so they
 live inside the span of the simple roots and systems of rank lower than
 the ambient dimension work too.
 """
@@ -16,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import ConstructionError, UsageError
@@ -67,36 +77,76 @@ def vscale(c, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
-def inner(u: Vector, v: Vector) -> Q:
-    """Euclidean dot product; exact."""
+def _dot(u: Sequence, v: Sequence) -> tuple[int, int]:
+    """<u, v> as an unreduced pair (numerator, denominator > 0) of ints.
+
+    The integer products of the nonzero terms are summed over one common
+    denominator, so no Fraction (and no gcd) is made per term.
+    """
     if len(u) != len(v):
         raise UsageError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Q(0))
+    num, den = 0, 1
+    for a, b in zip(u, v):
+        an = a.numerator
+        if an:
+            bn = b.numerator
+            if bn:
+                d = a.denominator * b.denominator
+                if d == den:
+                    num += an * bn
+                elif den % d == 0:
+                    num += an * bn * (den // d)
+                else:
+                    g = gcd(den, d)
+                    num = num * (d // g) + an * bn * (den // g)
+                    den *= d // g
+    return num, den
+
+
+def inner(u: Vector, v: Vector) -> Q:
+    """Euclidean dot product; exact."""
+    return Q(*_dot(u, v))
 
 
 def norm_sq(u: Vector) -> Q:
     return inner(u, u)
 
 
-def coroot_pairing(v: Vector, alpha: Vector) -> Q:
-    """2<v,alpha>/<alpha,alpha>."""
-    nn = inner(alpha, alpha)
+def _pairing(v: Vector, alpha: Vector) -> tuple[int, int]:
+    """2<v,alpha>/<alpha,alpha> as an unreduced pair of ints."""
+    nn, nd = _dot(alpha, alpha)
     if nn == 0:
         raise UsageError("coroot pairing with the zero vector")
-    return 2 * inner(v, alpha) / nn
+    vn, vd = _dot(v, alpha)
+    return 2 * vn * nd, vd * nn
+
+
+def coroot_pairing(v: Vector, alpha: Vector) -> Q:
+    """2<v,alpha>/<alpha,alpha>."""
+    return Q(*_pairing(v, alpha))
 
 
 def reflect(v: Vector, alpha: Vector) -> Vector:
-    """Reflection of v in the hyperplane orthogonal to alpha."""
-    return vsub(v, vscale(coroot_pairing(v, alpha), alpha))
+    """Reflection of v in the hyperplane orthogonal to alpha. Only the
+    coordinates where alpha is nonzero change; v itself comes back when it
+    is orthogonal to alpha."""
+    cn, cd = _pairing(v, alpha)
+    if cn == 0:
+        return v
+    out = []
+    for x, a in zip(v, alpha):
+        an = a.numerator
+        if an:
+            ad, xd = a.denominator * cd, x.denominator
+            x = Q(x.numerator * ad - cn * an * xd, xd * ad)
+        out.append(x)
+    return tuple(out)
 
 
 def combine(vectors: Sequence[Vector], coeffs: Iterable) -> Vector:
     """The linear combination sum_i coeffs[i] * vectors[i]."""
-    terms = [(Q(c), v) for c, v in zip(coeffs, vectors, strict=True) if c]
-    return tuple(
-        sum((c * v[d] for c, v in terms), Q(0)) for d in range(len(vectors[0]))
-    )
+    cs = [Q(c) for c, _ in zip(coeffs, vectors, strict=True)]
+    return tuple(Q(*_dot(cs, column)) for column in zip(*vectors))
 
 
 def half_sum(roots: Iterable[Vector]) -> Vector:
@@ -110,41 +160,49 @@ def half_sum(roots: Iterable[Vector]) -> Vector:
     return vscale(Q(1, 2), total)
 
 
-def solve_linear(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q]:
-    """Solve a square rational linear system by Gaussian elimination.
+def _gauss_jordan(
+    rows: Sequence[Sequence[Q]], columns: Sequence[Sequence[Q]]
+) -> list[list[Q]]:
+    """Solve rows @ x = c for every right-hand side c in columns by one
+    Gauss-Jordan elimination; with no columns it only tests regularity.
 
     Raises ConstructionError if the matrix is singular.
     """
     n = len(rows)
-    aug = [[Q(x) for x in row] + [Q(rhs[i])] for i, row in enumerate(rows)]
+    aug = [
+        [Q(x) for x in row] + [Q(c[i]) for c in columns] for i, row in enumerate(rows)
+    ]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
             raise ConstructionError("singular linear system")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        aug[col] = [x * inv if x else x for x in aug[col]]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+            f = aug[r][col]
+            if r != col and f != 0:
+                aug[r] = [x - f * y if y else x for x, y in zip(aug[r], aug[col])]
+    return [[aug[r][n + k] for r in range(n)] for k in range(len(columns))]
 
 
-def _gram_inverse(simples: Sequence[Vector]) -> tuple[tuple[Q, ...], ...]:
-    """Inverse of the Gram matrix of the simple roots.
+def solve_linear(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q]:
+    """Solve a square rational linear system by Gaussian elimination.
 
-    Raises ConstructionError if the roots are linearly dependent, which is
-    exactly when their Gram matrix is singular.
+    Raises ConstructionError if the matrix is singular.
     """
-    n = len(simples)
-    gram = [[inner(a, b) for b in simples] for a in simples]
+    return _gauss_jordan(rows, [rhs])[0]
+
+
+def _gram(simples: Sequence[Vector]) -> list[list[Q]]:
+    return [[inner(a, b) for b in simples] for a in simples]
+
+
+def _solve_gram(gram: list[list[Q]], columns) -> list[list[Q]]:
+    """_gauss_jordan on the Gram matrix of the simple roots, which is
+    singular exactly when the roots are linearly dependent."""
     try:
-        # solved column by column; the inverse is symmetric, so these are rows
-        return tuple(
-            tuple(solve_linear(gram, [Q(int(i == j)) for j in range(n)]))
-            for i in range(n)
-        )
+        return _gauss_jordan(gram, columns)
     except ConstructionError:
         raise ConstructionError("simple roots are linearly dependent") from None
 
@@ -157,7 +215,10 @@ def generate_positive_roots(simple_roots: Sequence[Vector]) -> set[Vector]:
 
     Uses root strings: for a root r and simple s, r+s is a root iff
     p - <r, s-check> >= 1 where p is the largest k with r - k*s a root.
-    Builds by height, so the downward string is always known already.
+    Builds by height, so the downward string is always known already. The
+    closure runs on integer simple-root coordinates against the integer
+    Cartan matrix; each ambient root is built once, as its parent plus a
+    simple root.
 
     Raises ConstructionError if the input is not a linearly independent
     crystallographic simple system or fails to stabilize.
@@ -165,20 +226,25 @@ def generate_positive_roots(simple_roots: Sequence[Vector]) -> set[Vector]:
     simples = [tuple(Q(c) for c in s) for s in simple_roots]
     if not simples:
         raise ConstructionError("empty simple system")
-    if any(norm_sq(s) == 0 for s in simples):
+    gram = _gram(simples)
+    rank = len(simples)
+    if any(gram[i][i] == 0 for i in range(rank)):
         raise ConstructionError("zero vector in simple system")
-    _gram_inverse(simples)  # raises on dependent simples
-    for a in simples:
-        for b in simples:
-            pairing = coroot_pairing(a, b)
+    _solve_gram(gram, [])  # raises on dependent simples
+    # cartan[i][j] = <alpha_i, alpha_j-check>
+    cartan = [[2 * gram[i][j] / gram[j][j] for j in range(rank)] for i in range(rank)]
+    for i, row in enumerate(cartan):
+        for j, pairing in enumerate(row):
             if pairing.denominator != 1:
                 raise ConstructionError(
                     f"non-integral Cartan pairing {pairing}: not crystallographic"
                 )
-            if a != b and pairing > 0:
+            if i != j and pairing > 0:
                 raise ConstructionError("obtuse-angle condition violated for simples")
-    roots: set[Vector] = set(simples)
-    level = list(simples)
+    cartan = [[int(x) for x in row] for row in cartan]
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    ambient = dict(zip(units, simples))  # root coordinates -> ambient root
+    level = units
     height = 1
     while level:
         height += 1
@@ -186,20 +252,18 @@ def generate_positive_roots(simple_roots: Sequence[Vector]) -> set[Vector]:
             raise ConstructionError("root closure did not stabilize")
         nxt = []
         for r in level:
-            for s in simples:
-                cand = vadd(r, s)
-                if cand in roots:
+            for i, s in enumerate(simples):
+                cand = r[:i] + (r[i] + 1,) + r[i + 1:]
+                if cand in ambient:
                     continue
                 p = 0
-                down = vsub(r, s)
-                while down in roots:
+                while r[i] > p and r[:i] + (r[i] - p - 1,) + r[i + 1:] in ambient:
                     p += 1
-                    down = vsub(down, s)
-                if p - coroot_pairing(r, s) >= 1:
-                    roots.add(cand)
+                if p - sum(c * row[i] for c, row in zip(r, cartan)) >= 1:
+                    ambient[cand] = vadd(ambient[r], s)
                     nxt.append(cand)
         level = nxt
-    return roots
+    return set(ambient.values())
 
 
 @dataclass(frozen=True)
@@ -222,7 +286,11 @@ class RootSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "_pos_set", frozenset(self.positive_roots))
-        object.__setattr__(self, "_gram_inv", _gram_inverse(self.simple_roots))
+        n = self.rank
+        # the inverse is symmetric, so its solution columns are its rows
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        gram_inv = _solve_gram(_gram(self.simple_roots), units)
+        object.__setattr__(self, "_gram_inv", tuple(map(tuple, gram_inv)))
         # <w_i, alpha_j> = delta_ij |alpha_i|^2 / 2 puts the i-th fundamental
         # weight at |alpha_i|^2 / 2 times row i of the inverse Gram matrix
         object.__setattr__(

@@ -12,8 +12,8 @@ its rows mix signs; it is counted from the ranges they give.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 
 from .cases import CaseData, KType, ktype_is_dominant, _normalize_ktype
@@ -53,13 +53,11 @@ class InequalitySystem:
         return tuple(limits)
 
 
-def _primitive_row(coeffs: list[Q], bound: Q) -> tuple[tuple[int, ...], int]:
-    scale = lcm(*(c.denominator for c in coeffs), bound.denominator)
-    ints = [int(c * scale) for c in coeffs] + [int(bound * scale)]
-    g = gcd(*ints)
+def _primitive_row(coeffs: list[int], bound: int) -> tuple[tuple[int, ...], int]:
+    g = gcd(*coeffs, bound)
     if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1]
+        coeffs, bound = [c // g for c in coeffs], bound // g
+    return tuple(coeffs), bound
 
 
 def _prune_dominated(rows: set[tuple[tuple[int, ...], int]]):
@@ -90,22 +88,29 @@ def usmall_system(case: CaseData) -> InequalitySystem:
     rows are kept unpruned, as the pruning is valid only where every
     coordinate is >= 0."""
     g = case.g_restricted
-    # the xi on simple-root coordinates, and what w(xi) is paired with
+    # the xi on simple-root coordinates, and what w(xi) is paired with: the
+    # k-type basis vectors and rho_c against the simple roots, and rho
+    # against xi, all over one common denominator den
     xis, scale = int_root_coords(g, case.g_fund_weights)
-    fw_pairs = [[inner(b, a) for a in g.simple_roots] for b in case.ktype_basis]
-    rho_c_pairs = [inner(case.rho_c, a) for a in g.simple_roots]
+    pairs = [[inner(b, a) for a in g.simple_roots] for b in case.ktype_basis]
+    pairs.append([inner(case.rho_c, a) for a in g.simple_roots])
     rho_xi = [inner(case.rho, xi) for xi in case.g_fund_weights]
+    den = lcm(*(x.denominator for x in chain(rho_xi, *pairs)))
+    pairs = [[int(x * den) for x in row] for row in pairs]
+    rho_xi = [int(x * den) for x in rho_xi]
     raw = set()
     for word, m in zip(case.w1, case.w1_matrices):
-        # column i: scale times the coordinates of w(xi_i)
+        # column i: scale times the coordinates of w(xi_i); each row comes
+        # out as den * scale times its coefficients and bound
         for image, r_xi in zip((m @ xis).T.tolist(), rho_xi):
-            coeffs = [inner(row, image) / scale for row in fw_pairs]
+            *coeffs, rho_c_pair = (
+                sum(p * x for p, x in zip(row, image)) for row in pairs
+            )
             if not case.k_has_center and any(c < 0 for c in coeffs):
                 raise ConstructionError(
                     f"{case.id.label}: negative coefficient for word {word}"
                 )
-            bound = 2 * (r_xi - inner(rho_c_pairs, image) / scale)
-            raw.add(_primitive_row(coeffs, bound))
+            raw.add(_primitive_row(coeffs, 2 * (r_xi * scale - rho_c_pair)))
     if case.k_has_center:
         return InequalitySystem(tuple(sorted(raw)))
     return InequalitySystem(_prune_dominated(raw))

@@ -22,6 +22,7 @@ from .rootdata import (
     RootSystem,
     Vector,
     coroot_pairing,
+    inner,
     reflect,
     vadd,
     vneg,
@@ -74,7 +75,8 @@ def to_dominant(
     applied: list[int] = []
     while True:
         for i in letters:
-            if coroot_pairing(v, simples[i]) < 0:
+            # <v, alpha> has the sign of the coroot pairing
+            if inner(v, simples[i]) < 0:
                 v = reflect(v, simples[i])
                 applied.append(i)
                 break

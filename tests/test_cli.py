@@ -120,6 +120,32 @@ def test_verify_explicit_box_exit_1(tmp_path):
     assert all(m <= 0 for m in margins)
 
 
+def test_commands_without_checkpoints_do_not_load_hashlib():
+    # hashlib loads OpenSSL, several MB of resident memory that only a
+    # checkpointed scan needs; a fresh process shows what is imported
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import liecheck
+
+    code = (
+        "import sys\n"
+        "from liecheck.report_cli import main\n"
+        "assert main(['usmall', 'count', 'G']) == 0\n"
+        "assert main(['verify', 'G']) == 0\n"
+        "assert 'hashlib' not in sys.modules\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "LIECHECK_CHECKPOINT_DIR"}
+    env["PYTHONPATH"] = str(Path(liecheck.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_long_gate():
     assert main(["verify", "EVIII"]) == 2
     assert main(["verify", "EIX"]) == 2

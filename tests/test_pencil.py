@@ -9,7 +9,7 @@ import pytest
 
 from liecheck.cases import get_case, ktype_is_dominant
 from liecheck.errors import ConstructionError, UsageError
-from liecheck.fastscan import _INT64_MAX, build_tables, magnitude_bound
+from liecheck.fastscan import build_tables
 from liecheck.pencil import (
     Box,
     coordinate_names,
@@ -25,6 +25,8 @@ from liecheck.pencil import (
 )
 from liecheck.spin import spin_norm_sq, variant_norms_sq
 from liecheck.usmall import usmall_system
+
+from conftest import largest_accepted
 
 # frozen outcomes of the default-box scans for the quick families
 EXPECTED_SCANS = {
@@ -276,6 +278,46 @@ def test_checkpoint_rejects_slice_of_wrong_size(tmp_path):
 def test_checkpoint_rejects_record_with_missing_field(tmp_path):
     # not read with the missing field's default (no violations)
     _assert_damaged_record_is_rescanned(tmp_path, lambda rec: rec.pop("violations"))
+
+
+def _assert_damaged_file_is_rescanned(tmp_path, damage):
+    # the checkpoint file of FII's default box is replaced by damage(state),
+    # with every record's minimum made bogus first; verify must not crash,
+    # and every slice it cannot read back is scanned again
+    case = get_case("FII")
+    box = default_box(case)
+    fresh = verify_box(case, box)
+    verify_box(case, box, checkpoint_dir=str(tmp_path))
+    path = _only_checkpoint(tmp_path)
+    state = json.loads(path.read_text())
+    for rec in state["slices"].values():
+        rec["min_scaled"] = -10**6
+    path.write_text(json.dumps(damage(state)))
+    assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
+
+
+def test_checkpoint_that_is_not_an_object_is_absent(tmp_path):
+    _assert_damaged_file_is_rescanned(tmp_path, lambda state: [1, 2])
+
+
+def test_checkpoint_slices_that_are_not_an_object_are_absent(tmp_path):
+    _assert_damaged_file_is_rescanned(
+        tmp_path, lambda state: {"slices": list(state["slices"].values())}
+    )
+
+
+def test_checkpoint_record_that_is_not_an_object_is_absent(tmp_path):
+    def damage(state):
+        return {"slices": {key: [1, 2] for key in state["slices"]}}
+
+    _assert_damaged_file_is_rescanned(tmp_path, damage)
+
+
+def test_checkpoint_record_with_a_non_integer_key_is_absent(tmp_path):
+    def damage(state):
+        return {"slices": {f"{key}.0": rec for key, rec in state["slices"].items()}}
+
+    _assert_damaged_file_is_rescanned(tmp_path, damage)
 
 
 def test_checkpoint_ignores_records_of_older_scan_format(tmp_path):
@@ -570,23 +612,12 @@ def test_box_beyond_int64_is_rejected():
         verify_box(case, box)
 
 
-def _largest_accepted(tables):
-    lo, hi = 0, 1 << 40
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if magnitude_bound(tables, mid) <= _INT64_MAX:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 @pytest.mark.parametrize("family", ["G", "SP4R"])
 def test_largest_accepted_box_is_exact(family):
     # the guard admits a box only where the int64 scan is still exact: at
     # the largest accepted coordinates the report equals a Fraction recount
     case = get_case(family)
-    top = _largest_accepted(build_tables(case))
+    top = largest_accepted(build_tables(case))
     assert top > 10**8
     if case.k_has_center:
         box = Box(((top - 2, top), (-top, -top + 2)))

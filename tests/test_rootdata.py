@@ -3,9 +3,10 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liecheck.cases import ALL_FAMILIES
-from liecheck.errors import ConstructionError
+from liecheck.cases import ALL_FAMILIES, _e8_simples, _f4_short_first_simples
+from liecheck.errors import ConstructionError, UsageError
 from liecheck.rootdata import (
     RootSystem,
     combine,
@@ -132,3 +133,145 @@ def test_root_coords_match_direct_solve(family):
             coords = system.root_coords(r)
             assert coords == solve_linear(gram, [inner(r, a) for a in simples])
             assert combine(simples, coords) == r
+
+
+# -- the exact primitives against per-term Fraction formulas -----------------
+#
+# inner, coroot_pairing, reflect and combine sum integer products over one
+# common denominator; the oracles below are the per-term Fraction formulas
+# they replaced.
+
+
+def oracle_inner(u, v):
+    return sum((Q(a) * Q(b) for a, b in zip(u, v)), Q(0))
+
+
+def oracle_pairing(v, alpha):
+    return 2 * oracle_inner(v, alpha) / oracle_inner(alpha, alpha)
+
+
+def oracle_reflect(v, alpha):
+    c = oracle_pairing(v, alpha)
+    return tuple(Q(x) - c * Q(a) for x, a in zip(v, alpha))
+
+
+# mixed denominators, zeros (int and Fraction) and plain ints
+coordinate = st.one_of(
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([0, Q(0)]),
+)
+
+
+def vectors(count):
+    return st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(*[st.tuples(*[coordinate] * n)] * count)
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(vectors(2))
+def test_inner_and_norm_match_per_term_fractions(pair):
+    u, v = pair
+    for got, want in ((inner(u, v), oracle_inner(u, v)),
+                      (norm_sq(u), oracle_inner(u, u))):
+        assert type(got) is Q
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(vectors(2))
+def test_pairing_and_reflection_match_per_term_fractions(pair):
+    v, alpha = pair
+    if oracle_inner(alpha, alpha) == 0:
+        with pytest.raises(UsageError, match="zero vector"):
+            coroot_pairing(v, alpha)
+        with pytest.raises(UsageError, match="zero vector"):
+            reflect(v, alpha)
+        return
+    pairing = coroot_pairing(v, alpha)
+    assert type(pairing) is Q and pairing == oracle_pairing(v, alpha)
+    image = reflect(v, alpha)
+    assert image == oracle_reflect(v, alpha)
+    if pairing == 0:
+        assert image is v
+    # a reflection is an involution
+    assert reflect(image, alpha) == oracle_reflect(oracle_reflect(v, alpha), alpha)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(vectors(3), st.tuples(coordinate, coordinate, coordinate))
+def test_combine_matches_per_term_fractions(vs, coeffs):
+    got = combine(vs, coeffs)
+    want = tuple(
+        sum((Q(c) * Q(v[d]) for c, v in zip(coeffs, vs)), Q(0))
+        for d in range(len(vs[0]))
+    )
+    assert got == want and all(type(x) is Q for x in got)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(vectors(1), st.integers(min_value=1, max_value=3))
+def test_length_mismatch_raises(single, extra):
+    (u,) = single
+    longer = u + (Q(1),) * extra
+    for call in (lambda: inner(u, longer), lambda: coroot_pairing(u, longer),
+                 lambda: reflect(u, longer)):
+        with pytest.raises(UsageError, match="dimension mismatch"):
+            call()
+
+
+def naive_positive_roots(simples):
+    """The closure on ambient vectors with per-term Fraction pairings."""
+    roots = set(simples)
+    level = list(simples)
+    while level:
+        nxt = []
+        for r in level:
+            for s in simples:
+                cand = tuple(a + b for a, b in zip(r, s))
+                if cand in roots:
+                    continue
+                p = 0
+                down = tuple(a - b for a, b in zip(r, s))
+                while down in roots:
+                    p += 1
+                    down = tuple(a - b for a, b in zip(down, s))
+                if p - oracle_pairing(r, s) >= 1:
+                    roots.add(cand)
+                    nxt.append(cand)
+        level = nxt
+    return roots
+
+
+# simple roots and number of positive roots
+CLOSURE_CASES = {
+    "G2": ((vec(1, -1, 0), vec(-2, 1, 1)), 6),
+    "B2": ((vec(1, -1), vec(0, 1)), 4),
+    "F4": (_f4_short_first_simples(), 24),
+    "E6": (_e8_simples()[:6], 36),
+    "E7": (_e8_simples()[:7], 63),
+    "E8": (_e8_simples(), 120),
+}
+
+
+@pytest.mark.parametrize("name", CLOSURE_CASES)
+def test_positive_roots_match_naive_closure(name):
+    simples, count = CLOSURE_CASES[name]
+    roots = generate_positive_roots(simples)
+    assert roots == naive_positive_roots(simples)
+    assert len(roots) == count
+
+
+@pytest.mark.parametrize(
+    "simples, message",
+    [
+        ((), "empty simple system"),
+        ((vec(1, 0), vec(0, 0)), "zero vector"),
+        ((vec(1, 0), vec(-1, 2)), "non-integral Cartan pairing"),
+        ((vec(1, 0), vec(1, 1)), "obtuse-angle"),
+    ],
+)
+def test_positive_roots_keep_their_checks(simples, message):
+    with pytest.raises(ConstructionError, match=message):
+        generate_positive_roots(simples)

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liecheck.cases import (
     ambient_to_ktype,
@@ -19,6 +20,8 @@ from liecheck.rootdata import coroot_pairing, inner, norm_sq, vadd, vsub
 from liecheck.spin import spin_argmin, spin_norm_sq, variant_norms_sq
 from liecheck.usmall import iter_usmall
 from liecheck.weyl import orbit, to_dominant
+
+from conftest import largest_accepted
 
 
 def oracle_spin_sq(case, mu):
@@ -201,3 +204,28 @@ def test_bulk_kernel_on_zero_and_one_row(family):
     value = bulk_spin_sq_scaled(tables, np.array([mu], dtype=np.int64))
     assert value.shape == (1,)
     assert Q(int(value[0]), tables.scale) == spin_norm_sq(case, mu)
+
+
+# -- the int64 engine at the largest coordinates the guard accepts -----------
+
+
+@pytest.mark.parametrize("family", ["G", "FII", "EI"])
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_bulk_engine_exact_up_to_the_magnitude_bound(family, data):
+    # every coordinate up to what magnitude_bound accepts (about 1.07e9 for
+    # G), mixed with small ones so that the sweeps take many reflections
+    case = get_case(family)
+    tables = build_tables(case)
+    top = largest_accepted(tables)
+    coordinate = st.one_of(
+        st.integers(min_value=0, max_value=top),
+        st.integers(min_value=top - 1000, max_value=top),
+        st.integers(min_value=0, max_value=20),
+    )
+    rows = data.draw(
+        st.lists(st.tuples(*[coordinate] * case.ktype_dim), min_size=1, max_size=6)
+    )
+    scaled = bulk_spin_sq_scaled(tables, np.array(rows, dtype=np.int64))
+    for mu, value in zip(rows, scaled):
+        assert Q(int(value), tables.scale) == spin_norm_sq(case, mu)
