@@ -35,7 +35,14 @@ prunes, none of which can change the reported outcome:
     is u-large, has a dominant prefix and lies above the cutoff, every
     larger value of that level does too. Its points are counted in one
     step and the level stops. The cutoff never rises, so none of them
-    would have been evaluated later.
+    would have been evaluated later;
+  * a walked point whose margin lower bound (margin_lower_bounds: the
+    lowest sweep-free floor of mu minus the value of mu - beta at its
+    lowest-floor variant) exceeds the cutoff is counted but not sent to
+    the margin kernel. Its margin is above the cutoff >= max(0, m), so it
+    is neither a violation nor below the running minimum, and the running
+    minimum evolves as without this prune. The seed probe and
+    --no-shortcut have no cutoff and evaluate every point they walk.
 """
 
 from __future__ import annotations
@@ -182,7 +189,9 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     Each term bounds one family of intermediates by the sum of the absolute
     values of its addends. A sweep keeps |x|, and |<y, delta coroot>| <=
     |y| ||delta coroot||, so the norm of x bounds every pairing coordinate
-    a sweep passes through.
+    a sweep passes through. margin_lower_bounds computes only floor
+    entries, one sweep value per row and their difference, which the
+    kernel computes too, so the same bound covers it.
     """
 
     def abs_sum(arr):
@@ -269,26 +278,38 @@ def _linear(tables: ScanTables, m: np.ndarray) -> np.ndarray:
     return np.einsum("nk,ks->ns", -2 * m, np.ascontiguousarray(tables.variant_s.T))
 
 
-def _best_first(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    # The (rows x variants) tables leave out the row constant
-    # scale * (|mu|^2 + |rho_c|^2): it changes neither the argmin nor the
-    # floor test, and is added to the result at the end.
+def _floor(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """The (rows x variants) sweep-free floor table of mu, without the row
+    constant scale * (|mu|^2 + |rho_c|^2): it changes neither the argmin
+    nor a comparison of floors with values of the same row.
+    Entry: scale * (|rho_n^j|^2 + 2 max(0, <x_j, rho_c>)) + lin."""
     floor = np.add.outer(
         2 * (m @ tables.rho_c_lin_s), tables.variant_nrm_s - 2 * tables.rho_c_var_s
     )
-    # scale * (|rho_n^j|^2 + 2 max(0, <x_j, rho_c>)), then the linear term
     np.maximum(floor, tables.variant_nrm_s, out=floor)
     floor += lin
+    return floor
+
+
+def _row_constant(tables: ScanTables, m: np.ndarray) -> np.ndarray:
+    return ((m @ tables.gram_s) * m).sum(axis=1) + tables.rho_c_nrm_s
+
+
+def _sweep(tables: ScanTables, pair: np.ndarray, lin_at: np.ndarray,
+           variants: np.ndarray) -> np.ndarray:
+    """Values of the given variants, without the row constant, for rows
+    with pairing coordinates pair and linear terms lin_at."""
+    c = pair - tables.shift[variants]
+    conjugate_dominant_bulk(c, tables.cartan)
+    return lin_at + tables.variant_nrm_s[variants] + c @ tables.rho_c_pair2_s
+
+
+def _best_first(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    floor = _floor(tables, m, lin)
     base_pair = m @ tables.pairing.T
 
     def sweep(rows, variants):
-        c = base_pair[rows] - tables.shift[variants]
-        conjugate_dominant_bulk(c, tables.cartan)
-        return (
-            lin[rows, variants]
-            + tables.variant_nrm_s[variants]
-            + c @ tables.rho_c_pair2_s
-        )
+        return _sweep(tables, base_pair[rows], lin[rows, variants], variants)
 
     rows = np.arange(len(m))
     first = floor.argmin(axis=1)
@@ -298,7 +319,7 @@ def _best_first(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarra
     rows, variants = np.divmod(np.flatnonzero(again), again.shape[1])
     if rows.size:
         np.minimum.at(best, rows, sweep(rows, variants))
-    best += ((m @ tables.gram_s) * m).sum(axis=1) + tables.rho_c_nrm_s
+    best += _row_constant(tables, m)
     return best
 
 
@@ -318,6 +339,34 @@ def bulk_margins_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
         out[start:start + len(m)] = upper - bulk_spin_sq_scaled(
             tables, m - tables.beta_coords, lin
         )
+    return out
+
+
+def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
+    """Exact integer lower bounds on bulk_margins_scaled for rows of coords.
+
+    spin(mu)^2 is at least the lowest sweep-free floor of mu, and
+    spin(mu - beta)^2 is at most the value of mu - beta at its own
+    lowest-floor variant, so their difference bounds the margin from
+    below. It costs the floor tables and one sweep per row, where the
+    kernel needs at least two sweeps and usually more. Rows go in chunks
+    of _CHUNK_ROWS, like the kernel's: one sweep per whole batch was no
+    faster, and its (batch x rank) arrays raised peak memory by about a
+    quarter on the last slices of the long boxes.
+    """
+    step = 2 * (tables.variant_s @ tables.beta_coords)
+    out = np.empty(len(coords), dtype=np.int64)
+    for start in range(0, len(coords), _CHUNK_ROWS):
+        m = coords[start:start + _CHUNK_ROWS]
+        down = m - tables.beta_coords
+        lin = _linear(tables, m)
+        upper = _floor(tables, m, lin).min(axis=1) + _row_constant(tables, m)
+        lin += step
+        first = _floor(tables, down, lin).argmin(axis=1)
+        lower = _sweep(
+            tables, down @ tables.pairing.T, lin[np.arange(len(m)), first], first
+        )
+        out[start:start + len(m)] = upper - lower - _row_constant(tables, down)
     return out
 
 
@@ -437,11 +486,18 @@ class _Scanner:
         """Scan the slice whose first walked coordinate is first_value.
 
         With the shortcut, subtrees are pruned against self.best, which is
-        lowered after every kernel batch; min_scaled covers only the points
-        this slice evaluated.
+        lowered after every kernel batch, and the kernel gets only the rows
+        of a batch whose margin_lower_bounds is at most the cutoff;
+        min_scaled covers only the points this slice evaluated, and is None
+        if it evaluated none.
         """
         state = _SliceResult()
         for coords in self._batches(first_value, state):
+            cutoff = self._cutoff()
+            if cutoff is not None:
+                coords = coords[margin_lower_bounds(self.tables, coords) <= cutoff]
+                if not len(coords):
+                    continue
             margins = bulk_margins_scaled(self.tables, coords)
             low = int(margins.min())
             if state.min_scaled is None or low < state.min_scaled:
@@ -624,7 +680,10 @@ def _checkpoint_path(directory, case, ranges, shortcut):
     changes only when a slice record changes meaning: the u-large block
     path and the per-level exit evaluate the same points as a per-point
     walk, and the running minimum keeps every cutoff at max(0, m) for a
-    margin m of the box, so their records keep format 2."""
+    margin m of the box, so their records keep format 2. So does the
+    margin lower bound screen: a record's min_scaled is still the margin
+    of a filtered point of its slice, or null when the slice sent no
+    point to the kernel."""
     from hashlib import sha1  # see golden_digest: only checkpoints need it
 
     key = json.dumps(
@@ -649,9 +708,10 @@ def _load_checkpoint(path):
     out = {}
     fields = asdict(_SliceResult()).keys()
     for key, rec in slices.items():
-        # a record of another shape, or one whose field would take its
-        # default, is absent: its slice is scanned again
-        if not isinstance(rec, dict) or rec.keys() != fields:
+        # a record of another shape, one whose field would take its
+        # default, or one with a field of the wrong type is absent: its
+        # slice is scanned again
+        if not isinstance(rec, dict) or rec.keys() != fields or not _well_typed(rec):
             continue
         try:
             value = int(key)
@@ -661,6 +721,27 @@ def _load_checkpoint(path):
         res.violations = [(tuple(c), m) for c, m in res.violations]
         out[value] = res
     return out
+
+
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true and false load as bool, an int subclass
+
+
+def _well_typed(rec) -> bool:
+    """Whether rec's fields have the types _SliceResult gives them."""
+    violations = rec["violations"]
+    return (
+        _is_int(rec["scanned"])
+        and _is_int(rec["filtered"])
+        and (rec["min_scaled"] is None or _is_int(rec["min_scaled"]))
+        and isinstance(violations, list)
+        and all(
+            isinstance(v, list) and len(v) == 2
+            and isinstance(v[0], list) and all(map(_is_int, v[0]))
+            and _is_int(v[1])
+            for v in violations
+        )
+    )
 
 
 def _save_checkpoint(path, done):

@@ -146,6 +146,24 @@ def test_commands_without_checkpoints_do_not_load_hashlib():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_python_m_liecheck_runs_the_command_line():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import liecheck
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(liecheck.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "liecheck", "list-cases"], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "EVIII" in proc.stdout
+
+
 def test_verify_long_gate():
     assert main(["verify", "EVIII"]) == 2
     assert main(["verify", "EIX"]) == 2

@@ -262,8 +262,8 @@ def _assert_damaged_record_is_rescanned(tmp_path, damage):
     path = _only_checkpoint(tmp_path)
     state = json.loads(path.read_text())
     rec = state["slices"][min(state["slices"], key=int)]
-    damage(rec)
     rec["min_scaled"] = -10**6
+    damage(rec)
     path.write_text(json.dumps(state))
     assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
 
@@ -278,6 +278,28 @@ def test_checkpoint_rejects_slice_of_wrong_size(tmp_path):
 def test_checkpoint_rejects_record_with_missing_field(tmp_path):
     # not read with the missing field's default (no violations)
     _assert_damaged_record_is_rescanned(tmp_path, lambda rec: rec.pop("violations"))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("violations", 5),
+        ("violations", [5]),
+        ("violations", [[[1, 2], "x"]]),
+        ("violations", [[[1, 2.5], 3]]),
+        ("min_scaled", "7"),
+        ("min_scaled", 1.5),
+        ("filtered", "3"),
+        ("filtered", True),
+    ],
+)
+def test_checkpoint_rejects_record_with_a_field_of_the_wrong_type(tmp_path, name, value):
+    # scanned and filtered are ints, min_scaled an int or null, violations
+    # a list of [coordinate ints, int] pairs; any other record is rescanned
+    def damage(rec):
+        rec[name] = value
+
+    _assert_damaged_record_is_rescanned(tmp_path, damage)
 
 
 def _assert_damaged_file_is_rescanned(tmp_path, damage):
@@ -556,18 +578,25 @@ def test_large_block_walk_counts_and_payload(family, monkeypatch):
 @pytest.mark.parametrize("family", sorted(LARGE_BOXES))
 def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch):
     # The seed equals the box minimum here, so the cutoff stays at it: after
-    # the seed probe, the kernel sees exactly the filtered points whose
-    # cheap bound is at most the minimum, in walk order.
+    # the seed probe, the walk yields exactly the filtered points whose
+    # cheap bound is at most the minimum, in walk order, and the kernel gets
+    # exactly those whose margin lower bound is at most the minimum.
     from liecheck import fastscan
 
     case, box, points, filtered = _large_box_points(family)
-    batches = []
+    walked, batches = [], []
+    bound = fastscan.margin_lower_bounds
     kernel = fastscan.bulk_margins_scaled
+
+    def bounded(tables, coords):
+        walked.append(coords.copy())
+        return bound(tables, coords)
 
     def recorded(tables, coords):
         batches.append(coords.copy())
         return kernel(tables, coords)
 
+    monkeypatch.setattr(fastscan, "margin_lower_bounds", bounded)
     monkeypatch.setattr(fastscan, "bulk_margins_scaled", recorded)
     rep = verify_box(case, box)
     tables = build_tables(case)
@@ -580,7 +609,11 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
     assert (filtered & (cheap > minimum)).any()
     assert (filtered & (cheap == minimum)).any()
     needed = _walk_order(points[filtered & (cheap <= minimum)], box.ranges)
-    assert np.array_equal(np.concatenate(scan), needed)
+    walked = np.concatenate(walked)
+    assert np.array_equal(walked, needed)
+    kept = walked[bound(tables, walked) <= minimum]
+    assert len(kept) < len(walked)
+    assert scan and np.array_equal(np.concatenate(scan), kept)
 
 
 def test_walk_refuses_negative_coefficients_for_semisimple_k(monkeypatch):

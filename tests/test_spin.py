@@ -14,14 +14,19 @@ from liecheck.cases import (
     ktype_to_ambient,
 )
 from liecheck import fastscan
-from liecheck.fastscan import build_tables, bulk_margins_scaled, bulk_spin_sq_scaled
+from liecheck.fastscan import (
+    build_tables,
+    bulk_margins_scaled,
+    bulk_spin_sq_scaled,
+    margin_lower_bounds,
+)
 from liecheck.pencil import step_margin_sq
 from liecheck.rootdata import coroot_pairing, inner, norm_sq, vadd, vsub
 from liecheck.spin import spin_argmin, spin_norm_sq, variant_norms_sq
 from liecheck.usmall import iter_usmall
 from liecheck.weyl import orbit, to_dominant
 
-from conftest import largest_accepted
+from conftest import BIG_FAMILIES, SMALL_FAMILIES, largest_accepted
 
 
 def oracle_spin_sq(case, mu):
@@ -197,13 +202,54 @@ def test_bulk_kernel_on_zero_and_one_row(family):
     case = get_case(family)
     tables = build_tables(case)
     empty = np.zeros((0, case.ktype_dim), dtype=np.int64)
-    for kernel in (bulk_spin_sq_scaled, bulk_margins_scaled):
+    for kernel in (bulk_spin_sq_scaled, bulk_margins_scaled, margin_lower_bounds):
         out = kernel(tables, empty)
         assert out.shape == (0,) and out.dtype == np.int64
     mu = case.beta_ktype if not case.k_has_center else (3, -2)
     value = bulk_spin_sq_scaled(tables, np.array([mu], dtype=np.int64))
     assert value.shape == (1,)
     assert Q(int(value[0]), tables.scale) == spin_norm_sq(case, mu)
+
+
+# -- the margin lower bound that screens kernel batches ----------------------
+
+
+def _tied(tables, coords):
+    """Rows whose lowest sweep-free floor is attained by two variants."""
+    floor = fastscan._floor(tables, coords, fastscan._linear(tables, coords))
+    return (floor == floor.min(axis=1, keepdims=True)).sum(axis=1) > 1
+
+
+@pytest.mark.parametrize("family", SMALL_FAMILIES + BIG_FAMILIES)
+def test_margin_lower_bounds_never_exceed_the_margin(family):
+    # sampled rows with mu and mu - beta dominant, around beta; SP4R takes
+    # the center-torus path with negative coordinates
+    case = get_case(family)
+    tables = build_tables(case)
+    beta = np.array(case.beta_ktype, dtype=np.int64)
+    lo = -6 if case.k_has_center else 0
+    sample = np.random.default_rng(20250814).integers(
+        lo, 7, size=(3000, case.ktype_dim)
+    ) + np.maximum(beta, 0)
+    coords = np.array(
+        [
+            mu for mu in sample
+            if ktype_is_dominant(case, tuple(map(int, mu)))
+            and ktype_is_dominant(case, tuple(map(int, mu - beta)))
+        ],
+        dtype=np.int64,
+    )
+    assert len(coords) >= 1000
+    if case.num_variants > 1:
+        # ties decide which variant of mu - beta is swept
+        assert _tied(tables, coords - beta).sum() >= 100
+        assert _tied(tables, coords).sum() >= 100
+    bounds = margin_lower_bounds(tables, coords)
+    margins = bulk_margins_scaled(tables, coords)
+    assert bounds.dtype == np.int64
+    assert (bounds <= margins).all()
+    # the bound is the margin on most rows, which is what makes it a screen
+    assert (bounds == margins).mean() > 0.5
 
 
 # -- the int64 engine at the largest coordinates the guard accepts -----------
@@ -229,3 +275,10 @@ def test_bulk_engine_exact_up_to_the_magnitude_bound(family, data):
     scaled = bulk_spin_sq_scaled(tables, np.array(rows, dtype=np.int64))
     for mu, value in zip(rows, scaled):
         assert Q(int(value), tables.scale) == spin_norm_sq(case, mu)
+    # the same rows raised to beta, so that mu - beta is dominant too: the
+    # margin lower bound is at most the exact margin
+    beta = case.beta_ktype
+    stepped = [tuple(max(x, b) for x, b in zip(mu, beta)) for mu in rows]
+    bounds = margin_lower_bounds(tables, np.array(stepped, dtype=np.int64))
+    for mu, value in zip(stepped, bounds):
+        assert Q(int(value), tables.scale) <= step_margin_sq(case, mu)
