@@ -22,8 +22,7 @@ prunes, none of which can change the reported outcome:
     valid lower bound for every margin inside, so no violation and no
     point attaining the minimum can hide there. scanned and filtered do
     not depend on pruning, so the report does not depend on --jobs, on
-    resuming, or on which process saw which slice. Records written under
-    the earlier box seed satisfy the same invariant;
+    resuming, or on which process saw which slice;
   * a block (the innermost coordinates as one numpy grid) that one u-small
     row already makes u-large skips the per-point u-small test: every
     point is u-large, so its checked points are exactly the dominant tail
@@ -785,10 +784,11 @@ def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
         probe.best = probe.first_batch_min(slice_values)
 
     def results():
-        if jobs > 1 and len(todo) > 1:
+        workers = min(jobs, len(todo))
+        if workers > 1:
             import multiprocessing as mp
 
-            with mp.Pool(jobs, initializer=_start_worker, initargs=(probe,)) as pool:
+            with mp.Pool(workers, initializer=_start_worker, initargs=(probe,)) as pool:
                 yield from pool.imap_unordered(_slice_for_pool, todo)
         else:
             for value in todo:

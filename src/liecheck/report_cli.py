@@ -47,8 +47,6 @@ from .pencil import (
 from .spin import spin_norm_sq, variant_norms_sq
 from .usmall import enumerate_usmall, iter_usmall, usmall_system
 
-LONG_RUN_FAMILIES = ("EVIII", "EIX")
-
 
 def _encode(value):
     """JSON-safe payload: Fractions become 'p/q' strings, tuples lists."""
@@ -270,15 +268,6 @@ def _verify_payload(case: CaseData, rep) -> dict:
 
 def cmd_verify(args):
     case = _case_from_args(args)
-    if (
-        case.id.family in LONG_RUN_FAMILIES
-        and args.box == "default"
-        and not args.long
-    ):
-        raise UsageError(
-            f"{case.id.label}: the default box is a long run "
-            "(hours of CPU time); pass --long to confirm"
-        )
     box = default_box(case) if args.box == "default" else parse_box(args.box, case)
     rep = verify_box(
         case,
@@ -400,8 +389,12 @@ def _bound_matches(computed: Q, expected) -> bool:
     return computed == Q(expected)
 
 
-def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
+def run_selftest(jobs: int = 1, golden_data=None, log=None):
     """Recompute every tabulated constant and compare against the golden data.
+
+    Every golden u-small count is recounted, and the published boxes of G,
+    FII, EIV, EI, FI, EII, EVI and EV are scanned; the EVIII and EIX boxes
+    are left to ``verify``, which takes about a minute on each.
 
     Figures with a recorded erratum are compared in their corrected form,
     and each erratum is an item of its own: printed and corrected value,
@@ -445,8 +438,6 @@ def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
 
     counts = {}
     for family in data["usmall_counts"]:
-        if family in LONG_RUN_FAMILIES and not long:
-            continue
         expected = published("usmall_counts", family)
         counts[family] = count = enumerate_usmall(get_case(family), jobs=jobs)
         add(f"usmall-count-{family}", expected, count, count == expected)
@@ -537,10 +528,7 @@ def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
         not bad,
     )
 
-    verify_families = ["G", "FII", "EIV"]
-    if long:
-        verify_families += ["EI", "FI", "EII", "EVI", "EV"]
-    for family in verify_families:
+    for family in ("G", "FII", "EIV", "EI", "FI", "EII", "EVI", "EV"):
         case = get_case(family)
         rep = verify_box(case, jobs=jobs)
         add(
@@ -555,10 +543,7 @@ def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
     def recompute(path):
         """The recomputed value of the figure at path, in its golden form."""
         if path[0] == "usmall_counts":
-            family = path[1]
-            if family not in counts:
-                counts[family] = enumerate_usmall(get_case(family), jobs=jobs)
-            return counts[family]
+            return counts[path[1]]
         if path[0] == "usmall_rows":
             return _row_list(usmall_system(get_case(path[1])).rows)
         if path[0] == "sp4r_pencils":
@@ -585,14 +570,14 @@ def run_selftest(long: bool = False, jobs: int = 1, golden_data=None, log=None):
 
 
 def cmd_selftest(args):
-    items = run_selftest(long=args.long, jobs=args.jobs, log=print)
+    items = run_selftest(jobs=args.jobs, log=print)
     failures = [item.name for item in items if not item.ok]
     print(f"{len(items)} items, {len(failures)} failed")
     for name in failures:
         print(f"  FAIL {name}")
     results = {"items": [asdict(item) for item in items], "failures": len(failures)}
     return (1 if failures else 0), (
-        "-", "selftest", {"long": args.long, "jobs": args.jobs}, results
+        "-", "selftest", {"jobs": args.jobs}, results
     )
 
 
@@ -619,6 +604,25 @@ def _add_report_argument(sp):
     )
 
 
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return jobs
+
+
+def _add_jobs_argument(sp):
+    sp.add_argument(
+        "--jobs",
+        type=_job_count,
+        default=1,
+        help="worker processes, at most one per work item (default 1)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liecheck",
@@ -641,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     usmall_sub = usmall_parser.add_subparsers(dest="usmall_command", required=True)
     sp = usmall_sub.add_parser("count", help="count the u-small k-types")
     _add_case_argument(sp)
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    _add_jobs_argument(sp)
     _add_report_argument(sp)
     sp.set_defaults(func=cmd_usmall_count)
     sp = usmall_sub.add_parser(
@@ -680,14 +684,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--box",
         default="default",
-        help="'default' or explicit ranges like a:0..12,b:0..7",
+        help="'default' (the published box, EVIII and EIX included) or "
+        "explicit ranges like a:0..12,b:0..7",
     )
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
-    sp.add_argument(
-        "--long",
-        action="store_true",
-        help="confirm a multi-hour default box (EVIII, EIX)",
-    )
+    _add_jobs_argument(sp)
     sp.add_argument(
         "--no-shortcut",
         action="store_true",
@@ -711,13 +711,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_argument(sp)
     sp.set_defaults(func=cmd_sp4r_pencils)
 
-    sp = sub.add_parser("selftest", help="recompute every tabulated constant")
-    sp.add_argument(
-        "--long",
-        action="store_true",
-        help="include the large counts and the bigger verify boxes",
+    sp = sub.add_parser(
+        "selftest",
+        help="recompute every tabulated constant and scan eight published boxes",
     )
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    _add_jobs_argument(sp)
     _add_report_argument(sp)
     sp.set_defaults(func=cmd_selftest)
 

@@ -38,20 +38,6 @@ class InequalitySystem:
             for coeffs, bound in self.rows
         )
 
-    def coordinate_limits(self) -> tuple[int, ...]:
-        """Per-coordinate maxima implied by the rows (nonneg systems only)."""
-        limits = []
-        for k in range(self.dim):
-            best = None
-            for coeffs, bound in self.rows:
-                if coeffs[k] > 0:
-                    cap = bound // coeffs[k]
-                    best = cap if best is None else min(best, cap)
-            if best is None:
-                raise ConstructionError(f"coordinate {k} is unbounded")
-            limits.append(best)
-        return tuple(limits)
-
 
 def _primitive_row(coeffs: list[int], bound: int) -> tuple[tuple[int, ...], int]:
     g = gcd(*coeffs, bound)
@@ -133,6 +119,17 @@ def _sp4r_ranges(case: CaseData):
     return p_hi, q_lo, gap
 
 
+def _level_cap(rows, slack, level: int) -> int:
+    """The largest value of coordinate level that every row's slack allows:
+    the least slack // c over the rows with coefficient c > 0 there."""
+    caps = [
+        s // coeffs[level] for (coeffs, _), s in zip(rows, slack) if coeffs[level] > 0
+    ]
+    if not caps:
+        raise ConstructionError(f"coordinate {level} is unbounded")
+    return min(caps)
+
+
 def iter_usmall(case: CaseData):
     """Yield all unitarily small dominant k-types in lexicographic order."""
     if case.id.family == "SP4R":
@@ -147,12 +144,7 @@ def iter_usmall(case: CaseData):
     coords = [0] * dim
 
     def rec(level: int, slack: tuple[int, ...]):
-        hi = None
-        for (coeffs, _), s in zip(rows, slack):
-            c = coeffs[level]
-            if c > 0:
-                cap = s // c
-                hi = cap if hi is None else min(hi, cap)
+        hi = _level_cap(rows, slack, level)
         if level == dim - 1:
             for v in range(hi + 1):
                 coords[level] = v
@@ -169,12 +161,7 @@ def iter_usmall(case: CaseData):
 
 
 def _count_semisimple(rows, dim, level, slack) -> int:
-    hi = None
-    for (coeffs, _), s in zip(rows, slack):
-        c = coeffs[level]
-        if c > 0:
-            cap = s // c
-            hi = cap if hi is None else min(hi, cap)
+    hi = _level_cap(rows, slack, level)
     if level == dim - 1:
         return hi + 1
     total = 0
@@ -206,13 +193,13 @@ def enumerate_usmall(case: CaseData, jobs: int = 1) -> int:
         return sum(
             p - max(q_lo, p - gap) + 1 for p in range(q_lo, p_hi + 1)
         )
-    system = usmall_system(case)
-    first_hi = system.coordinate_limits()[0]
-    firsts = range(first_hi + 1)
-    if jobs > 1:
+    rows = usmall_system(case).rows
+    firsts = range(_level_cap(rows, [b for _, b in rows], 0) + 1)
+    workers = min(jobs, len(firsts))
+    if workers > 1:
         import multiprocessing as mp
 
-        with mp.Pool(jobs) as pool:
+        with mp.Pool(workers) as pool:
             parts = pool.starmap(_count_first_fixed, [(case, v) for v in firsts])
         return sum(parts)
     return sum(_count_first_fixed(case, v) for v in firsts)

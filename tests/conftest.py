@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -9,15 +8,6 @@ from liecheck.fastscan import _INT64_MAX, magnitude_bound
 
 SMALL_FAMILIES = ("G", "FII", "EIV", "EI", "FI", "SP4R")
 BIG_FAMILIES = ("EII", "EV", "EVI", "EVIII", "EIX")
-
-
-def long_runs_enabled() -> bool:
-    return os.environ.get("LIECHECK_LONG", "") == "1"
-
-
-def require_long_runs():
-    if not long_runs_enabled():
-        pytest.skip("multi-hour scan; set LIECHECK_LONG=1 to include it")
 
 
 def sample_case(family: str):

@@ -12,7 +12,9 @@ correction from the data of the paper (mirror symmetry and an exact
 convex-hull oracle for EII, the (p, q) -> (-q, -p) shift for SP4R), so a
 corrected value other than the proven one fails.
 
-Set LIECHECK_LONG=1 to include the two multi-hour box verifications.
+Section 5 scans every published box, the EVIII and EIX ones included
+(about a minute each with two worker processes), without checkpoints, so
+each run scans them afresh.
 """
 
 import itertools
@@ -48,7 +50,7 @@ from liecheck.spin import spin_norm_sq
 from liecheck.usmall import enumerate_usmall, iter_usmall, usmall_system
 from liecheck.weyl import apply_word, to_dominant, word_length
 
-from conftest import long_runs_enabled, require_long_runs, sample_case
+from conftest import sample_case
 
 SEED = 20250814
 
@@ -187,17 +189,17 @@ def test_box_scan_no_violations(family):
 
 
 @pytest.mark.parametrize("family", ["EVIII", "EIX"])
-def test_box_scan_no_violations_long(family):
-    require_long_runs()
-    ck = os.environ.get("LIECHECK_CHECKPOINT_DIR", "/tmp/liecheck-acceptance-ck")
-    os.makedirs(ck, exist_ok=True)
+def test_box_scan_no_violations_long(family, monkeypatch):
+    # no checkpoint: records from another state of the code would be read
+    # back, as their key holds only the package version and the data digest
+    monkeypatch.delenv("LIECHECK_CHECKPOINT_DIR", raising=False)
     jobs = min(8, os.cpu_count() or 1)
     t0 = time.monotonic()
-    rep = verify_box(get_case(family), jobs=jobs, checkpoint_dir=ck)
+    rep = verify_box(get_case(family), jobs=jobs)
     elapsed = time.monotonic() - t0
     assert rep.ok, rep.violations[:5]
     assert rep.min_margin_sq > 0
-    assert elapsed < 8 * 3600
+    assert elapsed < 1800, f"{elapsed:.1f}s over budget"
 
 
 # ------------------------------------------ 6. SP4R closed-form families
@@ -506,11 +508,6 @@ def test_printed_linear_terms_classical(family, n):
         ambient = ktype_to_ambient(case, mu)
         _, _, term_linear = decompose_step(case, mu, 0)
         assert term_linear == form(ambient, n)
-
-
-def test_long_run_gate_is_visible():
-    # record in the -v listing whether the two big scans were included
-    assert long_runs_enabled() in (True, False)
 
 
 # ------------------------------------------------- 9. errata, proven

@@ -164,12 +164,63 @@ def test_python_m_liecheck_runs_the_command_line():
     assert "EVIII" in proc.stdout
 
 
-def test_verify_long_gate():
-    assert main(["verify", "EVIII"]) == 2
-    assert main(["verify", "EIX"]) == 2
-    # an explicit small box is allowed without --long
-    assert main(["verify", "EIX", "--box", ",".join(
-        f"{name}:0..1" for name in "abcdefg") + ",h:1..2"]) in (0, 1)
+def test_verify_explicit_box_exit_0(capsys):
+    # an explicit box scans that box alone: here the last slice of the
+    # EIX default box
+    box = "a:0..11,b:0..11,c:0..9,d:0..9,e:0..9,f:0..11,g:1..12,h:55..55"
+    assert main(["verify", "EIX", "--box", box]) == 0
+    out = capsys.readouterr().out
+    assert f"box       : {box}\n" in out
+    assert "min margin: 56\n" in out
+    assert "violations: 0\n" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["usmall", "count", "G"], ["verify", "G"], ["selftest"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exit_2(command, jobs, capsys):
+    assert main(command + ["--jobs", jobs]) == 2
+    assert "--jobs: expected a whole number >= 1" in capsys.readouterr().err
+
+
+def test_pools_capped_at_work_items(monkeypatch, capsys):
+    import multiprocessing
+
+    import liecheck.fastscan as fastscan
+
+    sizes = []
+
+    class RecordingPool:
+        """Records the size it was asked for; runs the work in this process."""
+
+        def __init__(self, processes, initializer=None, initargs=()):
+            sizes.append(processes)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, items):
+            return [fn(*args) for args in items]
+
+        def imap_unordered(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(fastscan, "_worker", None)
+    # the rows a + b <= 8, a + 3b <= 12 give G's first coordinate 9 values
+    assert main(["usmall", "count", "G", "--jobs", "64"]) == 0
+    assert capsys.readouterr().out.strip() == "29"
+    # a scan slices its longest coordinate: two slices, then one, which
+    # needs no pool at all
+    assert main(["verify", "G", "--box", "a:0..1,b:0..1", "--jobs", "8"]) == 0
+    assert main(["verify", "G", "--box", "a:0..0,b:0..0", "--jobs", "8"]) == 0
+    assert sizes == [9, 2]
 
 
 def test_report_determinism(tmp_path):
@@ -284,9 +335,10 @@ def test_selftest_item_names_cover_contract(baseline_items):
     assert "verify-box-G" in names
     assert "sp4r-orderings" in names
     assert ERRATA_ITEMS <= names
-    # the long-run counts stay out of the default set
-    assert "usmall-count-EVIII" not in names
-    assert "verify-box-EV" not in names
+    # every count and all eight default verify boxes are in the one set
+    assert "usmall-count-EVIII" in names
+    assert "usmall-count-EIX" in names
+    assert "verify-box-EV" in names
 
 
 def test_selftest_detects_perturbed_constant(baseline_items):

@@ -56,7 +56,7 @@ COMMANDS = (
         # error paths: no report is written, only the exit code and stderr
         ("case", "show", "NOPE"),
         ("spin-norm", "G", "--mu", "1,2,3"),
-        ("verify", "EVIII"),
+        ("verify", "SP4R"),
     ]
 )
 
