@@ -15,14 +15,13 @@ prunes, none of which can change the reported outcome:
     contributes no checked points;
   * a subtree whose cheap lower bound already exceeds the cutoff is
     counted but not evaluated. Each process keeps one running minimum per
-    box, the smallest margin it has evaluated so far (seeded from the
-    checkpointed slices or from one probe batch), and every cutoff is
-    max(0, m) for such an m. As m is a margin of a filtered point of the
-    box, every cutoff is at least max(0, box minimum), and the bound is a
-    valid lower bound for every margin inside, so no violation and no
-    point attaining the minimum can hide there. scanned and filtered do
-    not depend on pruning, so the report does not depend on --jobs, on
-    resuming, or on which process saw which slice;
+    box, the smallest margin it has evaluated so far (seeded from one probe
+    batch), and every cutoff is max(0, m) for such an m. As m is a margin
+    of a filtered point of the box, every cutoff is at least
+    max(0, box minimum), and the bound is a valid lower bound for every
+    margin inside, so no violation and no point attaining the minimum can
+    hide there. scanned and filtered do not depend on pruning, so the
+    report does not depend on --jobs or on which process saw which slice;
   * a block (the innermost coordinates as one numpy grid) that one u-small
     row already makes u-large skips the per-point u-small test: every
     point is u-large, so its checked points are exactly the dominant tail
@@ -55,9 +54,7 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from . import __version__
 from .cases import CaseData, ambient_to_ktype
-from .data import golden_digest
 from .errors import ConstructionError
 from .rootdata import coroot_pairing, inner, norm_sq
 from .usmall import usmall_system
@@ -70,10 +67,6 @@ _FLUSH_UNSEEDED = 4_096
 # by 7% over a per-variant kernel and 512 rows by 2%, at the same speed.
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
-# Bumped whenever a checkpointed slice record changes meaning. Format 2:
-# min_scaled is the minimum over the points the slice evaluated under a
-# pruning cutoff, not over every filtered point of the slice.
-_SCAN_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -672,75 +665,12 @@ def _slice_for_pool(value):
     return value, _worker.scan_slice(value)
 
 
-def _checkpoint_path(directory, case, ranges, shortcut):
-    """Checkpoint file of one box scan. Its key holds the package version
-    and the digest of golden.json, so records written by other code or
-    under other data are not read back. It also holds _SCAN_FORMAT, which
-    changes only when a slice record changes meaning: the u-large block
-    path and the per-level exit evaluate the same points as a per-point
-    walk, and the running minimum keeps every cutoff at max(0, m) for a
-    margin m of the box, so their records keep format 2. So does the
-    margin lower bound screen: a record's min_scaled is still the margin
-    of a filtered point of its slice, or null when the slice sent no
-    point to the kernel."""
-    from hashlib import sha1  # see golden_digest: only checkpoints need it
-
-    key = json.dumps(
-        {"case": case.id.label, "ranges": [list(r) for r in ranges],
-         "shortcut": bool(shortcut), "format": _SCAN_FORMAT,
-         "version": __version__, "data": golden_digest()},
-        sort_keys=True,
-    )
-    digest = sha1(key.encode()).hexdigest()[:16]
-    return os.path.join(directory, f"scan-{case.id.family}-{digest}.json")
-
-
-def _load_checkpoint(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    slices = data.get("slices") if isinstance(data, dict) else None
-    if not isinstance(slices, dict):
-        return {}
-    out = {}
-    fields = asdict(_SliceResult()).keys()
-    for key, rec in slices.items():
-        # a record of another shape, one whose field would take its
-        # default, or one with a field of the wrong type is absent: its
-        # slice is scanned again
-        if not isinstance(rec, dict) or rec.keys() != fields or not _well_typed(rec):
-            continue
-        try:
-            value = int(key)
-        except ValueError:
-            continue
-        res = _SliceResult(**rec)
-        res.violations = [(tuple(c), m) for c, m in res.violations]
-        out[value] = res
-    return out
-
-
-def _is_int(x) -> bool:
-    return type(x) is int  # JSON true and false load as bool, an int subclass
-
-
-def _well_typed(rec) -> bool:
-    """Whether rec's fields have the types _SliceResult gives them."""
-    violations = rec["violations"]
-    return (
-        _is_int(rec["scanned"])
-        and _is_int(rec["filtered"])
-        and (rec["min_scaled"] is None or _is_int(rec["min_scaled"]))
-        and isinstance(violations, list)
-        and all(
-            isinstance(v, list) and len(v) == 2
-            and isinstance(v[0], list) and all(map(_is_int, v[0]))
-            and _is_int(v[1])
-            for v in violations
-        )
-    )
+def _checkpoint_path(directory, case, ranges):
+    """Slice-record file of one box scan, named by family and box, e.g.
+    scan-FII-0-3_0-2_0-2_1-4.json. Records are written for inspection and
+    never read back: every scan runs fresh."""
+    box = "_".join(f"{lo}-{hi}" for lo, hi in ranges)
+    return os.path.join(directory, f"scan-{case.id.family}-{box}.json")
 
 
 def _save_checkpoint(path, done):
@@ -757,50 +687,38 @@ def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
     ranges = tuple((int(lo), int(hi)) for lo, hi in ranges)
     probe = _Scanner(case, ranges, shortcut)
     scale = probe.tables.scale
-    first_lo, first_hi = int(probe.lo_p[0]), int(probe.hi_p[0])
-    slice_values = list(range(first_lo, first_hi + 1))
+    slice_values = list(range(int(probe.lo_p[0]), int(probe.hi_p[0]) + 1))
 
     if checkpoint_dir is None:
         checkpoint_dir = os.environ.get("LIECHECK_CHECKPOINT_DIR") or None
     ckpath = None
-    done = {}
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
-        ckpath = _checkpoint_path(checkpoint_dir, case, ranges, shortcut)
-        size = probe.size_at[1]
-        done = {
-            v: r
-            for v, r in _load_checkpoint(ckpath).items()
-            if first_lo <= v <= first_hi and r.scanned == size
-        }
-    todo = [v for v in slice_values if v not in done]
+        ckpath = _checkpoint_path(checkpoint_dir, case, ranges)
 
     t0 = time.monotonic()
-    probe.best = min(
-        (r.min_scaled for r in done.values() if r.min_scaled is not None),
-        default=None,
-    )
-    if probe.best is None and shortcut and todo:
+    if shortcut:
         probe.best = probe.first_batch_min(slice_values)
 
     def results():
-        workers = min(jobs, len(todo))
+        workers = min(jobs, len(slice_values))
         if workers > 1:
             import multiprocessing as mp
 
             with mp.Pool(workers, initializer=_start_worker, initargs=(probe,)) as pool:
-                yield from pool.imap_unordered(_slice_for_pool, todo)
+                yield from pool.imap_unordered(_slice_for_pool, slice_values)
         else:
-            for value in todo:
+            for value in slice_values:
                 yield value, probe.scan_slice(value)
 
+    done = {}
     for completed, (value, result) in enumerate(results(), 1):
         done[value] = result
         if ckpath:
             _save_checkpoint(ckpath, done)
         if log:
             log(
-                f"slice {value} done ({completed}/{len(todo)}), "
+                f"slice {value} done ({completed}/{len(slice_values)}), "
                 f"{time.monotonic() - t0:.1f}s elapsed"
             )
 

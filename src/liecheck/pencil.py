@@ -248,7 +248,9 @@ def verify_box(
     the dominance and largeness filter. Violations (margin <= 0) come back
     sorted by coordinates with their exact margins; min_margin_sq is the
     exact minimum margin over all filtered points, so the report does not
-    depend on jobs, shortcut, or checkpoint state.
+    depend on jobs or shortcut. With checkpoint_dir (default: the
+    LIECHECK_CHECKPOINT_DIR variable) each finished slice's record is
+    written there; records are never read back.
     """
     if box is None:
         box = default_box(case)

@@ -5,8 +5,9 @@ Every subcommand prints a human-readable summary to stdout and, with
 rationals are serialized as "p/q" strings, keys are sorted, and the only
 run-dependent fields are elapsed_ms and, for verify, results.elapsed_ms.
 
-Exit codes: 0 success, 1 verification or selftest failure, 2 bad usage,
-3 unknown case label.
+Exit codes: 0 success, 1 verification or selftest failure, 2 bad usage
+or an output path (--out, --report, checkpoint directory) that cannot be
+written, 3 unknown case label.
 """
 
 from __future__ import annotations
@@ -743,7 +744,7 @@ def main(argv=None) -> int:
     except UnknownCaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ConstructionError) as exc:
+    except (UsageError, ConstructionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -190,8 +190,7 @@ def test_box_scan_no_violations(family):
 
 @pytest.mark.parametrize("family", ["EVIII", "EIX"])
 def test_box_scan_no_violations_long(family, monkeypatch):
-    # no checkpoint: records from another state of the code would be read
-    # back, as their key holds only the package version and the data digest
+    # no checkpoint records: they would only cost disk writes
     monkeypatch.delenv("LIECHECK_CHECKPOINT_DIR", raising=False)
     jobs = min(8, os.cpu_count() or 1)
     t0 = time.monotonic()

@@ -120,9 +120,10 @@ def test_verify_explicit_box_exit_1(tmp_path):
     assert all(m <= 0 for m in margins)
 
 
-def test_commands_without_checkpoints_do_not_load_hashlib():
-    # hashlib loads OpenSSL, several MB of resident memory that only a
-    # checkpointed scan needs; a fresh process shows what is imported
+def test_commands_without_checkpoints_do_not_load_hashlib(tmp_path):
+    # hashlib loads OpenSSL, several MB of resident memory that nothing
+    # needs; a checkpointed scan, run last, does not load it either. A fresh
+    # process shows what is imported
     import os
     import subprocess
     import sys
@@ -131,19 +132,44 @@ def test_commands_without_checkpoints_do_not_load_hashlib():
     import liecheck
 
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from liecheck.report_cli import main\n"
         "assert main(['usmall', 'count', 'G']) == 0\n"
         "assert main(['verify', 'G']) == 0\n"
+        "os.environ['LIECHECK_CHECKPOINT_DIR'] = sys.argv[1]\n"
+        "assert main(['verify', 'G']) == 0\n"
+        "assert os.listdir(sys.argv[1])\n"
         "assert 'hashlib' not in sys.modules\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "LIECHECK_CHECKPOINT_DIR"}
     env["PYTHONPATH"] = str(Path(liecheck.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=300,
+        [sys.executable, "-c", code, str(tmp_path / "ck")], env=env,
+        capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["usmall", "dump", "G", "--out", "{bad}/x.csv"],
+        ["w1", "G", "--report", "{bad}/r.json"],
+    ],
+)
+def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
+    # an output path that cannot be opened is bad usage, not a failed check
+    bad = tmp_path / "missing"
+    assert main([a.format(bad=bad) for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_uncreatable_checkpoint_directory_exits_2(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("LIECHECK_CHECKPOINT_DIR", str(blocker / "ck"))
+    assert main(["verify", "G"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_python_m_liecheck_runs_the_command_line():

@@ -221,7 +221,8 @@ def test_checkpoint_resume_preserves_report(tmp_path):
     first = verify_box(case, box, checkpoint_dir=str(tmp_path))
     files = list(tmp_path.glob("scan-*.json"))
     assert len(files) == 1
-    # drop some finished slices to simulate an interrupted run
+    # a file that lost some records, as after an interrupted run, is not
+    # read back: the rerun scans every slice again
     state = json.loads(files[0].read_text())
     kept = dict(list(state["slices"].items())[:1])
     files[0].write_text(json.dumps({"slices": kept}))
@@ -253,19 +254,12 @@ def _only_checkpoint(directory):
 
 
 def _assert_damaged_record_is_rescanned(tmp_path, damage):
-    # FII's lowest slice record gets a bogus minimum plus damage(record);
-    # the resumed scan must scan that slice again
-    case = get_case("FII")
-    box = default_box(case)
-    fresh = verify_box(case, box)
-    verify_box(case, box, checkpoint_dir=str(tmp_path))
-    path = _only_checkpoint(tmp_path)
-    state = json.loads(path.read_text())
-    rec = state["slices"][min(state["slices"], key=int)]
-    rec["min_scaled"] = -10**6
-    damage(rec)
-    path.write_text(json.dumps(state))
-    assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
+    # FII's lowest slice record gets damage(record) on top of a bogus minimum
+    def damage_lowest(state):
+        damage(state["slices"][min(state["slices"], key=int)])
+        return state
+
+    _assert_damaged_file_is_rescanned(tmp_path, damage_lowest)
 
 
 def test_checkpoint_rejects_slice_of_wrong_size(tmp_path):
@@ -294,8 +288,7 @@ def test_checkpoint_rejects_record_with_missing_field(tmp_path):
     ],
 )
 def test_checkpoint_rejects_record_with_a_field_of_the_wrong_type(tmp_path, name, value):
-    # scanned and filtered are ints, min_scaled an int or null, violations
-    # a list of [coordinate ints, int] pairs; any other record is rescanned
+    # a record of the wrong type changes nothing: the rerun scans afresh
     def damage(rec):
         rec[name] = value
 
@@ -304,18 +297,31 @@ def test_checkpoint_rejects_record_with_a_field_of_the_wrong_type(tmp_path, name
 
 def _assert_damaged_file_is_rescanned(tmp_path, damage):
     # the checkpoint file of FII's default box is replaced by damage(state),
-    # with every record's minimum made bogus first; verify must not crash,
-    # and every slice it cannot read back is scanned again
+    # with every record's minimum made bogus first; records are never read
+    # back, so a rerun into the same directory gives the payload of a fresh
+    # scan and rewrites the file with fresh records
     case = get_case("FII")
     box = default_box(case)
     fresh = verify_box(case, box)
     verify_box(case, box, checkpoint_dir=str(tmp_path))
     path = _only_checkpoint(tmp_path)
-    state = json.loads(path.read_text())
+    written = path.read_text()
+    state = json.loads(written)
     for rec in state["slices"].values():
         rec["min_scaled"] = -10**6
     path.write_text(json.dumps(damage(state)))
     assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
+    assert path.read_text() == written
+
+
+def test_checkpoint_records_are_never_read_back(tmp_path):
+    # an invented violation in every record does not reach the report
+    def damage(state):
+        for rec in state["slices"].values():
+            rec["violations"].append([[0, 2, 0, 2], -10**6])
+        return state
+
+    _assert_damaged_file_is_rescanned(tmp_path, damage)
 
 
 def test_checkpoint_that_is_not_an_object_is_absent(tmp_path):
@@ -366,26 +372,28 @@ def test_checkpoint_ignores_records_of_older_scan_format(tmp_path):
     assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
 
 
-@pytest.mark.parametrize("key", ["__version__", "golden_digest"])
-def test_checkpoint_ignores_records_of_other_code_or_data(key, tmp_path, monkeypatch):
-    # a record written by another package version or under another
-    # golden.json is scanned again, not read back
-    from liecheck import fastscan
+def test_checkpoint_records_add_up_to_the_report(tmp_path):
+    # one record per value of the first walked coordinate, whose counts and
+    # violations make up the report of a two-process scan with violations
+    from liecheck.fastscan import _Scanner
 
-    case = get_case("FII")
-    box = default_box(case)
-    fresh = verify_box(case, box)
-    other = "0.0.0" if key == "__version__" else (lambda: "0" * 40)
-    with monkeypatch.context() as patch:
-        patch.setattr(fastscan, key, other, raising=False)
-        verify_box(case, box, checkpoint_dir=str(tmp_path))
-    path = _only_checkpoint(tmp_path)
-    state = json.loads(path.read_text())
-    for rec in state["slices"].values():
-        rec["min_scaled"] = -10**6
-    path.write_text(json.dumps(state))
-    assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
-    assert len(list(tmp_path.glob("scan-*.json"))) == 2
+    case = get_case("SP4R")
+    box = parse_box("p:-3..4,q:-4..3", case)
+    rep = verify_box(case, box, jobs=2, checkpoint_dir=str(tmp_path))
+    assert rep.violations
+    scanner = _Scanner(case, box.ranges, True)
+    walked = range(int(scanner.lo_p[0]), int(scanner.hi_p[0]) + 1)
+    slices = json.loads(_only_checkpoint(tmp_path).read_text())["slices"]
+    assert sorted(slices, key=int) == [str(v) for v in walked]
+    assert sum(rec["scanned"] for rec in slices.values()) == rep.scanned
+    assert sum(rec["filtered"] for rec in slices.values()) == rep.filtered
+    scale = scanner.tables.scale
+    recorded = sorted(
+        (tuple(coords), Q(m, scale))
+        for rec in slices.values()
+        for coords, m in rec["violations"]
+    )
+    assert recorded == list(rep.violations)
 
 
 # Boxes for the exactness of the seeded cheap-bound prune. EI's minimum lies
@@ -438,6 +446,8 @@ def test_seeded_prune_is_exact(family):
 
 @pytest.mark.parametrize("family", sorted(SEEDED_BOXES))
 def test_seeded_prune_resume_is_exact(family, tmp_path):
+    # a two-process rerun over a file holding every other record scans the
+    # whole box afresh
     case, box = _seeded_box(family)
     fresh = verify_box(case, box)
     verify_box(case, box, checkpoint_dir=str(tmp_path))
@@ -446,27 +456,6 @@ def test_seeded_prune_resume_is_exact(family, tmp_path):
     kept = dict(sorted(state["slices"].items(), key=lambda kv: int(kv[0]))[1::2])
     path.write_text(json.dumps({"slices": kept}))
     resumed = verify_box(case, box, checkpoint_dir=str(tmp_path), jobs=2)
-    assert _payload(resumed) == _payload(fresh)
-
-
-def test_resume_starts_from_the_records_without_a_probe(tmp_path, monkeypatch):
-    # the loaded records' smallest minimum starts the running minimum, so a
-    # resumed scan with records present walks no probe batch
-    from liecheck.fastscan import _Scanner
-
-    case, box = _seeded_box("EI")
-    fresh = verify_box(case, box)
-    verify_box(case, box, checkpoint_dir=str(tmp_path))
-    path = _only_checkpoint(tmp_path)
-    state = json.loads(path.read_text())
-    kept = dict(sorted(state["slices"].items(), key=lambda kv: int(kv[0]))[1::2])
-    path.write_text(json.dumps({"slices": kept}))
-
-    def no_probe(self, values):
-        raise AssertionError("probe walked on resume")
-
-    monkeypatch.setattr(_Scanner, "first_batch_min", no_probe)
-    resumed = verify_box(case, box, checkpoint_dir=str(tmp_path))
     assert _payload(resumed) == _payload(fresh)
 
 
