@@ -61,7 +61,6 @@ from .usmall import usmall_system
 
 _BLOCK_TAIL = 4  # innermost coordinates enumerated as one numpy block
 _FLUSH_SEEDED = 50_000
-_FLUSH_UNSEEDED = 4_096
 # Rows per best-first kernel chunk. Its (rows x variants) tables and pair
 # arrays grow with it: on the published boxes, 1,024 rows raised peak memory
 # by 7% over a per-variant kernel and 512 rows by 2%, at the same speed.
@@ -537,7 +536,7 @@ class _Scanner:
             if coords is not None:
                 buffer.append(coords)
                 buffered += len(coords)
-            flush = _FLUSH_UNSEEDED if self.best is None else _FLUSH_SEEDED
+            flush = _CHUNK_ROWS if self.best is None else _FLUSH_SEEDED
             if buffered >= flush:
                 yield np.concatenate(buffer, axis=0)
                 buffer, buffered = [], 0

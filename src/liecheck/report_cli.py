@@ -19,9 +19,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction as Q
-from itertools import islice
-
-import numpy as np
 
 from . import __version__
 from .cases import (
@@ -46,7 +43,8 @@ from .pencil import (
     verify_box,
 )
 from .spin import spin_norm_sq, variant_norms_sq
-from .usmall import enumerate_usmall, iter_usmall, usmall_system
+# perfbench/spans.py wraps report_cli.iter_usmall, so the name stays imported
+from .usmall import enumerate_usmall, iter_usmall, usmall_chunks, usmall_system
 
 
 def _encode(value):
@@ -172,20 +170,17 @@ def cmd_usmall_count(args):
     return 0, (case.id.label, "usmall count", {"jobs": args.jobs}, {"count": count})
 
 
-_DUMP_CHUNK = 4096
-
-
 def _usmall_norms(case: CaseData):
     """Every u-small k-type with its exact squared spin norm.
 
-    The norms come from the scaled integer engine in chunks; the u-small
-    rows bound every coordinate, so the int64 sums cannot overflow.
+    The norms come from the scaled integer engine, one chunk of the walk
+    at a time; the u-small rows bound every coordinate, so the int64 sums
+    cannot overflow.
     """
     tables = build_tables(case)
-    ktypes = iter_usmall(case)
-    while chunk := list(islice(ktypes, _DUMP_CHUNK)):
-        norms = bulk_spin_sq_scaled(tables, np.array(chunk, dtype=np.int64))
-        for coords, scaled in zip(chunk, norms.tolist()):
+    for chunk in usmall_chunks(case):
+        norms = bulk_spin_sq_scaled(tables, chunk)
+        for coords, scaled in zip(chunk.tolist(), norms.tolist()):
             yield coords, Q(scaled, tables.scale)
 
 
@@ -201,9 +196,9 @@ def cmd_usmall_dump(args):
         for coords, s in _usmall_norms(case):
             text = f"{s.numerator}/{s.denominator}"
             if writer is not None:
-                writer.writerow(list(coords) + [text])
+                writer.writerow(coords + [text])
             else:
-                row = {"coords": list(coords), "spin_norm_sq": text}
+                row = {"coords": coords, "spin_norm_sq": text}
                 out.write(json.dumps(row, sort_keys=True) + "\n")
             count += 1
     finally:

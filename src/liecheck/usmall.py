@@ -4,9 +4,14 @@ A k-type mu is unitarily small when every twisted fundamental-weight
 hyperplane bound holds: <mu + 2 rho_c, w xi> <= 2 <rho, xi> over all
 minimal coset representatives w and restricted fundamental weights xi.
 For semisimple k each such bound is, in k-type coordinates, a linear
-inequality with nonnegative coefficients, so exhaustive enumeration prunes
-monotonically. SP4R's k-types are ambient pairs (p, q) with p >= q, and
-its rows mix signs; it is counted from the ranges they give.
+inequality with nonnegative coefficients. Counting and listing share one
+breadth-first int64 walk: each frontier row carries the slack every
+inequality has left, and its next coordinate takes every value up to the
+least slack // c over the rows with c > 0. Groups of frontier rows are
+expanded depth-first, so memory stays bounded and the points come out in
+lexicographic order; counting never builds the last coordinate. SP4R's
+k-types are ambient pairs (p, q) with p >= q, and its rows mix signs; it
+is counted and listed from the ranges they give.
 """
 
 from __future__ import annotations
@@ -16,10 +21,14 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
+import numpy as np
+
 from .cases import CaseData, KType, ktype_is_dominant, _normalize_ktype
 from .errors import ConstructionError, UsageError
 from .rootdata import inner
 from .weyl import int_root_coords
+
+_FRONTIER_ROWS = 1_024  # rows of a frontier group of the walk
 
 
 @dataclass(frozen=True)
@@ -27,10 +36,6 @@ class InequalitySystem:
     """Rows (coeffs, bound) meaning sum(coeff_i * a_i) <= bound."""
 
     rows: tuple[tuple[tuple[int, ...], int], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows[0][0])
 
     def satisfied(self, coords) -> bool:
         return all(
@@ -119,87 +124,99 @@ def _sp4r_ranges(case: CaseData):
     return p_hi, q_lo, gap
 
 
-def _level_cap(rows, slack, level: int) -> int:
-    """The largest value of coordinate level that every row's slack allows:
-    the least slack // c over the rows with coefficient c > 0 there."""
-    caps = [
-        s // coeffs[level] for (coeffs, _), s in zip(rows, slack) if coeffs[level] > 0
-    ]
-    if not caps:
+def _int64_rows(rows):
+    """The rows as int64 coefficients and bounds, refused unless every
+    coefficient lies in [0, 2**63) and every bound in [0, 2**31). Then the
+    walk cannot overflow: a slack starts at its row bound and only falls, as
+    a value v is taken only where v * c <= slack for every row with c > 0;
+    and a group's at most max(_FRONTIER_ROWS, bound + 1) rows sum their
+    values cap + 1 below 2**63."""
+    bounds, flat = [b for _, b in rows], [c for cs, _ in rows for c in cs]
+    if min(bounds) < 0 or max(bounds) >= 2**31 or min(flat) < 0 or max(flat) >= 2**63:
+        raise ConstructionError(f"u-small rows {rows} do not fit the int64 walk")
+    coeffs = np.array([cs for cs, _ in rows], dtype=np.int64)
+    return coeffs, np.array(bounds, dtype=np.int64)
+
+
+def _caps(coeffs, slack, level: int):
+    """Per frontier row, the least slack // c over the rows with c > 0."""
+    col = coeffs[:, level]
+    if not (col > 0).any():
         raise ConstructionError(f"coordinate {level} is unbounded")
-    return min(caps)
+    return (slack[:, col > 0] // col[col > 0]).min(axis=1)
+
+
+def _run(caps) -> int:
+    """How many leading rows have at most _FRONTIER_ROWS children; >= 1."""
+    return max(1, int(np.searchsorted(np.cumsum(caps + 1), _FRONTIER_ROWS, "right")))
+
+
+def _children(coords, caps):
+    """Every row of coords extended by each value 0..cap, in order."""
+    counts = caps + 1
+    values = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.column_stack([np.repeat(coords, counts, axis=0), values]), values
+
+
+def _walk(case: CaseData, prefix=()):
+    """Yield (caps, coords) for runs of rows at the last coordinate, in
+    lexicographic order, over the u-small k-types starting with prefix: each
+    row of coords extends by every last value 0..cap. A stack entry is a
+    group's level, slacks, coords and caps; a group is taken a run of rows
+    at a time, the rest waiting below the children, so a group or run has
+    at most _FRONTIER_ROWS rows or children, or one row."""
+    coeffs, bounds = _int64_rows(usmall_system(case).rows)
+    coords = np.array([prefix], dtype=np.int64).reshape(1, len(prefix))
+    slack = bounds - coords @ coeffs[:, :len(prefix)].T
+    stack = [(len(prefix), slack, coords, _caps(coeffs, slack, len(prefix)))]
+    while stack:
+        level, slack, coords, caps = stack.pop()
+        stop = _run(caps)
+        if stop < len(caps):
+            stack.append((level, slack[stop:], coords[stop:], caps[stop:]))
+        slack, coords, caps = slack[:stop], coords[:stop], caps[:stop]
+        if level == coeffs.shape[1] - 1:
+            yield caps, coords
+            continue
+        kids, values = _children(coords, caps)
+        slack = np.repeat(slack, caps + 1, axis=0) - values[:, None] * coeffs[:, level]
+        stack.append((level + 1, slack, kids, _caps(coeffs, slack, level + 1)))
+
+
+def _count(case: CaseData, prefix=()) -> int:
+    return sum(len(caps) + int(caps.sum()) for caps, _ in _walk(case, prefix))
+
+
+def usmall_chunks(case: CaseData):
+    """Yield all unitarily small dominant k-types in lexicographic order, as
+    int64 arrays of at most _FRONTIER_ROWS rows or one row's children."""
+    if case.id.family == "SP4R":
+        p_hi, q_lo, gap = _sp4r_ranges(case)
+        pairs = [(p, q) for p in range(q_lo, p_hi + 1)
+                 for q in range(max(q_lo, p - gap), p + 1)]
+        yield np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return
+    for caps, coords in _walk(case):
+        yield _children(coords, caps)[0]
 
 
 def iter_usmall(case: CaseData):
     """Yield all unitarily small dominant k-types in lexicographic order."""
-    if case.id.family == "SP4R":
-        p_hi, q_lo, gap = _sp4r_ranges(case)
-        for p in range(q_lo, p_hi + 1):
-            for q in range(max(q_lo, p - gap), p + 1):
-                yield (p, q)
-        return
-    system = usmall_system(case)
-    rows = system.rows
-    dim = system.dim
-    coords = [0] * dim
-
-    def rec(level: int, slack: tuple[int, ...]):
-        hi = _level_cap(rows, slack, level)
-        if level == dim - 1:
-            for v in range(hi + 1):
-                coords[level] = v
-                yield tuple(coords)
-            return
-        for v in range(hi + 1):
-            coords[level] = v
-            yield from rec(
-                level + 1,
-                tuple(s - coeffs[level] * v for (coeffs, _), s in zip(rows, slack)),
-            )
-
-    yield from rec(0, tuple(b for _, b in rows))
-
-
-def _count_semisimple(rows, dim, level, slack) -> int:
-    hi = _level_cap(rows, slack, level)
-    if level == dim - 1:
-        return hi + 1
-    total = 0
-    for v in range(hi + 1):
-        total += _count_semisimple(
-            rows,
-            dim,
-            level + 1,
-            tuple(s - coeffs[level] * v for (coeffs, _), s in zip(rows, slack)),
-        )
-    return total
-
-
-def _count_first_fixed(case: CaseData, first: int) -> int:
-    system = usmall_system(case)
-    rows = system.rows
-    slack = tuple(b - coeffs[0] * first for coeffs, b in rows)
-    if any(s < 0 for s in slack):
-        return 0
-    if system.dim == 1:
-        return 1
-    return _count_semisimple(rows, system.dim, 1, slack)
+    for chunk in usmall_chunks(case):
+        yield from map(tuple, chunk.tolist())
 
 
 def enumerate_usmall(case: CaseData, jobs: int = 1) -> int:
-    """Count the unitarily small k-types by monotone depth-first scan."""
+    """Count the unitarily small k-types by the lattice walk; with jobs > 1
+    a pool walks each value of the first coordinate apart."""
     if case.id.family == "SP4R":
-        p_hi, q_lo, gap = _sp4r_ranges(case)
-        return sum(
-            p - max(q_lo, p - gap) + 1 for p in range(q_lo, p_hi + 1)
-        )
-    rows = usmall_system(case).rows
-    firsts = range(_level_cap(rows, [b for _, b in rows], 0) + 1)
-    workers = min(jobs, len(firsts))
-    if workers > 1:
-        import multiprocessing as mp
+        return len(next(usmall_chunks(case)))
+    if jobs > 1 and case.ktype_dim > 1:
+        coeffs, bounds = _int64_rows(usmall_system(case).rows)
+        firsts = range(int(_caps(coeffs, bounds[None, :], 0)[0]) + 1)
+        if len(firsts) > 1:
+            import multiprocessing as mp
 
-        with mp.Pool(workers) as pool:
-            parts = pool.starmap(_count_first_fixed, [(case, v) for v in firsts])
-        return sum(parts)
-    return sum(_count_first_fixed(case, v) for v in firsts)
+            with mp.Pool(min(jobs, len(firsts))) as pool:
+                return sum(pool.starmap(_count, [(case, (v,)) for v in firsts]))
+    return _count(case)

@@ -2,10 +2,12 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
+from liecheck import usmall
 from liecheck.cases import get_case, ktype_is_dominant
-from liecheck.errors import UsageError
+from liecheck.errors import ConstructionError, UsageError
 from liecheck.usmall import enumerate_usmall, is_usmall, iter_usmall, usmall_system
 
 SMALL_COUNTS = {
@@ -125,3 +127,58 @@ def test_brute_force_count_matches_iterator():
         if is_usmall(case, mu)
     )
     assert brute == SMALL_COUNTS["G"]
+
+
+def _grid_admitted(rows):
+    """The admitted points of the rows' bounding box, swept one first
+    coordinate at a time; the sweep is lexicographic."""
+    a = np.array([coeffs for coeffs, _ in rows], dtype=np.int64)
+    b = np.array([bound for _, bound in rows], dtype=np.int64)
+    caps = [
+        min(bound // coeffs[i] for coeffs, bound in rows if coeffs[i] > 0)
+        for i in range(a.shape[1])
+    ]
+    grids = np.meshgrid(*[np.arange(c + 1) for c in caps[1:]], indexing="ij")
+    tail = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+    for first in range(caps[0] + 1):
+        head = np.full((len(tail), 1), first, dtype=np.int64)
+        pts = np.concatenate([head, tail], axis=1)
+        yield pts[(pts @ a.T <= b).all(axis=1)]
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(f, None) for f in ("G", "FII", "EIV", "EI", "FI", "EII")]
+    + [(f, n) for f in ("SL2nR", "SL2n1R", "SLnH") for n in (2, 3)],
+)
+def test_walk_matches_grid_sweep(family, n):
+    # an independent numpy sweep of the bounding box (1.57 M points for EII)
+    # admits exactly the walk's points, in the same lexicographic order
+    case = get_case(family, n)
+    admitted = np.concatenate(list(_grid_admitted(usmall_system(case).rows)))
+    assert list(iter_usmall(case)) == [tuple(p) for p in admitted.tolist()]
+    assert enumerate_usmall(case) == len(admitted)
+
+
+@pytest.mark.parametrize("frontier", [1, 7])
+def test_walk_does_not_depend_on_frontier_groups(frontier, monkeypatch):
+    cases = [get_case(f) for f in ("EI", "EII", "EV")]
+    expected = [(enumerate_usmall(c), list(iter_usmall(c))) for c in cases]
+    monkeypatch.setattr(usmall, "_FRONTIER_ROWS", frontier)
+    for case, (count, points) in zip(cases, expected):
+        assert enumerate_usmall(case) == count
+        assert list(iter_usmall(case)) == points
+    for chunk in usmall.usmall_chunks(cases[0]):
+        assert len(chunk) <= frontier or (chunk[:, :-1] == chunk[0, :-1]).all()
+    ev = cases[2]
+    assert enumerate_usmall(ev, jobs=2) == enumerate_usmall(ev, jobs=1)
+
+
+def test_walk_refuses_rows_beyond_int64():
+    rows = (((1, 0), 2**31), ((0, 1), 3))
+    with pytest.raises(ConstructionError):
+        usmall._int64_rows(rows)
+    with pytest.raises(ConstructionError):
+        usmall._int64_rows((((1, 1), -1),))
+    with pytest.raises(ConstructionError):
+        usmall._int64_rows((((2**63, 1), 5), ((0, 1), 3)))
