@@ -8,6 +8,30 @@ scaled by that single denominator, so comparisons and minima are exact.
 A box whose coordinates could carry an intermediate beyond int64 is
 refused before the scan starts (magnitude_bound).
 
+The rho_c part of a spin norm needs no Weyl walk: for every x,
+2 <dom x, rho_c> = sum over alpha in Delta+(k) of |<x, alpha>| (the root
+sum of x, one row of an integer (rows x roots) table). Proof:
+  1. Take w in W_k with w x = dom x. Then <dom x, alpha> =
+     <x, w^-1 alpha>, and w^-1 permutes Delta(k) = Delta+ u -Delta+, so
+     the |<dom x, alpha>| and the |<x, alpha>| over Delta+(k) agree as
+     multisets.
+  2. dom x is dominant, so <dom x, alpha> = |<dom x, alpha>| on Delta+(k),
+     and their sum is <dom x, 2 rho_c>.
+
+The cheap bound cheap(mu) = 2<mu,beta> - 2<rho_c,beta> - 2 max_j
+<rho_n^j,beta> - |beta|^2 (cheap_coef_s, cheap_const_s) is at most the
+margin spin(mu)^2 - spin(mu - beta)^2 for every mu with mu - beta
+dominant, not only inside a box. With x = mu - rho_n^j, y = x - beta,
+A_j = |dom x + rho_c|^2, B_j = |dom y + rho_c|^2 and
+termII_j = |x|^2 - |y|^2 = 2<mu,beta> - 2<rho_n^j,beta> - |beta|^2:
+  1. With j* the variant where spin(mu)^2 is attained,
+     margin >= A_j* - B_j*.
+  2. A_j - B_j = termII_j + 2<rho_c, dom x - dom y>.
+  3. <rho_c, dom x> >= <rho_c, w_y x> = <rho_c, dom y> + <rho_c, w_y beta>,
+     where w_y is the Weyl element of k that sends y to dom y.
+  4. <rho_c, w beta> >= -<rho_c, beta> for k-dominant beta.
+So margin >= termII_j* - 2<rho_c, beta> >= cheap(mu).
+
 The box scan is a depth-first walk over coordinate prefixes with these
 prunes, none of which can change the reported outcome:
   * a subtree entirely unitarily small contributes no checked points;
@@ -35,7 +59,7 @@ prunes, none of which can change the reported outcome:
     step and the level stops. The cutoff never rises, so none of them
     would have been evaluated later;
   * a walked point whose margin lower bound (margin_lower_bounds: the
-    lowest sweep-free floor of mu minus the value of mu - beta at its
+    lowest floor of mu minus the value of mu - beta at its
     lowest-floor variant) exceeds the cutoff is counted but not sent to
     the margin kernel. Its margin is above the cutoff >= max(0, m), so it
     is neither a violation nor below the running minimum, and the running
@@ -56,7 +80,7 @@ import numpy as np
 
 from .cases import CaseData, ambient_to_ktype
 from .errors import ConstructionError
-from .rootdata import coroot_pairing, inner, norm_sq
+from .rootdata import coroot_pairing, inner, norm_sq, root_closure
 from .usmall import usmall_system
 
 _BLOCK_TAIL = 4  # innermost coordinates enumerated as one numpy block
@@ -74,101 +98,91 @@ class ScanTables:
 
     scale: int
     pairing: np.ndarray  # (lk, l): coroot pairings of the coordinate basis
-    cartan: np.ndarray  # (lk, lk): cartan[i][j] = <delta_i, delta_j coroot>
     shift: np.ndarray  # (s, lk): coroot pairings of each rho_n variant
+    root_s: np.ndarray  # (l, |Delta+(k)|): scale * <basis_k, alpha>
+    root_var_s: np.ndarray  # (s, |Delta+(k)|): scale * <rho_n variant, alpha>
     gram_s: np.ndarray  # (l, l): scale * <basis_k, basis_l>
     variant_s: np.ndarray  # (s, l): scale * <basis_k, rho_n variant>
     variant_nrm_s: np.ndarray  # (s,): scale * ||rho_n variant||^2
-    rho_c_pair2_s: np.ndarray  # (lk,): 2 * scale * <k-fund weight, rho_c>
     rho_c_nrm_s: int  # scale * ||rho_c||^2
     rho_c_lin_s: np.ndarray  # (l,): scale * <basis_k, rho_c>
     rho_c_var_s: np.ndarray  # (s,): scale * <rho_n variant, rho_c>
     beta_coords: np.ndarray  # (l,) k-type coordinates of beta
     cheap_coef_s: np.ndarray  # (l,): 2 * scale * <basis_k, beta>, nonneg
     cheap_const_s: int  # scale * (2<rho_c,beta> + 2 max_j<rho_n_j,beta> + |beta|^2)
-    coroot_nrm: Q  # max over k's simple roots delta of ||delta coroot||^2
 
 
-def _as_int_array(values, what: str) -> np.ndarray:
-    out = []
-    for row in values:
-        if isinstance(row, (list, tuple)):
-            out.append([_as_int(v, what) for v in row])
-        else:
-            out.append(_as_int(row, what))
-    return np.array(out, dtype=np.int64)
+def _ints(values, what: str, scale=1) -> np.ndarray:
+    """scale times values (a list, or a list of rows) as int64, refused
+    unless every entry is an integer."""
 
+    def one(v):  # v an int or a Fraction
+        num, den = v.numerator * scale, v.denominator
+        if num % den:
+            raise ConstructionError(f"{what} is not integral: {Q(num, den)}")
+        return num // den
 
-def _as_int(v, what: str) -> int:
-    q = Q(v)
-    if q.denominator != 1:
-        raise ConstructionError(f"{what} is not integral: {q}")
-    return int(q)
+    return np.array(
+        [[one(v) for v in row] if isinstance(row, (list, tuple)) else one(row)
+         for row in values],
+        dtype=np.int64,
+    )
 
 
 def build_tables(case: CaseData) -> ScanTables:
     k = case.k_system
     basis = case.ktype_basis
     deltas = k.simple_roots
-    kfw = k.fundamental_weights
 
-    pairing = [[coroot_pairing(b, d) for b in basis] for d in deltas]
-    cartan = [[coroot_pairing(di, dj) for dj in deltas] for di in deltas]
-    shift = [[coroot_pairing(v, d) for d in deltas] for v in case.rho_n_variants]
+    pairing = _ints(
+        [[coroot_pairing(b, d) for b in basis] for d in deltas], "coordinate pairing"
+    )
+    shift = _ints(
+        [[coroot_pairing(v, d) for d in deltas] for v in case.rho_n_variants],
+        "variant pairing",
+    )
+    # <v, alpha> = sum_i <v, delta_i coroot> |delta_i|^2 / 2 * n_i for the
+    # positive root alpha = sum_i n_i delta_i, so both root tables are the
+    # integer pairing tables times half_sq times integer root coordinates
+    cartan = [[int(coroot_pairing(di, dj)) for dj in deltas] for di in deltas]
+    roots = np.array([r for r, _, _ in root_closure(cartan)], dtype=np.int64).T
+    half_sq = [norm_sq(d) / 2 for d in deltas]
 
     gram = [[inner(a, b) for b in basis] for a in basis]
     variant = [[inner(b, v) for b in basis] for v in case.rho_n_variants]
     variant_nrm = [norm_sq(v) for v in case.rho_n_variants]
-    rho_c_pair = [inner(w, case.rho_c) for w in kfw]
-    rho_c_nrm = norm_sq(case.rho_c)
     rho_c_lin = [inner(b, case.rho_c) for b in basis]
     rho_c_var = [inner(v, case.rho_c) for v in case.rho_n_variants]
     beta_c = case.beta if case.k_has_center else ambient_to_ktype(case, case.beta)
     cheap_coef = [2 * inner(b, case.beta) for b in basis]
-    cheap_const = (
+    # rho_c norm and cheap constant
+    consts = [
+        norm_sq(case.rho_c),
         2 * inner(case.rho_c, case.beta)
         + 2 * max(inner(v, case.beta) for v in case.rho_n_variants)
-        + norm_sq(case.beta)
-    )
-
-    rationals = (
-        [x for row in gram for x in row]
-        + [x for row in variant for x in row]
-        + variant_nrm
-        + rho_c_pair
-        + [rho_c_nrm]
-        + rho_c_lin
-        + rho_c_var
-        + cheap_coef
-        + [cheap_const]
+        + norm_sq(case.beta),
+    ]
+    rationals = [x for row in gram + variant for x in row] + (
+        variant_nrm + half_sq + rho_c_lin + rho_c_var + cheap_coef + consts
     )
     scale = lcm(*(Q(x).denominator for x in rationals))
-
-    def scaled(vals):
-        if isinstance(vals[0], (list, tuple)):
-            return np.array(
-                [[_as_int(x * scale, "scaled table") for x in row] for row in vals],
-                dtype=np.int64,
-            )
-        return np.array([_as_int(x * scale, "scaled table") for x in vals],
-                        dtype=np.int64)
-
+    rho_c_nrm_s, cheap_const_s = _ints(consts, "scaled constant", scale).tolist()
+    root_half_s = _ints(half_sq, "scaled table", scale)[:, None] * roots
     return ScanTables(
         scale=scale,
-        pairing=_as_int_array(pairing, "coordinate pairing"),
-        cartan=_as_int_array(cartan, "cartan pairing"),
-        shift=_as_int_array(shift, "variant pairing"),
-        gram_s=scaled(gram),
-        variant_s=scaled(variant),
-        variant_nrm_s=scaled(variant_nrm),
-        rho_c_pair2_s=2 * scaled(rho_c_pair),
-        rho_c_nrm_s=_as_int(rho_c_nrm * scale, "rho_c norm"),
-        rho_c_lin_s=scaled(rho_c_lin),
-        rho_c_var_s=scaled(rho_c_var),
-        beta_coords=_as_int_array(list(beta_c), "beta coordinates"),
-        cheap_coef_s=scaled(cheap_coef),
-        cheap_const_s=_as_int(cheap_const * scale, "cheap constant"),
-        coroot_nrm=max((4 / norm_sq(d) for d in deltas), default=Q(0)),
+        pairing=pairing,
+        shift=shift,
+        root_s=pairing.T @ root_half_s,
+        root_var_s=shift @ root_half_s,
+        gram_s=_ints(gram, "scaled table", scale),
+        variant_s=_ints(variant, "scaled table", scale),
+        variant_nrm_s=_ints(variant_nrm, "scaled table", scale),
+        rho_c_nrm_s=rho_c_nrm_s,
+        rho_c_lin_s=_ints(rho_c_lin, "scaled table", scale),
+        rho_c_var_s=_ints(rho_c_var, "scaled table", scale),
+        beta_coords=_ints(list(beta_c), "beta coordinates"),
+        cheap_coef_s=_ints(cheap_coef, "scaled table", scale),
+        cheap_const_s=cheap_const_s,
     )
 
 
@@ -178,11 +192,12 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     value at most coord_max (rows mu and mu - beta alike).
 
     Each term bounds one family of intermediates by the sum of the absolute
-    values of its addends. A sweep keeps |x|, and |<y, delta coroot>| <=
-    |y| ||delta coroot||, so the norm of x bounds every pairing coordinate
-    a sweep passes through. margin_lower_bounds computes only floor
-    entries, one sweep value per row and their difference, which the
-    kernel computes too, so the same bound covers it.
+    values of its addends. The root sum of a variant is
+    scale * 2 <dom x, rho_c> <= 2 sqrt(scale |x|^2 * scale |rho_c|^2), and
+    its addends and partial sums are nonnegative and at most the whole.
+    margin_lower_bounds computes only floor entries, one variant value per
+    row and their difference, which the kernel computes too, so the same
+    bound covers it.
     """
 
     def abs_sum(arr):
@@ -200,21 +215,19 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
         + abs_max(tables.variant_nrm_s)
     )
     rho_c_term = 2 * (a * abs_sum(tables.rho_c_lin_s) + abs_max(tables.rho_c_var_s))
-    q = norm_x * tables.coroot_nrm / tables.scale  # >= (max pairing coordinate)^2
-    pairing = isqrt(q.numerator // q.denominator) + 1
+    root_sum = isqrt(4 * norm_x * tables.rho_c_nrm_s) + 1
+    # one entry scale * <x, alpha> of the root table, addend by addend
+    root_entry = a * abs_max(tables.root_s.T) + int(np.abs(tables.root_var_s).max())
     cheap = coord_max * abs_sum(tables.cheap_coef_s) + abs(tables.cheap_const_s)
-    return (
-        2 * norm_x
-        + rho_c_term
-        + pairing * (abs_max(tables.cartan) + abs_sum(tables.rho_c_pair2_s))
-        + tables.rho_c_nrm_s
-        + cheap
-    )
+    return 2 * norm_x + rho_c_term + root_sum + root_entry + tables.rho_c_nrm_s + cheap
 
 
 def conjugate_dominant_bulk(c: np.ndarray, cartan: np.ndarray) -> np.ndarray:
     """Sweep pairing-coordinate rows into the dominant chamber in place.
 
+    The scan does not call it: the kernel takes the rho_c pairing of each
+    dominant conjugate from the root sum instead (see the module
+    docstring). It stays as the oracle the tests hold that sum against.
     Applies the simple reflection at the lowest-index negative pairing,
     exactly like the single-vector conjugation, so the two agree on which
     dominant representative (and implicitly which Weyl word) is reached.
@@ -238,15 +251,18 @@ def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray,
     """Squared spin norms (times tables.scale) for rows of coords.
 
     The norm is the minimum over the rho_n variants j of
-    |dom(x_j) + rho_c|^2 with x_j = mu - rho_n^j, and each variant has the
-    sweep-free floor |x_j|^2 + 2 max(0, <x_j, rho_c>) + |rho_c|^2 <= that
-    value (the dominant conjugate maximizes the rho_c pairing over the
-    orbit, and that pairing is nonnegative). The kernel is best-first:
-    it sweeps each row's lowest-floor variant, then only the (row,
-    variant) pairs whose floor is still below the row's value. A skipped
-    pair has floor >= value, so it cannot lower the minimum, and the
-    result is exact. Rows go in chunks of _CHUNK_ROWS, because the
-    (rows x variants) floor table and the pair arrays grow with them.
+    |dom(x_j) + rho_c|^2 with x_j = mu - rho_n^j, whose rho_c part
+    2 <dom x_j, rho_c> is the root sum of x_j (module docstring). Each
+    variant has the floor |x_j|^2 + 2 max(0, <x_j, rho_c>) + |rho_c|^2 <=
+    that value (the dominant conjugate maximizes the rho_c pairing over
+    the orbit, and that pairing is nonnegative), which costs no root sum.
+    The kernel is best-first: it evaluates each row's lowest-floor
+    variant, then only the (row, variant) pairs whose floor is still below
+    the row's value. A skipped pair has floor >= value, so it cannot lower
+    the minimum, and the result is exact. Rows go in chunks of
+    _CHUNK_ROWS, and so do the pairs of the second pass, because the
+    (rows x variants) floor table and the (pairs x roots) tables grow with
+    them.
 
     lin, if given, is the linear-term table _linear(tables, coords); a
     caller that already holds it for related rows passes it to save the
@@ -270,9 +286,9 @@ def _linear(tables: ScanTables, m: np.ndarray) -> np.ndarray:
 
 
 def _floor(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    """The (rows x variants) sweep-free floor table of mu, without the row
-    constant scale * (|mu|^2 + |rho_c|^2): it changes neither the argmin
-    nor a comparison of floors with values of the same row.
+    """The (rows x variants) floor table of mu, without the row constant
+    scale * (|mu|^2 + |rho_c|^2): it changes neither the argmin nor a
+    comparison of floors with values of the same row.
     Entry: scale * (|rho_n^j|^2 + 2 max(0, <x_j, rho_c>)) + lin."""
     floor = np.add.outer(
         2 * (m @ tables.rho_c_lin_s), tables.variant_nrm_s - 2 * tables.rho_c_var_s
@@ -286,30 +302,30 @@ def _row_constant(tables: ScanTables, m: np.ndarray) -> np.ndarray:
     return ((m @ tables.gram_s) * m).sum(axis=1) + tables.rho_c_nrm_s
 
 
-def _sweep(tables: ScanTables, pair: np.ndarray, lin_at: np.ndarray,
+def _value(tables: ScanTables, root_pair: np.ndarray, lin_at: np.ndarray,
            variants: np.ndarray) -> np.ndarray:
     """Values of the given variants, without the row constant, for rows
-    with pairing coordinates pair and linear terms lin_at."""
-    c = pair - tables.shift[variants]
-    conjugate_dominant_bulk(c, tables.cartan)
-    return lin_at + tables.variant_nrm_s[variants] + c @ tables.rho_c_pair2_s
+    with root table root_pair = mu @ root_s and linear terms lin_at."""
+    roots = np.abs(root_pair - tables.root_var_s[variants]).sum(axis=1)
+    return lin_at + tables.variant_nrm_s[variants] + roots
 
 
 def _best_first(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
     floor = _floor(tables, m, lin)
-    base_pair = m @ tables.pairing.T
+    root_pair = m @ tables.root_s
 
-    def sweep(rows, variants):
-        return _sweep(tables, base_pair[rows], lin[rows, variants], variants)
+    def value(rows, variants):
+        return _value(tables, root_pair[rows], lin[rows, variants], variants)
 
     rows = np.arange(len(m))
     first = floor.argmin(axis=1)
-    best = sweep(rows, first)
+    best = value(rows, first)
     again = floor < best[:, None]
     again[rows, first] = False
     rows, variants = np.divmod(np.flatnonzero(again), again.shape[1])
-    if rows.size:
-        np.minimum.at(best, rows, sweep(rows, variants))
+    for start in range(0, rows.size, _CHUNK_ROWS):
+        part = slice(start, start + _CHUNK_ROWS)
+        np.minimum.at(best, rows[part], value(rows[part], variants[part]))
     best += _row_constant(tables, m)
     return best
 
@@ -336,14 +352,12 @@ def bulk_margins_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
 def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     """Exact integer lower bounds on bulk_margins_scaled for rows of coords.
 
-    spin(mu)^2 is at least the lowest sweep-free floor of mu, and
+    spin(mu)^2 is at least the lowest floor of mu, and
     spin(mu - beta)^2 is at most the value of mu - beta at its own
     lowest-floor variant, so their difference bounds the margin from
-    below. It costs the floor tables and one sweep per row, where the
-    kernel needs at least two sweeps and usually more. Rows go in chunks
-    of _CHUNK_ROWS, like the kernel's: one sweep per whole batch was no
-    faster, and its (batch x rank) arrays raised peak memory by about a
-    quarter on the last slices of the long boxes.
+    below. It costs the floor tables and one root sum per row, where the
+    kernel needs at least two and usually more. Rows go in chunks of
+    _CHUNK_ROWS, like the kernel's, to bound the memory of its tables.
     """
     step = 2 * (tables.variant_s @ tables.beta_coords)
     out = np.empty(len(coords), dtype=np.int64)
@@ -354,8 +368,8 @@ def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
         upper = _floor(tables, m, lin).min(axis=1) + _row_constant(tables, m)
         lin += step
         first = _floor(tables, down, lin).argmin(axis=1)
-        lower = _sweep(
-            tables, down @ tables.pairing.T, lin[np.arange(len(m)), first], first
+        lower = _value(
+            tables, down @ tables.root_s, lin[np.arange(len(m)), first], first
         )
         out[start:start + len(m)] = upper - lower - _row_constant(tables, down)
     return out

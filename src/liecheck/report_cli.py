@@ -615,7 +615,7 @@ def _add_jobs_argument(sp):
         "--jobs",
         type=_job_count,
         default=1,
-        help="worker processes, at most one per work item (default 1)",
+        help="worker processes for box scans, at most one per slice (default 1)",
     )
 
 

@@ -8,9 +8,9 @@ Exactness is kept without a Fraction per term: inner products, coroot
 pairings and the coordinates of linear combinations sum the integer
 products of their nonzero terms over one common denominator and make one
 Fraction at the end, and a reflection rebuilds only the coordinates where
-the root is nonzero, each as one Fraction. generate_positive_roots closes
-the system in integer simple-root coordinates against the integer Cartan
-matrix, building each ambient root once.
+the root is nonzero, each as one Fraction. root_closure closes a system
+in integer simple-root coordinates against its integer Cartan matrix, and
+generate_positive_roots builds each ambient root once from it.
 
 A RootSystem bundles the simple roots of one (possibly reducible, possibly
 non-reduced) root system together with its positive roots and fundamental
@@ -45,6 +45,7 @@ __all__ = [
     "reflect",
     "combine",
     "half_sum",
+    "root_closure",
     "generate_positive_roots",
     "solve_linear",
     "RootSystem",
@@ -210,15 +211,48 @@ def _solve_gram(gram: list[list[Q]], columns) -> list[list[Q]]:
 _MAX_HEIGHT = 64  # any honest finite system stabilizes far below this
 
 
-def generate_positive_roots(simple_roots: Sequence[Vector]) -> set[Vector]:
-    """Saturate a simple system into its full positive system.
+def root_closure(cartan: Sequence[Sequence[int]]):
+    """Yield (root, parent, i) for every positive root, by height: its
+    integer simple-root coordinates, and either parent None and root =
+    alpha_i, or a root parent of height one less with root = parent +
+    alpha_i. cartan[i][j] = <alpha_i, alpha_j-check>.
 
     Uses root strings: for a root r and simple s, r+s is a root iff
     p - <r, s-check> >= 1 where p is the largest k with r - k*s a root.
-    Builds by height, so the downward string is always known already. The
-    closure runs on integer simple-root coordinates against the integer
-    Cartan matrix; each ambient root is built once, as its parent plus a
-    simple root.
+    Builds by height, so the downward string is always known already.
+    """
+    rank = len(cartan)
+    level = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    known = set(level)
+    for i, unit in enumerate(level):
+        yield unit, None, i
+    height = 1
+    while level:
+        height += 1
+        if height > _MAX_HEIGHT:
+            raise ConstructionError("root closure did not stabilize")
+        nxt = []
+        for r in level:
+            for i in range(rank):
+                cand = r[:i] + (r[i] + 1,) + r[i + 1:]
+                if cand in known:
+                    continue
+                p = 0
+                while r[i] > p and r[:i] + (r[i] - p - 1,) + r[i + 1:] in known:
+                    p += 1
+                if p - sum(c * row[i] for c, row in zip(r, cartan)) >= 1:
+                    known.add(cand)
+                    nxt.append(cand)
+                    yield cand, r, i
+        level = nxt
+
+
+def generate_positive_roots(simple_roots: Sequence[Vector]) -> set[Vector]:
+    """Saturate a simple system into its full positive system.
+
+    The closure (root_closure) runs on integer simple-root coordinates
+    against the integer Cartan matrix; each ambient root is built once, as
+    its parent plus a simple root.
 
     Raises ConstructionError if the input is not a linearly independent
     crystallographic simple system or fails to stabilize.
@@ -242,27 +276,10 @@ def generate_positive_roots(simple_roots: Sequence[Vector]) -> set[Vector]:
             if i != j and pairing > 0:
                 raise ConstructionError("obtuse-angle condition violated for simples")
     cartan = [[int(x) for x in row] for row in cartan]
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    ambient = dict(zip(units, simples))  # root coordinates -> ambient root
-    level = units
-    height = 1
-    while level:
-        height += 1
-        if height > _MAX_HEIGHT:
-            raise ConstructionError("root closure did not stabilize")
-        nxt = []
-        for r in level:
-            for i, s in enumerate(simples):
-                cand = r[:i] + (r[i] + 1,) + r[i + 1:]
-                if cand in ambient:
-                    continue
-                p = 0
-                while r[i] > p and r[:i] + (r[i] - p - 1,) + r[i + 1:] in ambient:
-                    p += 1
-                if p - sum(c * row[i] for c, row in zip(r, cartan)) >= 1:
-                    ambient[cand] = vadd(ambient[r], s)
-                    nxt.append(cand)
-        level = nxt
+    ambient = {}  # root coordinates -> ambient root
+    for root, parent, i in root_closure(cartan):
+        s = simples[i]
+        ambient[root] = s if parent is None else vadd(ambient[parent], s)
     return set(ambient.values())
 
 

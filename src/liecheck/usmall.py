@@ -17,7 +17,6 @@ is counted and listed from the ranges they give.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -72,12 +71,24 @@ def _prune_dominated(rows: set[tuple[tuple[int, ...], int]]):
     return tuple(kept)
 
 
-@lru_cache(maxsize=None)
+# id(case) -> (case, system). An entry holds its case, so no other object
+# can take that id while the entry lives: a hit costs one dict lookup,
+# where hashing a whole CaseData costs milliseconds.
+_SYSTEMS: dict[int, tuple[CaseData, InequalitySystem]] = {}
+
+
 def usmall_system(case: CaseData) -> InequalitySystem:
-    """The hyperplane rows in k-type coordinates. For k with center (SP4R)
-    those are ambient coordinates: coefficients may be negative, and the
-    rows are kept unpruned, as the pruning is valid only where every
-    coordinate is >= 0."""
+    """The hyperplane rows in k-type coordinates, built once per case
+    object. For k with center (SP4R) those are ambient coordinates:
+    coefficients may be negative, and the rows are kept unpruned, as the
+    pruning is valid only where every coordinate is >= 0."""
+    entry = _SYSTEMS.get(id(case))
+    if entry is None or entry[0] is not case:
+        entry = _SYSTEMS[id(case)] = (case, _build_system(case))
+    return entry[1]
+
+
+def _build_system(case: CaseData) -> InequalitySystem:
     g = case.g_restricted
     # the xi on simple-root coordinates, and what w(xi) is paired with: the
     # k-type basis vectors and rho_c against the simple roots, and rho
@@ -158,17 +169,17 @@ def _children(coords, caps):
     return np.column_stack([np.repeat(coords, counts, axis=0), values]), values
 
 
-def _walk(case: CaseData, prefix=()):
+def _walk(case: CaseData):
     """Yield (caps, coords) for runs of rows at the last coordinate, in
-    lexicographic order, over the u-small k-types starting with prefix: each
-    row of coords extends by every last value 0..cap. A stack entry is a
-    group's level, slacks, coords and caps; a group is taken a run of rows
-    at a time, the rest waiting below the children, so a group or run has
-    at most _FRONTIER_ROWS rows or children, or one row."""
+    lexicographic order, over the u-small k-types: each row of coords
+    extends by every last value 0..cap. A stack entry is a group's level,
+    slacks, coords and caps; a group is taken a run of rows at a time, the
+    rest waiting below the children, so a group or run has at most
+    _FRONTIER_ROWS rows or children, or one row."""
     coeffs, bounds = _int64_rows(usmall_system(case).rows)
-    coords = np.array([prefix], dtype=np.int64).reshape(1, len(prefix))
-    slack = bounds - coords @ coeffs[:, :len(prefix)].T
-    stack = [(len(prefix), slack, coords, _caps(coeffs, slack, len(prefix)))]
+    coords = np.zeros((1, 0), dtype=np.int64)
+    slack = bounds[None, :]
+    stack = [(0, slack, coords, _caps(coeffs, slack, 0))]
     while stack:
         level, slack, coords, caps = stack.pop()
         stop = _run(caps)
@@ -181,10 +192,6 @@ def _walk(case: CaseData, prefix=()):
         kids, values = _children(coords, caps)
         slack = np.repeat(slack, caps + 1, axis=0) - values[:, None] * coeffs[:, level]
         stack.append((level + 1, slack, kids, _caps(coeffs, slack, level + 1)))
-
-
-def _count(case: CaseData, prefix=()) -> int:
-    return sum(len(caps) + int(caps.sum()) for caps, _ in _walk(case, prefix))
 
 
 def usmall_chunks(case: CaseData):
@@ -207,16 +214,9 @@ def iter_usmall(case: CaseData):
 
 
 def enumerate_usmall(case: CaseData, jobs: int = 1) -> int:
-    """Count the unitarily small k-types by the lattice walk; with jobs > 1
-    a pool walks each value of the first coordinate apart."""
+    """Count the unitarily small k-types by the lattice walk. jobs is
+    accepted for the CLI's --jobs and ignored: the walk runs serially,
+    since a worker pool costs more than the whole count."""
     if case.id.family == "SP4R":
         return len(next(usmall_chunks(case)))
-    if jobs > 1 and case.ktype_dim > 1:
-        coeffs, bounds = _int64_rows(usmall_system(case).rows)
-        firsts = range(int(_caps(coeffs, bounds[None, :], 0)[0]) + 1)
-        if len(firsts) > 1:
-            import multiprocessing as mp
-
-            with mp.Pool(min(jobs, len(firsts))) as pool:
-                return sum(pool.starmap(_count, [(case, (v,)) for v in firsts]))
-    return _count(case)
+    return sum(len(caps) + int(caps.sum()) for caps, _ in _walk(case))

@@ -34,13 +34,10 @@ __all__ = [
     "WeylWord",
     "apply_word",
     "to_dominant",
-    "longest_element",
     "parabolic_longest",
     "minimal_coset_reps",
     "word_matrices",
     "int_root_coords",
-    "word_length",
-    "orbit",
 ]
 
 
@@ -85,14 +82,6 @@ def to_dominant(
     return v, tuple(reversed(applied))
 
 
-def longest_element(system: RootSystem) -> WeylWord:
-    """Reduced word for the longest element (sends the dominant chamber to
-    its negative)."""
-    anti = vneg(system.dominance_vector())
-    _, word = to_dominant(anti, system)
-    return word
-
-
 def parabolic_longest(system: RootSystem, omit_index: int) -> WeylWord:
     """Longest element of the parabolic subgroup generated by all simple
     reflections except the one at omit_index."""
@@ -112,39 +101,6 @@ def _wsum(system: RootSystem, letters: tuple[int, ...]) -> Vector:
     for i in letters[1:]:
         total = vadd(total, system.fundamental_weights[i])
     return total
-
-
-def word_length(word: WeylWord, system: RootSystem) -> int:
-    """Length of the group element: positive roots sent negative.
-
-    In a non-reduced system the doubled roots 2r are skipped, leaving the
-    positive system of the underlying reduced Weyl group.
-    """
-    pos = set(system.positive_roots)
-    count = 0
-    for r in system.positive_roots:
-        if tuple(c / 2 for c in r) in pos:
-            continue
-        img = apply_word(word, r, system)
-        if all(c <= 0 for c in system.root_coords(img)):
-            count += 1
-    return count
-
-
-def orbit(v: Vector, system: RootSystem) -> set[Vector]:
-    """Full Weyl orbit of v (breadth-first; use only on small groups)."""
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for s in system.simple_roots:
-                img = reflect(u, s)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
 
 
 def _reflection_matrices(system: RootSystem) -> list[np.ndarray]:

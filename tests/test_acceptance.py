@@ -48,9 +48,10 @@ from liecheck.pencil import (
 from liecheck.rootdata import inner, norm_sq, vadd, vscale, vsub
 from liecheck.spin import spin_norm_sq
 from liecheck.usmall import enumerate_usmall, iter_usmall, usmall_system
-from liecheck.weyl import apply_word, to_dominant, word_length
+from liecheck.weyl import apply_word, to_dominant
 
 from conftest import sample_case
+from oracle import word_length
 
 SEED = 20250814
 

@@ -122,7 +122,7 @@ def test_variants_all_distinct_same_rho_norm(family):
 
 
 def test_w1_words_are_reduced_and_distinct():
-    from liecheck.weyl import word_length
+    from oracle import word_length
 
     for family in ("G", "FI", "EI", "SP4R"):
         case = sample_case(family)

@@ -1,6 +1,7 @@
 """Spin norm: exact evaluation, bounds, and the vectorized scanner."""
 
 import itertools
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecheck.cases import (
+    CLASSICAL_FAMILIES,
     ambient_to_ktype,
     get_case,
     ktype_is_dominant,
@@ -18,15 +20,17 @@ from liecheck.fastscan import (
     build_tables,
     bulk_margins_scaled,
     bulk_spin_sq_scaled,
+    conjugate_dominant_bulk,
     margin_lower_bounds,
 )
 from liecheck.pencil import step_margin_sq
-from liecheck.rootdata import coroot_pairing, inner, norm_sq, vadd, vsub
+from liecheck.rootdata import combine, coroot_pairing, inner, norm_sq, vadd, vsub
 from liecheck.spin import spin_argmin, spin_norm_sq, variant_norms_sq
 from liecheck.usmall import iter_usmall
-from liecheck.weyl import orbit, to_dominant
+from liecheck.weyl import to_dominant
 
 from conftest import BIG_FAMILIES, SMALL_FAMILIES, largest_accepted
+from oracle import orbit
 
 
 def oracle_spin_sq(case, mu):
@@ -282,3 +286,102 @@ def test_bulk_engine_exact_up_to_the_magnitude_bound(family, data):
     bounds = margin_lower_bounds(tables, np.array(stepped, dtype=np.int64))
     for mu, value in zip(stepped, bounds):
         assert Q(int(value), tables.scale) <= step_margin_sq(case, mu)
+
+
+@pytest.mark.parametrize("family", ["EVIII", "EIX"])
+def test_bulk_engine_exact_on_e8_rows_up_to_the_magnitude_bound(family):
+    # the same coordinate mix as above on the two largest families, whose
+    # variants number 135 and 120, against the Fraction oracle
+    case = get_case(family)
+    tables = build_tables(case)
+    top = largest_accepted(tables)
+    rng = random.Random(20251019)
+
+    def coordinate():
+        return rng.choice(
+            (rng.randint(0, top), rng.randint(top - 1000, top), rng.randint(0, 20))
+        )
+
+    rows = [tuple(coordinate() for _ in range(8)) for _ in range(40)]
+    scaled = bulk_spin_sq_scaled(tables, np.array(rows, dtype=np.int64))
+    for mu, value in zip(rows, scaled):
+        assert Q(int(value), tables.scale) == spin_norm_sq(case, mu)
+    beta = case.beta_ktype
+    stepped = [tuple(max(x, b) for x, b in zip(mu, beta)) for mu in rows[:12]]
+    arr = np.array(stepped, dtype=np.int64)
+    bounds = margin_lower_bounds(tables, arr)
+    margins = bulk_margins_scaled(tables, arr)
+    for mu, bound, margin in zip(stepped, bounds, margins):
+        assert Q(int(margin), tables.scale) == step_margin_sq(case, mu)
+        assert bound <= margin
+
+
+# -- the root sum: the rho_c pairing of a dominant conjugate without a sweep --
+
+IDENTITY_CASES = [(family, None) for family in SMALL_FAMILIES + BIG_FAMILIES] + [
+    (family, n) for family in CLASSICAL_FAMILIES for n in (2, 3, 4)
+]
+
+
+def _random_coords(rng, dim):
+    """Coordinates mixing small, negative and large values, so that most
+    rows are far from the dominant chamber."""
+    return [
+        rng.choice((rng.randint(-6, 6), rng.randint(-10**6, 10**6)))
+        for _ in range(dim)
+    ]
+
+
+@pytest.mark.parametrize("family,n", IDENTITY_CASES)
+def test_root_sum_is_the_rho_c_pairing_of_the_dominant_conjugate(family, n, rng):
+    # 2 <dom x, rho_c> = sum over alpha in Delta+(k) of |<x, alpha>|, in
+    # Fractions, for x = mu - rho_n^j with mu anywhere in the lattice
+    case = get_case(family, n)
+    k = case.k_system
+    for _ in range(50):
+        x = vsub(
+            combine(case.ktype_basis, _random_coords(rng, case.ktype_dim)),
+            rng.choice(case.rho_n_variants),
+        )
+        dom, _ = to_dominant(x, k)
+        assert 2 * inner(dom, case.rho_c) == sum(
+            abs(inner(x, alpha)) for alpha in k.positive_roots
+        )
+
+
+@pytest.mark.parametrize("family,n", IDENTITY_CASES)
+def test_root_sum_matches_the_swept_kernel(family, n):
+    # the integer root tables against the Weyl sweep they replace: for every
+    # (row, variant), scale * 2 <dom x, rho_c> from conjugate_dominant_bulk
+    # equals the root sum, and the minimum over the variants of the swept
+    # values is bulk_spin_sq_scaled
+    case = get_case(family, n)
+    tables = build_tables(case)
+    k = case.k_system
+    cartan = np.array(
+        [[int(coroot_pairing(a, b)) for b in k.simple_roots] for a in k.simple_roots],
+        dtype=np.int64,
+    )
+    rho_c_pair = [inner(w, case.rho_c) for w in k.fundamental_weights]
+    rng = random.Random(20251019)
+    coords = np.array(
+        [_random_coords(rng, case.ktype_dim) for _ in range(60)], dtype=np.int64
+    )
+    lin = fastscan._linear(tables, coords)
+    root_pair = coords @ tables.root_s
+    swept = np.empty(lin.shape, dtype=object)
+    for j in range(case.num_variants):
+        c = conjugate_dominant_bulk(
+            coords @ tables.pairing.T - tables.shift[j], cartan
+        )
+        assert (c >= 0).all()
+        pair2 = [2 * tables.scale * sum(ci * p for ci, p in zip(row, rho_c_pair))
+                 for row in c.tolist()]
+        roots = np.abs(root_pair - tables.root_var_s[j]).sum(axis=1)
+        assert [Q(int(r)) for r in roots] == pair2
+        swept[:, j] = [
+            int(l) + int(tables.variant_nrm_s[j]) + int(p)
+            for l, p in zip(lin[:, j], pair2)
+        ]
+    expected = swept.min(axis=1) + fastscan._row_constant(tables, coords)
+    assert bulk_spin_sq_scaled(tables, coords).tolist() == expected.tolist()

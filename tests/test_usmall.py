@@ -1,5 +1,6 @@
 """Enumeration of unitarily small k-types."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -182,3 +183,24 @@ def test_walk_refuses_rows_beyond_int64():
         usmall._int64_rows((((1, 1), -1),))
     with pytest.raises(ConstructionError):
         usmall._int64_rows((((2**63, 1), 5), ((0, 1), 3)))
+
+
+def test_usmall_system_is_built_once_per_case_object():
+    case = get_case("EI")
+    assert usmall_system(case) is usmall_system(case)
+    # distinct cases with other hyperplane bounds, each dropped after use:
+    # none may be answered from another case's entry, even when the
+    # interpreter hands a new case the address of a freed one
+    systems = {usmall_system(case)}
+    for factor in range(2, 7):
+        other = dataclasses.replace(case, rho=tuple(factor * x for x in case.rho))
+        system = usmall_system(other)
+        assert system == usmall._build_system(other)
+        assert usmall_system(other) is system
+        systems.add(system)
+        del other
+    assert len(systems) == 6
+    # an equal but distinct case object gets an entry of its own
+    twin = dataclasses.replace(case)
+    assert usmall_system(twin) == usmall_system(case)
+    assert usmall_system(twin) is not usmall_system(case)
