@@ -32,43 +32,48 @@ termII_j = |x|^2 - |y|^2 = 2<mu,beta> - 2<rho_n^j,beta> - |beta|^2:
   4. <rho_c, w beta> >= -<rho_c, beta> for k-dominant beta.
 So margin >= termII_j* - 2<rho_c, beta> >= cheap(mu).
 
-The box scan is a depth-first walk over coordinate prefixes with these
-prunes, none of which can change the reported outcome:
-  * a subtree entirely unitarily small contributes no checked points;
-  * a subtree entirely unitarily large with no dominant mu - beta
-    contributes no checked points;
-  * a subtree whose cheap lower bound already exceeds the cutoff is
-    counted but not evaluated. Each process keeps one running minimum per
-    box, the smallest margin it has evaluated so far (seeded from one probe
-    batch), and every cutoff is max(0, m) for such an m. As m is a margin
-    of a filtered point of the box, every cutoff is at least
-    max(0, box minimum), and the bound is a valid lower bound for every
-    margin inside, so no violation and no point attaining the minimum can
-    hide there. scanned and filtered do not depend on pruning, so the
-    report does not depend on --jobs or on which process saw which slice;
-  * a block (the innermost coordinates as one numpy grid) that one u-small
-    row already makes u-large skips the per-point u-small test: every
-    point is u-large, so its checked points are exactly the dominant tail
-    points, and those under the cutoff are a prefix of the dominant tail
-    points sorted by cheap bound. The picks are put back in walk order, so
-    the kernel batches are the same as with the per-point test;
-  * for semisimple k every u-small and cheap-bound coefficient is >= 0
-    (checked per scan), so once a walk level reaches a value whose subtree
-    is u-large, has a dominant prefix and lies above the cutoff, every
-    larger value of that level does too. Its points are counted in one
-    step and the level stops. The cutoff never rises, so none of them
-    would have been evaluated later;
-  * a walked point whose margin lower bound (margin_lower_bounds: the
-    lowest floor of mu minus the value of mu - beta at its
-    lowest-floor variant) exceeds the cutoff is counted but not sent to
-    the margin kernel. Its margin is above the cutoff >= max(0, m), so it
-    is neither a violation nor below the running minimum, and the running
-    minimum evolves as without this prune. The seed probe and
-    --no-shortcut have no cutoff and evaluate every point they walk.
+The box scan walks the cheap simplex, not the box. For semisimple k,
+mu - beta is dominant exactly when mu >= beta, so with base =
+max(box lo, beta) the points to check are e = mu - base >= 0 under the
+rows e_i <= hi_i - base_i, minus the u-small points. Every u-small and
+cheap coefficient is >= 0 (checked per scan), so cheap(mu) <= b is one
+more row, and usmall._walk lists the points of these rows; at the last
+coordinate each frontier row drops its u-small values and those at or
+below the band's lower end. scanned is the box size and filtered the
+dominant sub-box minus its u-small points, neither depending on what is
+evaluated. With one running minimum best per process, the scan walks
+slices along the longest coordinate in passes:
+  * pass 1 walks {cheap <= 0}, which holds every violation, as
+    cheap <= margin <= 0 for each one;
+  * pass 2 walks {0 < cheap <= max(0, best)}. If pass 1 evaluated
+    nothing, bands of doubling width above 0 come first, until a point is
+    evaluated or the box is covered.
+A walked point reaches the kernel only if its cheap bound and its
+margin_lower_bounds are at most max(0, best), best falling after every
+kernel batch. Both bounds are at most margin(m*) = min <= best for the
+minimizer m* and for every violation, so they are evaluated, and the
+report depends neither on --jobs nor on which process saw which slice.
+k with center (SP4R: rows of both signs, small boxes) and --no-shortcut,
+the exhaustive oracle, evaluate every filtered point.
+
+The screen margin_lower_bounds takes the lowest floor of mu and the value
+of mu - beta at its lowest-floor variant. With lin_j = -2 <mu, rho_n^j>,
+c_j = |rho_n^j|^2 - 2 <rho_n^j, rho_c> and r = 2 <mu, rho_c>, the floor
+of variant j is lin_j + max(r + c_j, |rho_n^j|^2) plus a row constant,
+and r + c_j >= |rho_n^j|^2 exactly when r >= 2 <rho_n^j, rho_c>. So on
+rows with r and r' = 2 <mu - beta, rho_c> both at least
+W = 2 max_j <rho_n^j, rho_c>, the floors of mu are lin_j + c_j + r and
+those of mu - beta are lin_j + step_j + c_j + r', step_j =
+2 <beta, rho_n^j>, each plus its row constant: one table lin + c gives
+the lowest floor of mu by its row minimum, and the same table plus step
+gives the lowest-floor variant of mu - beta by its row argmin, ties
+included, since a row constant moves no argmin. A chunk with a row
+below W (near the walls of k) builds both floor tables instead.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -81,15 +86,17 @@ import numpy as np
 from .cases import CaseData, ambient_to_ktype
 from .errors import ConstructionError
 from .rootdata import coroot_pairing, inner, norm_sq, root_closure
-from .usmall import usmall_system
+from .usmall import _walk, usmall_system
 
-_BLOCK_TAIL = 4  # innermost coordinates enumerated as one numpy block
-_FLUSH_SEEDED = 50_000
+# Walked points per screen-and-kernel batch; the running minimum falls
+# between batches.
+_BATCH_ROWS = 4_096
 # Rows per best-first kernel chunk. Its (rows x variants) tables and pair
 # arrays grow with it: on the published boxes, 1,024 rows raised peak memory
 # by 7% over a per-variant kernel and 512 rows by 2%, at the same speed.
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
+_UNBOUNDED = 2**62  # a last-coordinate cap that no walk reaches
 
 
 @dataclass(frozen=True)
@@ -187,17 +194,20 @@ def build_tables(case: CaseData) -> ScanTables:
 
 
 def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
-    """Bound on the absolute value of every integer that the margin kernel
-    and the cheap-bound prune compute for k-type coordinates of absolute
-    value at most coord_max (rows mu and mu - beta alike).
+    """Bound on the absolute value of every integer that the kernel, the
+    screen and the cheap bound compute for k-type coordinates of absolute
+    value at most coord_max (rows mu and mu - beta alike), or 2^10 times a
+    bound on every float64 value (_product), if larger: the int64 test
+    bound <= 2^63 - 1 then keeps those below 2^53, where float64 is exact.
 
     Each term bounds one family of intermediates by the sum of the absolute
     values of its addends. The root sum of a variant is
     scale * 2 <dom x, rho_c> <= 2 sqrt(scale |x|^2 * scale |rho_c|^2), and
     its addends and partial sums are nonnegative and at most the whole.
-    margin_lower_bounds computes only floor entries, one variant value per
-    row and their difference, which the kernel computes too, so the same
-    bound covers it.
+    margin_lower_bounds adds a table entry (at most lin_part + rho_c_term),
+    one variant value (lin_part plus a root sum) and
+    m @ 2 gram beta - |beta|^2 (2 gram beta is cheap_coef_s; |beta|^2 is at
+    most the a^2 part of norm_x), so its partial sums stay below the total.
     """
 
     def abs_sum(arr):
@@ -208,31 +218,25 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
         return int((arr.sum(axis=1) if arr.ndim == 2 else arr).max(initial=0))
 
     a = coord_max + abs_max(tables.beta_coords)
+    # a linear-table entry plus its per-variant constants
+    lin_part = 2 * a * abs_max(tables.variant_s) + abs_max(tables.variant_nrm_s)
     # scale * |x|^2 for x = mu - rho_n^j, and each of its parts
-    norm_x = (
-        a * a * abs_sum(tables.gram_s)
-        + 2 * a * abs_max(tables.variant_s)
-        + abs_max(tables.variant_nrm_s)
-    )
+    norm_x = a * a * abs_sum(tables.gram_s) + lin_part
     rho_c_term = 2 * (a * abs_sum(tables.rho_c_lin_s) + abs_max(tables.rho_c_var_s))
     root_sum = isqrt(4 * norm_x * tables.rho_c_nrm_s) + 1
     # one entry scale * <x, alpha> of the root table, addend by addend
     root_entry = a * abs_max(tables.root_s.T) + int(np.abs(tables.root_var_s).max())
     cheap = coord_max * abs_sum(tables.cheap_coef_s) + abs(tables.cheap_const_s)
-    return 2 * norm_x + rho_c_term + root_sum + root_entry + tables.rho_c_nrm_s + cheap
+    total = 2 * norm_x + rho_c_term + root_sum + root_entry + tables.rho_c_nrm_s + cheap
+    floats = max(lin_part + rho_c_term, root_entry, root_sum)
+    return max(total, floats << 10)
 
 
 def conjugate_dominant_bulk(c: np.ndarray, cartan: np.ndarray) -> np.ndarray:
-    """Sweep pairing-coordinate rows into the dominant chamber in place.
-
-    The scan does not call it: the kernel takes the rho_c pairing of each
-    dominant conjugate from the root sum instead (see the module
-    docstring). It stays as the oracle the tests hold that sum against.
-    Applies the simple reflection at the lowest-index negative pairing,
-    exactly like the single-vector conjugation, so the two agree on which
-    dominant representative (and implicitly which Weyl word) is reached.
-    Keeps an active row set so finished rows cost nothing.
-    """
+    """Sweep pairing-coordinate rows into the dominant chamber in place,
+    reflecting at the lowest-index negative pairing like the single-vector
+    conjugation. The scan does not call it (the root sum replaces it); the
+    tests hold the root sum against it."""
     active = np.nonzero((c < 0).any(axis=1))[0]
     while active.size:
         neg = c[active] < 0
@@ -279,10 +283,20 @@ def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray,
     return out
 
 
+def _product(m: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """m @ table for integer rows and an integer table, as float64 from
+    one einsum. Exact: magnitude_bound keeps every product and partial sum
+    an integer below 2^53. Faster than the int64 einsum; not a float
+    matmul, whose BLAS threads would contend with the --jobs workers. A
+    C-ordered table makes the einsum three times faster than a transposed
+    one."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    return np.einsum("nk,kx->nx", m.astype(np.float64), table)
+
+
 def _linear(tables: ScanTables, m: np.ndarray) -> np.ndarray:
-    """The (rows x variants) table scale * -2 <mu, rho_n^j>; einsum beats
-    matmul on int64 here."""
-    return np.einsum("nk,ks->ns", -2 * m, np.ascontiguousarray(tables.variant_s.T))
+    """The (rows x variants) table scale * -2 <mu, rho_n^j>."""
+    return _product(m, -2 * tables.variant_s.T).astype(np.int64)
 
 
 def _floor(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
@@ -312,7 +326,7 @@ def _value(tables: ScanTables, root_pair: np.ndarray, lin_at: np.ndarray,
 
 def _best_first(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
     floor = _floor(tables, m, lin)
-    root_pair = m @ tables.root_s
+    root_pair = _product(m, tables.root_s).astype(np.int64)
 
     def value(rows, variants):
         return _value(tables, root_pair[rows], lin[rows, variants], variants)
@@ -355,23 +369,47 @@ def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     spin(mu)^2 is at least the lowest floor of mu, and
     spin(mu - beta)^2 is at most the value of mu - beta at its own
     lowest-floor variant, so their difference bounds the margin from
-    below. It costs the floor tables and one root sum per row, where the
-    kernel needs at least two and usually more. Rows go in chunks of
-    _CHUNK_ROWS, like the kernel's, to bound the memory of its tables.
+    below. It costs one (rows x variants) table and one root sum per row,
+    where the kernel needs at least two root sums and usually more. Rows
+    go in chunks of _CHUNK_ROWS, like the kernel's, to bound the memory of
+    its tables.
+
+    A chunk whose rows all lie away from the walls of k needs one table
+    (module docstring); the others build the floor tables of mu and of
+    mu - beta. |mu|^2 - |mu - beta|^2 = 2 <mu, beta> - |beta|^2 is linear.
     """
-    step = 2 * (tables.variant_s @ tables.beta_coords)
+    beta = tables.beta_coords
+    step = 2 * (tables.variant_s @ beta)
+    const = tables.variant_nrm_s - 2 * tables.rho_c_var_s
+    # rows with 2 <mu, rho_c> >= wall have both 2 <mu, rho_c> and
+    # 2 <mu - beta, rho_c> at least 2 max_j <rho_n^j, rho_c>
+    wall = 2 * int(tables.rho_c_var_s.max()) + max(0, 2 * int(beta @ tables.rho_c_lin_s))
+    linear = 2 * (tables.gram_s @ beta)
+    offset = int(beta @ tables.gram_s @ beta)
+    # lin + const from one product: a column of ones meets a row of const
+    lin_const = np.vstack([-2 * tables.variant_s.T, const])
     out = np.empty(len(coords), dtype=np.int64)
     for start in range(0, len(coords), _CHUNK_ROWS):
         m = coords[start:start + _CHUNK_ROWS]
-        down = m - tables.beta_coords
-        lin = _linear(tables, m)
-        upper = _floor(tables, m, lin).min(axis=1) + _row_constant(tables, m)
-        lin += step
-        first = _floor(tables, down, lin).argmin(axis=1)
-        lower = _value(
-            tables, down @ tables.root_s, lin[np.arange(len(m)), first], first
-        )
-        out[start:start + len(m)] = upper - lower - _row_constant(tables, down)
+        rows = np.arange(len(m))
+        table = _product(np.column_stack([m, np.ones(len(m), np.int64)]), lin_const)
+        rho_c = 2 * (m @ tables.rho_c_lin_s)
+        if rho_c.min() >= wall:
+            upper = table.min(axis=1).astype(np.int64) + rho_c
+            table += step
+            first = table.argmin(axis=1)
+            lin_at = table[rows, first].astype(np.int64) - const[first]
+        else:
+            lin = table.astype(np.int64) - const
+            upper = _floor(tables, m, lin).min(axis=1)
+            lin += step
+            first = _floor(tables, m - beta, lin).argmin(axis=1)
+            lin_at = lin[rows, first]
+        roots = _product(m - beta, tables.root_s)
+        roots -= tables.root_var_s[first]
+        roots = np.abs(roots).sum(axis=1).astype(np.int64)
+        lower = lin_at + tables.variant_nrm_s[first] + roots
+        out[start:start + len(m)] = upper - lower + m @ linear - offset
     return out
 
 
@@ -387,10 +425,27 @@ class _SliceResult:
     min_scaled: int | None = None
     violations: list = field(default_factory=list)
 
+    def add(self, other: _SliceResult) -> None:
+        self.scanned += other.scanned
+        self.filtered += other.filtered
+        mins = [m for m in (self.min_scaled, other.min_scaled) if m is not None]
+        self.min_scaled = min(mins, default=None)
+        self.violations += other.violations
+
+
+def _down_caps(slack, col):
+    """Per row of slack, the largest last value v >= -1 with v * c <= slack
+    for every c in col (-1 where none is), as for _walk's caps."""
+    free = np.where(slack < 0, -1, _UNBOUNDED)  # rows with c = 0
+    caps = np.where(col > 0, slack // np.maximum(col, 1), free)
+    return np.maximum(caps.min(axis=1), -1)
+
 
 class _Scanner:
+    """One box: its tables, its slices along the longest coordinate, and
+    the running minimum of the margins this process has evaluated."""
+
     def __init__(self, case: CaseData, ranges, shortcut: bool):
-        self.case = case
         self.tables = build_tables(case)
         coord_max = max(abs(v) for r in ranges for v in r)
         bound = magnitude_bound(self.tables, coord_max)
@@ -400,269 +455,175 @@ class _Scanner:
                 f"large for the exact int64 scan (intermediates up to {bound}, "
                 f"beyond 2^63 - 1)"
             )
-        self.shortcut = shortcut
         system = usmall_system(case)
-        self.row_coeffs = np.array(
-            [list(c) for c, _ in system.rows], dtype=np.int64
-        )
+        self.row_coeffs = np.array([c for c, _ in system.rows], dtype=np.int64)
         self.row_bounds = np.array([b for _, b in system.rows], dtype=np.int64)
         self.semisimple = not case.k_has_center
         if self.semisimple and (
             (self.row_coeffs < 0).any() or (self.tables.cheap_coef_s < 0).any()
         ):
-            # the u-large and cheap-bound prunes of the walk rely on it
+            # the walk needs rows with nonnegative coefficients
             raise ConstructionError(
                 f"{case.id.label}: negative u-small or cheap-bound coefficient"
             )
+        # k with center (SP4R) has small boxes and rows of both signs: its
+        # slices are evaluated point by point, with no cutoff
+        self.shortcut = shortcut and self.semisimple
         self.dim = len(ranges)
         self.lo = np.array([r[0] for r in ranges], dtype=np.int64)
         self.hi = np.array([r[1] for r in ranges], dtype=np.int64)
-        order = sorted(
+        self.perm = sorted(
             range(self.dim), key=lambda k: (-(self.hi[k] - self.lo[k]), k)
         )
-        self.perm = order
-        self.lo_p = self.lo[order]
-        self.hi_p = self.hi[order]
-        self.coeff_p = self.row_coeffs[:, order]
-        self.beta_p = self.tables.beta_coords[order]
-        self.cheap_p = self.tables.cheap_coef_s[order]
+        self.lo_p = self.lo[self.perm]
+        self.hi_p = self.hi[self.perm]
+        # the sub-box of mu with mu - beta dominant, for semisimple k
+        self.base = np.maximum(self.lo, self.tables.beta_coords)
+        self.best = None  # smallest margin this process has evaluated
 
-        # suffix tables, sign-aware so SP4R's negative coefficients work too
-        nrows = len(self.row_bounds)
-        self.min_rest = np.zeros((self.dim + 1, nrows), dtype=np.int64)
-        self.max_rest = np.zeros((self.dim + 1, nrows), dtype=np.int64)
-        self.cheap_rest = [0] * (self.dim + 1)
-        # points of the subtree below each depth, and its dominant points
-        # when the prefix is dominant
-        self.size_at = [1] * (self.dim + 1)
-        self.dom_at = [1] * (self.dim + 1)
-        for d in range(self.dim - 1, -1, -1):
-            col = self.coeff_p[:, d]
-            self.min_rest[d] = self.min_rest[d + 1] + np.where(
-                col > 0, col * self.lo_p[d], col * self.hi_p[d]
-            )
-            self.max_rest[d] = self.max_rest[d + 1] + np.where(
-                col > 0, col * self.hi_p[d], col * self.lo_p[d]
-            )
-            lo, hi = int(self.lo_p[d]), int(self.hi_p[d])
-            self.cheap_rest[d] = self.cheap_rest[d + 1] + int(self.cheap_p[d]) * lo
-            self.size_at[d] = self.size_at[d + 1] * (hi - lo + 1)
-            self.dom_at[d] = self.dom_at[d + 1] * max(
-                0, hi - max(lo, int(self.beta_p[d])) + 1
-            )
-        self.block_depth = max(1, self.dim - _BLOCK_TAIL)
+    def cheap(self, coords) -> np.ndarray:
+        return coords @ self.tables.cheap_coef_s - self.tables.cheap_const_s
 
-        # Every block shares one tail grid over the innermost coordinates,
-        # so its inequality, dominance, and cheap-bound contributions are
-        # computed once; per block only the fixed prefix's scalars shift.
-        d0 = self.block_depth
-        tail_axes = [
-            np.arange(self.lo_p[k], self.hi_p[k] + 1, dtype=np.int64)
-            for k in range(d0, self.dim)
-        ]
-        self.tail_orig = [self.perm[k] for k in range(d0, self.dim)]
-        if tail_axes:
-            grids = np.meshgrid(*tail_axes, indexing="ij")
-            self.tail_coords = np.stack([g.reshape(-1) for g in grids], axis=1)
-        else:
-            self.tail_coords = np.zeros((1, 0), dtype=np.int64)
-        self.tail_count = len(self.tail_coords)
-        tail_coeffs = self.row_coeffs[:, self.tail_orig]
-        self.tail_lhs = self.tail_coords @ tail_coeffs.T
-        self.tail_cheap = (
-            self.tail_coords @ self.tables.cheap_coef_s[self.tail_orig]
-        )
-        if self.semisimple:
-            tail_beta = self.tables.beta_coords[self.tail_orig]
-            self.tail_dom = (self.tail_coords >= tail_beta).all(axis=1)
-            # the dominant tail points by ascending cheap bound, for the
-            # blocks in which every point is u-large
-            dom_rows = np.flatnonzero(self.tail_dom)
-            self.dom_by_cheap = dom_rows[
-                np.argsort(self.tail_cheap[dom_rows], kind="stable")
-            ]
-            self.dom_cheap = self.tail_cheap[self.dom_by_cheap]
-        else:
-            self.tail_dom = None
-        # smallest margin this process has evaluated in this box, or None
-        self.best = None
-
-    def scan_slice(self, first_value: int) -> _SliceResult:
-        """Scan the slice whose first walked coordinate is first_value.
-
-        With the shortcut, subtrees are pruned against self.best, which is
-        lowered after every kernel batch, and the kernel gets only the rows
-        of a batch whose margin_lower_bounds is at most the cutoff;
-        min_scaled covers only the points this slice evaluated, and is None
-        if it evaluated none.
-        """
-        state = _SliceResult()
-        for coords in self._batches(first_value, state):
-            cutoff = self._cutoff()
+    def scan_slices(self, first: int, last: int, band=(None, None),
+                    best=None) -> dict[int, _SliceResult]:
+        """Evaluate the slices first..last of the first walked coordinate
+        over the points with cheap bound in band = (above, upto], None for
+        no limit, and return each slice's minimum and violations (scanned
+        and filtered are slice_counts'). best, when given, lowers
+        self.best. A slice's min_scaled covers only the points evaluated,
+        and is None if there are none."""
+        if best is not None and (self.best is None or best < self.best):
+            self.best = best
+        axis = self.perm[0]
+        results = {v: _SliceResult() for v in range(first, last + 1)}
+        for coords in self._batches(first, last, band):
+            cutoff = None if not self.shortcut or self.best is None else max(0, self.best)
             if cutoff is not None:
+                coords = coords[self.cheap(coords) <= cutoff]
                 coords = coords[margin_lower_bounds(self.tables, coords) <= cutoff]
                 if not len(coords):
                     continue
             margins = bulk_margins_scaled(self.tables, coords)
             low = int(margins.min())
-            if state.min_scaled is None or low < state.min_scaled:
-                state.min_scaled = low
             self.best = low if self.best is None else min(self.best, low)
-            for i in np.nonzero(margins <= 0)[0]:
-                state.violations.append(
+            values = coords[:, axis]  # nondecreasing, in walk order
+            starts = np.flatnonzero(np.diff(values, prepend=values[0] - 1))
+            lows = np.minimum.reduceat(margins, starts)
+            for v, low in zip(values[starts].tolist(), lows.tolist()):
+                results[v].add(_SliceResult(min_scaled=low))
+            for i in np.flatnonzero(margins <= 0):
+                results[int(values[i])].violations.append(
                     (tuple(int(x) for x in coords[i]), int(margins[i]))
                 )
-        return state
+        return results
 
-    def first_batch_min(self, values) -> int | None:
-        """Minimum margin of the first kernel batch of a walk over the
-        slices in values, taken in order, while self.best is None; None if
-        none has a point to evaluate. scan_box starts self.best with it."""
-        for value in values:
-            for coords in self._batches(value, _SliceResult()):
-                return int(bulk_margins_scaled(self.tables, coords).min())
-        return None
+    def slice_counts(self) -> dict[int, _SliceResult]:
+        """Per slice value, a record of its scanned and filtered points:
+        the slice size, and the dominant sub-box minus its u-small points,
+        counted by one walk with the slice coordinate first."""
+        values = range(int(self.lo_p[0]), int(self.hi_p[0]) + 1)
+        size = int(np.prod((self.hi_p[1:] - self.lo_p[1:] + 1).astype(object)))
+        counts = {v: _SliceResult(scanned=size) for v in values}
+        if not self.semisimple:
+            for v in values:
+                counts[v].filtered = sum(len(c) for c in self._grid_batches(v))
+            return counts
+        base, order = self.base, self.perm
+        if (self.hi < base).any():
+            return counts
+        edges = self.hi[order] - base[order]
+        for v in range(int(base[order[0]]), int(self.hi_p[0]) + 1):
+            counts[v].filtered = int(np.prod((edges[1:] + 1).astype(object)))
+        small = self.row_bounds - self.row_coeffs @ base
+        if (small < 0).any():
+            return counts
+        eye = np.eye(self.dim, dtype=np.int64)
+        coeffs = np.vstack([self.row_coeffs[:, order], eye])
+        per_slice = np.zeros(int(edges[0]) + 1, dtype=np.int64)
+        for caps, prefix in _walk(coeffs, np.concatenate([small, edges])):
+            np.add.at(per_slice, prefix[:, 0], caps + 1)
+        for e, n in enumerate(per_slice.tolist()):
+            counts[int(base[order[0]]) + e].filtered -= n
+        return counts
 
-    def _cutoff(self):
-        """Cheap bound above which a point cannot matter, or None."""
-        if not self.shortcut or self.best is None:
-            return None
-        return max(0, self.best)
+    def _grid_batches(self, value):
+        """The filtered points of one slice of a box of k with center,
+        tested point by point against the u-small rows and dominance."""
+        axes = [np.arange(self.lo[k], self.hi[k] + 1) for k in range(self.dim)]
+        axes[self.perm[0]] = np.array([value])
+        grid = np.meshgrid(*axes, indexing="ij")
+        coords = np.stack([g.reshape(-1) for g in grid], axis=1).astype(np.int64)
+        large = ~(coords @ self.row_coeffs.T <= self.row_bounds).all(axis=1)
+        pairing = self.tables.pairing.T
+        dominant = (coords @ pairing >= 0).all(axis=1)
+        dominant &= ((coords - self.tables.beta_coords) @ pairing >= 0).all(axis=1)
+        coords = coords[large & dominant]
+        if len(coords):
+            yield coords
 
-    def _batches(self, first_value, state):
-        """Yield the points of one slice to evaluate, in kernel batches.
-
-        The walk reads the cutoff at every prune, so a caller that lowers
-        self.best between batches tightens the rest of the walk.
-        """
-        prefix = np.zeros(self.dim, dtype=np.int64)
-        prefix[0] = first_value
-        args = (
-            prefix,
-            self.coeff_p[:, 0] * first_value,
-            int(self.cheap_p[0]) * first_value,
-            first_value >= int(self.beta_p[0]),
-            state,
-        )
-        picks = self._walk(1, *args)
-        buffer, buffered = [], 0
-        for coords in picks:
-            if coords is not None:
-                buffer.append(coords)
-                buffered += len(coords)
-            flush = _CHUNK_ROWS if self.best is None else _FLUSH_SEEDED
-            if buffered >= flush:
-                yield np.concatenate(buffer, axis=0)
-                buffer, buffered = [], 0
-        if buffered:
-            yield np.concatenate(buffer, axis=0)
-
-    def _walk(self, depth, prefix, partial, cheap_partial, prefix_dom, state):
-        """Yield, block by block, the points of this subtree to evaluate
-        (None for a block with none). Return True if the subtree is
-        u-large, has dominant points and lies above the cheap cutoff."""
-        if np.all(partial + self.max_rest[depth] <= self.row_bounds):
-            state.scanned += self.size_at[depth]
+    def _batches(self, first, last, band):
+        """Yield the filtered points of slices first..last in the band, in
+        batches of at least _BATCH_ROWS rows but the last: the walk of the
+        module docstring over e = mu - base, slice coordinate first."""
+        if not self.semisimple:
+            for value in range(first, last + 1):
+                yield from self._grid_batches(value)
             return
-        large = self.semisimple and np.any(
-            partial + self.min_rest[depth] > self.row_bounds
-        )
-        if large:
-            dom = self.dom_at[depth] if prefix_dom else 0
-            if dom == 0:
-                state.scanned += self.size_at[depth]
+        above, upto = band
+        order = self.perm
+        base = self.base.copy()
+        base[order[0]] = max(first, base[order[0]])
+        edges = self.hi[order] - base[order]
+        edges[0] = last - base[order[0]]
+        if (edges < 0).any():
+            return
+        coef = self.tables.cheap_coef_s[order][None, :]
+        coeffs, bounds = [np.eye(self.dim, dtype=np.int64)], [edges]
+        if upto is not None:
+            budget = upto - int(self.cheap(base))
+            if budget < 0:
                 return
-            cutoff = self._cutoff()
-            if (
-                cutoff is not None
-                and cheap_partial + self.cheap_rest[depth] - self.tables.cheap_const_s
-                > cutoff
-            ):
-                state.scanned += self.size_at[depth]
-                state.filtered += dom
-                return True
-        if depth >= self.block_depth:
-            yield self._block(prefix, partial, cheap_partial, prefix_dom, large, state)
-            return
-        col = self.coeff_p[:, depth]
-        cheap_c = int(self.cheap_p[depth])
-        beta_d = int(self.beta_p[depth])
-        hi = int(self.hi_p[depth])
-        for v in range(int(self.lo_p[depth]), hi + 1):
-            prefix[depth] = v
-            pruned = yield from self._walk(
-                depth + 1,
-                prefix,
-                partial + col * v,
-                cheap_partial + cheap_c * v,
-                prefix_dom and v >= beta_d,
-                state,
-            )
-            if pruned:
-                # Coefficients are >= 0 and the cutoff never rises, so every
-                # later value of this level is pruned the same way.
-                state.scanned += (hi - v) * self.size_at[depth + 1]
-                state.filtered += (hi - v) * self.dom_at[depth + 1]
-                break
-
-    def _build_coords(self, prefix, rows):
-        coords = np.empty((len(rows), self.dim), dtype=np.int64)
-        for k in range(self.block_depth):
-            coords[:, self.perm[k]] = prefix[k]
-        for i, orig in enumerate(self.tail_orig):
-            coords[:, orig] = self.tail_coords[rows, i]
-        return coords
-
-    def _block(self, prefix, partial, cheap_partial, prefix_dom, large, state):
-        """The points of one block to evaluate, or None. large: the walk
-        found every point of the block u-large, and some of them dominant."""
-        state.scanned += self.tail_count
-        if large:
-            state.filtered += len(self.dom_by_cheap)
-            cutoff = self._cutoff()
-            count = len(self.dom_by_cheap) if cutoff is None else np.searchsorted(
-                self.dom_cheap,
-                cutoff - (cheap_partial - self.tables.cheap_const_s),
-                side="right",
-            )
-            rows = np.sort(self.dom_by_cheap[:count])
-            return self._build_coords(prefix, rows) if rows.size else None
-        small = (self.tail_lhs + partial <= self.row_bounds).all(axis=1)
-        if self.semisimple:
-            if not prefix_dom:
-                return None
-            eligible = ~small & self.tail_dom
-        else:
-            coords = self._build_coords(prefix, np.arange(self.tail_count))
-            stepped = coords - self.tables.beta_coords
-            dominant = (stepped @ self.tables.pairing.T >= 0).all(axis=1)
-            dominant &= (coords @ self.tables.pairing.T >= 0).all(axis=1)
-            eligible = ~small & dominant
-        count = int(eligible.sum())
-        if count == 0:
-            return None
-        state.filtered += count
-        picked = eligible
-        cutoff = self._cutoff()
-        if cutoff is not None:
-            cheap = self.tail_cheap + (cheap_partial - self.tables.cheap_const_s)
-            picked = eligible & (cheap <= cutoff)
-        rows = np.nonzero(picked)[0]
-        return self._build_coords(prefix, rows) if rows.size else None
+            coeffs.append(coef)
+            bounds.append([budget])
+        drops = [(self.row_coeffs[:, order], self.row_bounds - self.row_coeffs @ base)]
+        if above is not None:
+            drops.append((coef, np.array([above - int(self.cheap(base))])))
+        # coefficients are >= 0, so a drop set with a negative bound at the
+        # base holds no point of these slices
+        drops = [(c, b) for c, b in drops if (b >= 0).all()]
+        pending, rows = [], 0
+        for caps, prefix in _walk(np.vstack(coeffs), np.concatenate(bounds)):
+            start = np.zeros(len(caps), dtype=np.int64)
+            for c, b in drops:
+                slack = np.asarray(b) - prefix @ c[:, :-1].T
+                np.maximum(start, _down_caps(slack, c[:, -1]) + 1, out=start)
+            counts = np.maximum(caps - start + 1, 0)
+            total = int(counts.sum())
+            if not total:
+                continue
+            offsets = np.repeat(np.cumsum(counts) - counts - start, counts)
+            points = np.empty((total, self.dim), dtype=np.int64)
+            points[:, order[:-1]] = np.repeat(prefix, counts, axis=0) + base[order[:-1]]
+            points[:, order[-1]] = np.arange(total) - offsets + base[order[-1]]
+            pending.append(points)
+            rows += total
+            if rows >= _BATCH_ROWS:
+                yield np.concatenate(pending)
+                pending, rows = [], 0
+        if pending:
+            yield np.concatenate(pending)
 
 
 def _merge(results, scale) -> dict:
-    scanned = sum(r.scanned for r in results)
-    filtered = sum(r.filtered for r in results)
-    mins = [r.min_scaled for r in results if r.min_scaled is not None]
-    violations = sorted(
-        (coords, Q(m, scale)) for r in results for coords, m in r.violations
-    )
+    total = _SliceResult()
+    for r in results:
+        total.add(r)
+    low = total.min_scaled
     return {
-        "scanned": scanned,
-        "filtered": filtered,
-        "violations": violations,
-        "min_margin_sq": Q(min(mins), scale) if mins else None,
+        "scanned": total.scanned,
+        "filtered": total.filtered,
+        "violations": sorted((coords, Q(m, scale)) for coords, m in total.violations),
+        "min_margin_sq": None if low is None else Q(low, scale),
     }
 
 
@@ -674,8 +635,8 @@ def _start_worker(scanner):
     _worker = scanner
 
 
-def _slice_for_pool(value):
-    return value, _worker.scan_slice(value)
+def _slice_for_pool(task):
+    return _worker.scan_slices(*task)
 
 
 def _checkpoint_path(directory, case, ranges):
@@ -694,13 +655,32 @@ def _save_checkpoint(path, done):
     os.replace(tmp, path)
 
 
+def _bands(scanner, best):
+    """The cheap-bound bands (above, upto] of a scan, in order; best() is
+    the smallest margin evaluated so far, read before each next band.
+    While it is None, the bands above 0 reach the lowest cheap bound of
+    the dominant sub-box, then double their width until they cover the
+    box."""
+    if not scanner.shortcut:
+        yield None, None
+        return
+    yield None, 0
+    above = 0
+    low, top = int(scanner.cheap(scanner.base)), int(scanner.cheap(scanner.hi))
+    while best() is None and above < top:
+        upto = low if above < low else low + 2 * (above - low) + 1
+        yield above, upto
+        above = upto
+    if best() is not None and best() > above:
+        yield above, best()
+
+
 def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
              checkpoint_dir: str | None = None, log=None) -> dict:
     """Scan every lattice point of the box; see pencil.verify_box."""
     ranges = tuple((int(lo), int(hi)) for lo, hi in ranges)
-    probe = _Scanner(case, ranges, shortcut)
-    scale = probe.tables.scale
-    slice_values = list(range(int(probe.lo_p[0]), int(probe.hi_p[0]) + 1))
+    scanner = _Scanner(case, ranges, shortcut)
+    values = list(range(int(scanner.lo_p[0]), int(scanner.hi_p[0]) + 1))
 
     if checkpoint_dir is None:
         checkpoint_dir = os.environ.get("LIECHECK_CHECKPOINT_DIR") or None
@@ -710,31 +690,38 @@ def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
         ckpath = _checkpoint_path(checkpoint_dir, case, ranges)
 
     t0 = time.monotonic()
-    if shortcut:
-        probe.best = probe.first_batch_min(slice_values)
+    done = scanner.slice_counts()
 
-    def results():
-        workers = min(jobs, len(slice_values))
-        if workers > 1:
-            import multiprocessing as mp
+    def best():
+        mins = [r.min_scaled for r in done.values() if r.min_scaled is not None]
+        return min(mins) if mins else None
 
-            with mp.Pool(workers, initializer=_start_worker, initargs=(probe,)) as pool:
-                yield from pool.imap_unordered(_slice_for_pool, slice_values)
-        else:
-            for value in slice_values:
-                yield value, probe.scan_slice(value)
+    workers = min(jobs, len(values))
+    pool = None
+    if workers > 1:
+        import multiprocessing as mp
 
-    done = {}
-    for completed, (value, result) in enumerate(results(), 1):
-        done[value] = result
-        if ckpath:
-            _save_checkpoint(ckpath, done)
-        if log:
-            log(
-                f"slice {value} done ({completed}/{len(slice_values)}), "
-                f"{time.monotonic() - t0:.1f}s elapsed"
-            )
+        pool = mp.Pool(workers, initializer=_start_worker, initargs=(scanner,))
+    with pool or contextlib.nullcontext():
+        for number, band in enumerate(_bands(scanner, best), 1):
+            if pool:
+                tasks = [(value, value, band, best()) for value in values]
+                parts = pool.imap_unordered(_slice_for_pool, tasks)
+            else:  # one walk over every slice
+                parts = [scanner.scan_slices(values[0], values[-1], band)]
+            finished = 0
+            for part in parts:
+                for value, result in part.items():
+                    done[value].add(result)
+                finished += len(part)
+                if ckpath:
+                    _save_checkpoint(ckpath, done)
+                if log:
+                    log(
+                        f"pass {number}: {finished}/{len(values)} slices done, "
+                        f"{time.monotonic() - t0:.1f}s elapsed"
+                    )
 
-    merged = _merge([done[v] for v in sorted(done)], scale)
+    merged = _merge([done[v] for v in sorted(done)], scanner.tables.scale)
     merged["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
     return merged

@@ -693,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--progress",
         action="store_true",
-        help="print per-slice progress lines",
+        help="print a progress line as slices of each scan pass finish",
     )
     _add_report_argument(sp)
     sp.set_defaults(func=cmd_verify)

@@ -136,24 +136,29 @@ def _sp4r_ranges(case: CaseData):
 
 
 def _int64_rows(rows):
-    """The rows as int64 coefficients and bounds, refused unless every
-    coefficient lies in [0, 2**63) and every bound in [0, 2**31). Then the
-    walk cannot overflow: a slack starts at its row bound and only falls, as
-    a value v is taken only where v * c <= slack for every row with c > 0;
-    and a group's at most max(_FRONTIER_ROWS, bound + 1) rows sum their
-    values cap + 1 below 2**63."""
-    bounds, flat = [b for _, b in rows], [c for cs, _ in rows for c in cs]
-    if min(bounds) < 0 or max(bounds) >= 2**31 or min(flat) < 0 or max(flat) >= 2**63:
-        raise ConstructionError(f"u-small rows {rows} do not fit the int64 walk")
+    """The rows (coeffs, bound) as int64 arrays, refused unless they fit
+    the int64 walk: every coefficient and bound in [0, 2**63), and every
+    coordinate's cap, the least bound // c over the rows with c > 0, below
+    2**31. Then the walk cannot overflow: a slack starts at its row bound
+    and only falls, as a value v is taken only where v * c <= slack for
+    every row with c > 0; and a group's at most max(_FRONTIER_ROWS, 2**31)
+    rows sum their values cap + 1 below 2**63."""
+    rows = [(list(cs), b) for cs, b in rows]
+    flat = [b for _, b in rows] + [c for cs, _ in rows for c in cs]
+    if min(flat) < 0 or max(flat) >= 2**63:
+        raise ConstructionError(f"rows {rows} do not fit the int64 walk")
     coeffs = np.array([cs for cs, _ in rows], dtype=np.int64)
-    return coeffs, np.array(bounds, dtype=np.int64)
+    bounds = np.array([b for _, b in rows], dtype=np.int64)
+    # a column with no c > 0 (an unbounded coordinate) keeps the cap 2**31
+    caps = np.where(coeffs > 0, bounds[:, None] // np.maximum(coeffs, 1), 2**31)
+    if (caps.min(axis=0) >= 2**31).any():
+        raise ConstructionError(f"rows {rows} do not fit the int64 walk")
+    return coeffs, bounds
 
 
 def _caps(coeffs, slack, level: int):
     """Per frontier row, the least slack // c over the rows with c > 0."""
     col = coeffs[:, level]
-    if not (col > 0).any():
-        raise ConstructionError(f"coordinate {level} is unbounded")
     return (slack[:, col > 0] // col[col > 0]).min(axis=1)
 
 
@@ -169,14 +174,15 @@ def _children(coords, caps):
     return np.column_stack([np.repeat(coords, counts, axis=0), values]), values
 
 
-def _walk(case: CaseData):
-    """Yield (caps, coords) for runs of rows at the last coordinate, in
-    lexicographic order, over the u-small k-types: each row of coords
-    extends by every last value 0..cap. A stack entry is a group's level,
-    slacks, coords and caps; a group is taken a run of rows at a time, the
-    rest waiting below the children, so a group or run has at most
-    _FRONTIER_ROWS rows or children, or one row."""
-    coeffs, bounds = _int64_rows(usmall_system(case).rows)
+def _walk(coeffs, bounds):
+    """Yield (caps, coords) over the lattice points e >= 0 with
+    coeffs @ e <= bounds, in lexicographic order, for runs of rows at the
+    last coordinate: each row of coords extends by every last value
+    0..cap. coeffs and bounds pass the _int64_rows guard. A stack entry is
+    a group's level, slacks, coords and caps; a group is taken a run of
+    rows at a time, the rest waiting below the children, so a group or
+    run has at most _FRONTIER_ROWS rows or children, or one row."""
+    coeffs, bounds = _int64_rows(zip(coeffs, bounds))
     coords = np.zeros((1, 0), dtype=np.int64)
     slack = bounds[None, :]
     stack = [(0, slack, coords, _caps(coeffs, slack, 0))]
@@ -203,7 +209,7 @@ def usmall_chunks(case: CaseData):
                  for q in range(max(q_lo, p - gap), p + 1)]
         yield np.array(pairs, dtype=np.int64).reshape(-1, 2)
         return
-    for caps, coords in _walk(case):
+    for caps, coords in _walk(*zip(*usmall_system(case).rows)):
         yield _children(coords, caps)[0]
 
 
@@ -219,4 +225,5 @@ def enumerate_usmall(case: CaseData, jobs: int = 1) -> int:
     since a worker pool costs more than the whole count."""
     if case.id.family == "SP4R":
         return len(next(usmall_chunks(case)))
-    return sum(len(caps) + int(caps.sum()) for caps, _ in _walk(case))
+    walk = _walk(*zip(*usmall_system(case).rows))
+    return sum(len(caps) + int(caps.sum()) for caps, _ in walk)

@@ -24,7 +24,7 @@ from liecheck.pencil import (
     verify_box,
 )
 from liecheck.spin import spin_norm_sq, variant_norms_sq
-from liecheck.usmall import usmall_system
+from liecheck.usmall import usmall_chunks, usmall_system
 
 from conftest import largest_accepted
 
@@ -396,11 +396,13 @@ def test_checkpoint_records_add_up_to_the_report(tmp_path):
     assert recorded == list(rep.violations)
 
 
-# Boxes for the exactness of the seeded cheap-bound prune. EI's minimum lies
+# Boxes for the exactness of the cheap-bound prune. EI's minimum lies
 # outside its lowest slice; the EII sub-box is walked along a, its default
-# box along f; the SP4R box has violations and an empty lowest slice. The
-# EVIII sub-box of its lowest published slice has a seed (57) far above its
-# minimum (10), so walk levels end early under a cutoff above the minimum.
+# box along f, and its minimum lies in pass 2 only; the SP4R box has
+# violations and an empty lowest slice. In the EVIII sub-box of its lowest
+# published slice, the first slice with a point in pass 1 finds 52 there,
+# far above the minimum (10), so a --jobs worker that starts there runs
+# under a cutoff far above the minimum.
 SEEDED_BOXES = {
     "EI": None,
     "FI": None,
@@ -427,13 +429,21 @@ def test_seeded_boxes_cover_the_hard_cases():
     assert verify_box(case, Box(tuple(lowest))).min_margin_sq > box_min
 
     case, box = _seeded_box("EII")
-    walked = _Scanner(case, box.ranges, True).perm[0]
-    assert walked != _Scanner(case, default_box(case).ranges, True).perm[0]
+    scanner = _Scanner(case, box.ranges, True)
+    assert scanner.perm[0] != _Scanner(case, default_box(case).ranges, True).perm[0]
+    slices = scanner.scan_slices(int(scanner.lo_p[0]), int(scanner.hi_p[0]), (None, 0))
+    first_pass = [r.min_scaled for r in slices.values()]
+    first_min = Q(min(m for m in first_pass if m is not None), scanner.tables.scale)
+    assert first_min > verify_box(case, box).min_margin_sq
 
     case, box = _seeded_box("EVIII")
     scanner = _Scanner(case, box.ranges, True)
-    seed = scanner.first_batch_min(range(scanner.lo_p[0], scanner.hi_p[0] + 1))
-    assert Q(seed, build_tables(case).scale) - verify_box(case, box).min_margin_sq > 40
+    first = next(
+        m for v in range(int(scanner.lo_p[0]), int(scanner.hi_p[0]) + 1)
+        if (m := scanner.scan_slices(v, v, (None, 0))[v].min_scaled) is not None
+    )
+    box_min = verify_box(case, box).min_margin_sq
+    assert Q(first, scanner.tables.scale) - box_min > 40
 
 
 @pytest.mark.parametrize("family", sorted(SEEDED_BOXES))
@@ -508,11 +518,12 @@ def test_prune_skips_points_only_with_the_shortcut(monkeypatch):
     assert sum(rows) < full.filtered
 
 
-# -- the walk over u-large blocks ----------------------------------------------
+# -- the walk over boxes of u-large points ------------------------------------
 
-# Sub-boxes of the last slices of the long EVIII and EIX boxes: every block
-# the walk reaches is u-large by a single u-small row, the box seed equals
-# the box minimum, and the cheap bound ends many walk levels early.
+# Sub-boxes of the last slices of the long EVIII and EIX boxes: every point
+# is u-large with mu - beta dominant, and the cheap bound leaves out most of
+# them. EVIII's minimum is found in pass 1; EIX has no point in pass 1, so
+# the scan walks bands above 0 until it evaluates one.
 LARGE_BOXES = {
     "EVIII": "a:42..42,b:0..1,c:0..1,d:0..1,e:0..1,f:0..15,g:1..16,h:0..15",
     "EIX": "a:0..1,b:1..2,c:0..3,d:0..11,e:0..3,f:0..1,g:1..12,h:55..55",
@@ -536,28 +547,11 @@ def _large_box_points(family):
     return case, box, points, dominant & ~small
 
 
-def _walk_order(points, ranges):
-    """points sorted as the walk visits them: lexicographically, longest
-    range first, ties by coordinate index."""
-    order = sorted(range(len(ranges)), key=lambda k: (ranges[k][0] - ranges[k][1], k))
-    return points[np.lexsort([points[:, k] for k in reversed(order)])]
-
-
 @pytest.mark.parametrize("family", sorted(LARGE_BOXES))
-def test_large_block_walk_counts_and_payload(family, monkeypatch):
-    from liecheck.fastscan import _Scanner
-
+def test_large_block_walk_counts_and_payload(family):
     case, box, points, filtered = _large_box_points(family)
-    flags = []
-    block = _Scanner._block
-
-    def recorded(self, prefix, partial, cheap_partial, prefix_dom, large, state):
-        flags.append(large)
-        return block(self, prefix, partial, cheap_partial, prefix_dom, large, state)
-
-    monkeypatch.setattr(_Scanner, "_block", recorded)
     rep = verify_box(case, box)
-    assert flags and all(flags)
+    assert filtered.all()
     assert rep.scanned == len(points)
     assert rep.filtered == int(filtered.sum())
     assert _payload(verify_box(case, box, shortcut=False)) == _payload(rep)
@@ -566,24 +560,26 @@ def test_large_block_walk_counts_and_payload(family, monkeypatch):
 
 @pytest.mark.parametrize("family", sorted(LARGE_BOXES))
 def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch):
-    # The seed equals the box minimum here, so the cutoff stays at it: after
-    # the seed probe, the walk yields exactly the filtered points whose
-    # cheap bound is at most the minimum, in walk order, and the kernel gets
-    # exactly those whose margin lower bound is at most the minimum.
+    # The walk visits each point at most once, over every pass, and visits
+    # every filtered point whose cheap bound is at most the minimum. Until
+    # a margin is known every walked point reaches the kernel; after that,
+    # exactly the walked points whose cheap bound and margin lower bound
+    # are at most max(0, running minimum).
     from liecheck import fastscan
 
     case, box, points, filtered = _large_box_points(family)
-    walked, batches = [], []
+    events = []
     bound = fastscan.margin_lower_bounds
     kernel = fastscan.bulk_margins_scaled
 
     def bounded(tables, coords):
-        walked.append(coords.copy())
+        events.append(("screen", coords.copy()))
         return bound(tables, coords)
 
     def recorded(tables, coords):
-        batches.append(coords.copy())
-        return kernel(tables, coords)
+        margins = kernel(tables, coords)
+        events.append(("kernel", coords.copy(), margins))
+        return margins
 
     monkeypatch.setattr(fastscan, "margin_lower_bounds", bounded)
     monkeypatch.setattr(fastscan, "bulk_margins_scaled", recorded)
@@ -593,20 +589,35 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
     assert scaled.denominator == 1 and scaled > 0
     minimum = int(scaled)
     cheap = points @ tables.cheap_coef_s - tables.cheap_const_s
-    probe, *scan = batches
-    assert kernel(tables, probe).min() == minimum
     assert (filtered & (cheap > minimum)).any()
     assert (filtered & (cheap == minimum)).any()
-    needed = _walk_order(points[filtered & (cheap <= minimum)], box.ranges)
+
+    best, walked, kept = None, [], 0
+    for i, (kind, coords, *margins) in enumerate(events):
+        if kind == "screen":
+            walked.append(coords)
+            cutoff = max(0, best)
+            assert (coords @ tables.cheap_coef_s - tables.cheap_const_s <= cutoff).all()
+            expected = coords[bound(tables, coords) <= cutoff]
+            if len(expected):
+                assert events[i + 1][0] == "kernel"
+                assert np.array_equal(events[i + 1][1], expected)
+            continue
+        if i == 0 or events[i - 1][0] != "screen":
+            assert best is None
+            walked.append(coords)
+        kept += len(coords)
+        low = int(margins[0].min())
+        best = low if best is None else min(best, low)
     walked = np.concatenate(walked)
-    assert np.array_equal(walked, needed)
-    kept = walked[bound(tables, walked) <= minimum]
-    assert len(kept) < len(walked)
-    assert scan and np.array_equal(np.concatenate(scan), kept)
+    assert len({tuple(p) for p in walked.tolist()}) == len(walked)
+    needed = {tuple(p) for p in points[filtered & (cheap <= minimum)].tolist()}
+    assert needed <= {tuple(p) for p in walked.tolist()}
+    assert kept < len(walked)
 
 
 def test_walk_refuses_negative_coefficients_for_semisimple_k(monkeypatch):
-    # the per-level exit assumes every u-small coefficient is >= 0
+    # the lattice walk needs every u-small coefficient >= 0
     from dataclasses import replace
 
     from liecheck import fastscan
@@ -748,3 +759,44 @@ def test_classical_split_odd_box_exhaustive(n):
         _, _, term_linear = decompose_step(case, mu, 0)
         assert term_linear == 4 * (ambient[0] - n - Q(3, 2))
         assert term_linear > 0
+
+
+# -- the simplex walk against the exhaustive scan --------------------------
+
+
+def _walker_boxes(family):
+    """Three small boxes of the family, each from a u-small point up, so
+    that each mixes u-small points, points with mu - beta not dominant,
+    and filtered points."""
+    case = get_case(family, 3 if family in ("SL2nR", "SL2n1R", "SLnH") else None)
+    if case.k_has_center:
+        specs = ("p:-8..9,q:-9..2", "p:-3..4,q:-4..3", "p:2..12,q:-5..5")
+        return case, [parse_box(spec, case) for spec in specs]
+    small = np.concatenate(list(usmall_chunks(case)))
+    rng = np.random.default_rng(sum(map(ord, family)))
+    width = 3 if case.ktype_dim > 6 else 5
+    boxes = []
+    for lo in small[rng.integers(0, len(small), size=3)].tolist():
+        boxes.append(Box(tuple((x, x + int(rng.integers(1, width))) for x in lo)))
+    return case, boxes
+
+
+WALKER_FAMILIES = (
+    "G", "FII", "EIV", "EI", "FI", "EII", "EV", "EVI", "EVIII", "EIX",
+    "SP4R", "SL2nR", "SL2n1R", "SLnH",
+)
+
+
+@pytest.mark.parametrize("family", WALKER_FAMILIES)
+def test_simplex_walk_matches_the_exhaustive_scan(family):
+    # scanned, filtered, minimum and violations of the two-pass walk equal
+    # those of --no-shortcut, which evaluates every filtered point
+    case, boxes = _walker_boxes(family)
+    reports = [verify_box(case, box) for box in boxes]
+    for box, rep in zip(boxes, reports):
+        assert _payload(verify_box(case, box, shortcut=False)) == _payload(rep)
+    assert _payload(verify_box(case, boxes[0], jobs=2)) == _payload(reports[0])
+    assert all(rep.filtered < rep.scanned for rep in reports)
+    assert any(rep.filtered for rep in reports)
+    if case.k_has_center:
+        assert all(rep.violations for rep in reports[:2])

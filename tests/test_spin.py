@@ -30,7 +30,7 @@ from liecheck.usmall import iter_usmall
 from liecheck.weyl import to_dominant
 
 from conftest import BIG_FAMILIES, SMALL_FAMILIES, largest_accepted
-from oracle import orbit
+from oracle import margin_lower_bounds_two_floor, orbit
 
 
 def oracle_spin_sq(case, mu):
@@ -256,15 +256,82 @@ def test_margin_lower_bounds_never_exceed_the_margin(family):
     assert (bounds == margins).mean() > 0.5
 
 
+def _screen_rows(case, rng, count, low, high):
+    """count rows mu with mu and mu - beta dominant, mu - max(beta, 0)
+    drawn from [low, high) per coordinate; SP4R's rows are (p, q) with
+    p - q drawn from [low, high) and q from [-20, 20)."""
+    beta = np.array(case.beta_ktype, dtype=np.int64)
+    dim = case.ktype_dim
+    if case.k_has_center:
+        q = rng.integers(-20, 20, size=count)
+        rows = np.stack([q + rng.integers(low, high, size=count), q], axis=1)
+    else:
+        rows = rng.integers(low, high, size=(count, dim)) + np.maximum(beta, 0)
+    keep = [
+        ktype_is_dominant(case, tuple(map(int, mu)))
+        and ktype_is_dominant(case, tuple(map(int, mu - beta)))
+        for mu in rows
+    ]
+    return rows[keep]
+
+
+@pytest.mark.parametrize("family,n", [
+    (family, None) for family in SMALL_FAMILIES + BIG_FAMILIES
+] + [("SL2nR", 3), ("SL2n1R", 3), ("SLnH", 3)])
+def test_one_table_screen_equals_the_two_floor_screen(family, n):
+    # margin_lower_bounds gives the same integers as the two-floor form it
+    # replaced: on rows away from the walls of k (one table), on rows near
+    # them (both floor tables), on chunks mixing the two, and on rows whose
+    # lowest floor is tied between variants
+    case = get_case(family, n)
+    tables = build_tables(case)
+    rng = np.random.default_rng(20251019)
+    near = _screen_rows(case, rng, 2000, 0, 3)
+    far = _screen_rows(case, rng, 2000, 12, 60)
+    wall = 2 * tables.rho_c_var_s.max()
+    beta = tables.beta_coords
+    assert ((far - beta) @ tables.rho_c_lin_s * 2 >= wall).all()
+    assert ((far @ tables.rho_c_lin_s) * 2 >= wall).all()
+    assert ((near - beta) @ tables.rho_c_lin_s * 2 < wall).any()
+    mixed = np.concatenate([far[:300], near[:10], far[300:]])
+    for rows in (near, far, mixed):
+        assert len(rows) > fastscan._CHUNK_ROWS
+        assert np.array_equal(
+            margin_lower_bounds(tables, rows), margin_lower_bounds_two_floor(tables, rows)
+        )
+    if case.num_variants > 1:
+        assert _tied(tables, far - beta).any() or _tied(tables, near - beta).any()
+
+
+# Before the float64 products, magnitude_bound accepted box coordinates up to
+# these values; it must accept each of them still.
+ACCEPTED_BEFORE = {
+    ("G", None): 1073741817, ("FII", None): 331363918, ("EIV", None): 243154639,
+    ("EI", None): 392075075, ("FI", None): 554477890, ("EII", None): 206641707,
+    ("EV", None): 117154834, ("EVI", None): 203830124, ("EVIII", None): 128336691,
+    ("EIX", None): 107374179, ("SP4R", None): 1073741819,
+    ("SL2nR", 2): 1518500243, ("SL2nR", 3): 480191936, ("SL2nR", 4): 405836257,
+    ("SL2n1R", 2): 960383877, ("SL2n1R", 3): 362990983, ("SL2n1R", 4): 331363916,
+    ("SLnH", 2): 960383880, ("SLnH", 3): 573939143, ("SLnH", 4): 392075075,
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(ACCEPTED_BEFORE, key=str))
+def test_magnitude_bound_accepts_what_it_accepted_before(family, n):
+    tables = build_tables(get_case(family, n))
+    assert largest_accepted(tables) >= ACCEPTED_BEFORE[family, n]
+
+
 # -- the int64 engine at the largest coordinates the guard accepts -----------
 
 
-@pytest.mark.parametrize("family", ["G", "FII", "EI"])
+@pytest.mark.parametrize("family", ["G", "FII", "EI", "EIX"])
 @settings(max_examples=100, deadline=None, database=None)
 @given(data=st.data())
 def test_bulk_engine_exact_up_to_the_magnitude_bound(family, data):
     # every coordinate up to what magnitude_bound accepts (about 1.07e9 for
-    # G), mixed with small ones so that the sweeps take many reflections
+    # G), mixed with small ones so that the sweeps take many reflections;
+    # EIX has 120 variants, so its float64 tables are among the widest
     case = get_case(family)
     tables = build_tables(case)
     top = largest_accepted(tables)
@@ -284,6 +351,9 @@ def test_bulk_engine_exact_up_to_the_magnitude_bound(family, data):
     beta = case.beta_ktype
     stepped = [tuple(max(x, b) for x, b in zip(mu, beta)) for mu in rows]
     bounds = margin_lower_bounds(tables, np.array(stepped, dtype=np.int64))
+    assert np.array_equal(
+        bounds, margin_lower_bounds_two_floor(tables, np.array(stepped, dtype=object))
+    )
     for mu, value in zip(stepped, bounds):
         assert Q(int(value), tables.scale) <= step_margin_sq(case, mu)
 
