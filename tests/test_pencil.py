@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from liecheck import fastscan
 from liecheck.cases import get_case, ktype_is_dominant
 from liecheck.errors import ConstructionError, UsageError
 from liecheck.fastscan import build_tables
@@ -396,6 +397,39 @@ def test_checkpoint_records_add_up_to_the_report(tmp_path):
     assert recorded == list(rep.violations)
 
 
+def test_checkpoint_records_show_the_passes_each_slice_finished(tmp_path, monkeypatch):
+    # every write holds one record per slice with its final scanned and
+    # filtered counts; passes says how many cheap-bound passes the slice
+    # has finished, and only the last write, after the last pass, is
+    # marked finished. EII's sub-box has its minimum in pass 2 only.
+    writes = []
+    save = fastscan._save_checkpoint
+
+    def recorded(path, done, finished=False):
+        save(path, done, finished)
+        writes.append(json.loads(open(path, encoding="utf-8").read()))
+
+    monkeypatch.setattr(fastscan, "_save_checkpoint", recorded)
+    case, box = _seeded_box("EII")
+    rep = verify_box(case, box, checkpoint_dir=str(tmp_path))
+    *running, last = writes
+    assert last["finished"] and not any(w["finished"] for w in running)
+    passes = {rec["passes"] for rec in last["slices"].values()}
+    assert len(passes) == 1 and passes.pop() > 1
+    for w in writes:
+        assert sum(rec["scanned"] for rec in w["slices"].values()) == rep.scanned
+        assert sum(rec["filtered"] for rec in w["slices"].values()) == rep.filtered
+    # after pass 1, before pass 2: the records' minimum is pass 1's alone
+    after_one = next(
+        w for w in running if {r["passes"] for r in w["slices"].values()} == {1}
+    )
+    scale = build_tables(case).scale
+    low = min(r["min_scaled"] for r in after_one["slices"].values()
+              if r["min_scaled"] is not None)
+    assert Q(low, scale) > rep.min_margin_sq
+    assert _payload(rep) == _payload(verify_box(case, box))
+
+
 # Boxes for the exactness of the cheap-bound prune. EI's minimum lies
 # outside its lowest slice; the EII sub-box is walked along a, its default
 # box along f, and its minimum lies in pass 2 only; the SP4R box has
@@ -473,8 +507,6 @@ def test_serial_scan_prunes_at_the_box_minimum_once_found(monkeypatch):
     # a serial scan carries its running minimum from slice to slice: once a
     # batch has reached the box minimum, no later batch holds a point whose
     # cheap bound lies above max(0, minimum)
-    from liecheck import fastscan
-
     batches = []
     kernel = fastscan.bulk_margins_scaled
 
@@ -498,10 +530,8 @@ def test_serial_scan_prunes_at_the_box_minimum_once_found(monkeypatch):
 
 
 def test_prune_skips_points_only_with_the_shortcut(monkeypatch):
-    # --no-shortcut sends every filtered point to the kernel exactly once,
-    # with no seed probe; the seeded shortcut sends fewer
-    from liecheck import fastscan
-
+    # --no-shortcut sends every filtered point to the kernel exactly once;
+    # the shortcut sends fewer, for k with center (SP4R) too
     rows = []
     kernel = fastscan.bulk_margins_scaled
 
@@ -510,12 +540,14 @@ def test_prune_skips_points_only_with_the_shortcut(monkeypatch):
         return kernel(tables, coords)
 
     monkeypatch.setattr(fastscan, "bulk_margins_scaled", counted)
-    case, box = _seeded_box("EI")
-    full = verify_box(case, box, shortcut=False)
-    assert sum(rows) == full.filtered
-    rows.clear()
-    verify_box(case, box)
-    assert sum(rows) < full.filtered
+    for family in ("EI", "SP4R"):
+        case, box = _seeded_box(family)
+        rows.clear()
+        full = verify_box(case, box, shortcut=False)
+        assert sum(rows) == full.filtered
+        rows.clear()
+        verify_box(case, box)
+        assert sum(rows) < full.filtered
 
 
 # -- the walk over boxes of u-large points ------------------------------------
@@ -530,11 +562,11 @@ LARGE_BOXES = {
 }
 
 
-def _large_box_points(family):
-    """The box, its lattice points, and which of them are filtered
-    (dominant, with mu - beta dominant, and not u-small), by direct count."""
-    case = get_case(family)
-    box = parse_box(LARGE_BOXES[family], case)
+def _box_points(case, box):
+    """The lattice points of the box, which of them are dominant with
+    mu - beta dominant, and which are u-small, by direct test of each
+    point. The filtered points are the dominant ones that are not
+    u-small."""
     axes = [np.arange(lo, hi + 1) for lo, hi in box.ranges]
     points = np.stack(
         [g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1
@@ -542,8 +574,20 @@ def _large_box_points(family):
     system = usmall_system(case)
     coeffs = np.array([list(c) for c, _ in system.rows])
     bounds = np.array([b for _, b in system.rows])
-    dominant = (points >= 0).all(axis=1) & (points >= case.beta_ktype).all(axis=1)
+    stepped = points - build_tables(case).beta_coords
+    dominant = np.array([
+        ktype_is_dominant(case, mu) and ktype_is_dominant(case, down)
+        for mu, down in zip(points.tolist(), stepped.tolist())
+    ], dtype=bool)
     small = (points @ coeffs.T <= bounds).all(axis=1)
+    return points, dominant, small
+
+
+def _large_box_points(family):
+    """The box, its lattice points, and which of them are filtered."""
+    case = get_case(family)
+    box = parse_box(LARGE_BOXES[family], case)
+    points, dominant, small = _box_points(case, box)
     return case, box, points, dominant & ~small
 
 
@@ -565,8 +609,6 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
     # a margin is known every walked point reaches the kernel; after that,
     # exactly the walked points whose cheap bound and margin lower bound
     # are at most max(0, running minimum).
-    from liecheck import fastscan
-
     case, box, points, filtered = _large_box_points(family)
     events = []
     bound = fastscan.margin_lower_bounds
@@ -619,8 +661,6 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
 def test_walk_refuses_negative_coefficients_for_semisimple_k(monkeypatch):
     # the lattice walk needs every u-small coefficient >= 0
     from dataclasses import replace
-
-    from liecheck import fastscan
 
     case = get_case("G")
     system = usmall_system(case)
@@ -787,15 +827,36 @@ WALKER_FAMILIES = (
 )
 
 
+def _brute_force_payload(case, box):
+    """The payload of a scan of the box from every lattice point: a direct
+    test of each point, and the margin kernel on every filtered one. It
+    shares no walk, count or screen with the scan."""
+    points, dominant, small = _box_points(case, box)
+    tables = build_tables(case)
+    picked = points[dominant & ~small]
+    margins = fastscan.bulk_margins_scaled(tables, picked).tolist()
+    violations = sorted(
+        (tuple(mu), Q(m, tables.scale))
+        for mu, m in zip(picked.tolist(), margins) if m <= 0
+    )
+    low = Q(min(margins), tables.scale) if margins else None
+    return len(points), len(picked), tuple(violations), low
+
+
 @pytest.mark.parametrize("family", WALKER_FAMILIES)
 def test_simplex_walk_matches_the_exhaustive_scan(family):
     # scanned, filtered, minimum and violations of the two-pass walk equal
-    # those of --no-shortcut, which evaluates every filtered point
+    # those of a brute force over every lattice point, and of --no-shortcut
     case, boxes = _walker_boxes(family)
     reports = [verify_box(case, box) for box in boxes]
     for box, rep in zip(boxes, reports):
+        assert _payload(rep) == _brute_force_payload(case, box)
         assert _payload(verify_box(case, box, shortcut=False)) == _payload(rep)
     assert _payload(verify_box(case, boxes[0], jobs=2)) == _payload(reports[0])
+    # some box has u-small points with mu - beta dominant, which the walk drops
+    assert any(
+        (dom & small).any() for _, dom, small in (_box_points(case, b) for b in boxes)
+    )
     assert all(rep.filtered < rep.scanned for rep in reports)
     assert any(rep.filtered for rep in reports)
     if case.k_has_center:
