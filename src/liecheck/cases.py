@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -99,6 +99,8 @@ class CaseData:
     w1: tuple[WeylWord, ...]
     # integer matrix of each w1 element on g's simple-root coordinates
     w1_matrices: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    # data derived from the case, built once per case object (per_case)
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank_k(self) -> int:
@@ -107,10 +109,6 @@ class CaseData:
     @property
     def num_variants(self) -> int:
         return len(self.w1)
-
-    @property
-    def rho_n(self) -> Vector:
-        return self.rho_n_variants[0]
 
     @property
     def beta_ktype(self) -> KType:
@@ -129,6 +127,19 @@ class CaseData:
             return tuple(self.k_fund_weights)
         dim = len(self.beta)
         return tuple(vec(*(int(j == i) for j in range(dim))) for i in range(dim))
+
+
+def per_case(build):
+    """Cache build(case) on the case object, so it runs once per case.
+    A copy made by dataclasses.replace starts with an empty cache."""
+
+    @wraps(build)
+    def cached(case: CaseData):
+        if build not in case.derived:
+            case.derived[build] = build(case)
+        return case.derived[build]
+
+    return cached
 
 
 def _normalize_ktype(case: CaseData, mu) -> KType:

@@ -36,14 +36,14 @@ The box scan walks the cheap simplex, not the box. For semisimple k,
 mu - beta is dominant exactly when mu >= beta, so with base =
 max(box lo, beta) the points to check are e = mu - base >= 0 under the
 rows e_i <= hi_i - base_i, minus the u-small points. Every u-small and
-cheap coefficient is >= 0 (checked per scan), so cheap(mu) <= b is one
-more row, and usmall._walk lists the points of these rows; at the last
-coordinate each frontier row drops its u-small values and those at or
-below the band's lower end. scanned is the box size and filtered the
-dominant sub-box minus its u-small points, neither depending on what is
-evaluated. With one running minimum best per process, the scan walks
-the slices along the longest coordinate (all at once in a serial scan,
-one per task with --jobs) in passes:
+cheap coefficient is >= 0 (the walk refuses others), so cheap(mu) <= b is
+one more row, and usmall._walk lists the points of these rows; the walker
+drops the u-small values and those at or below the band's lower end.
+scanned is the box size and filtered the dominant sub-box minus its
+u-small points, neither depending on what is evaluated. With one
+running minimum best per process, the scan walks the slices along the
+longest coordinate (all at once in a serial scan, one per task with
+--jobs) in passes:
   * pass 1 walks {cheap <= 0}, which holds every violation, as
     cheap <= margin <= 0 for each one;
   * pass 2 walks {0 < cheap <= max(0, best)}. If pass 1 evaluated
@@ -85,10 +85,10 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .cases import CaseData, ambient_to_ktype
+from .cases import CaseData, ambient_to_ktype, per_case
 from .errors import ConstructionError
 from .rootdata import coroot_pairing, inner, norm_sq, root_closure
-from .usmall import _walk, usmall_system
+from .usmall import _children, _walk, usmall_system
 
 # Walked points per screen-and-kernel batch; the running minimum falls
 # between batches.
@@ -98,7 +98,6 @@ _BATCH_ROWS = 4_096
 # by 7% over a per-variant kernel and 512 rows by 2%, at the same speed.
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
-_UNBOUNDED = 2**62  # a last-coordinate cap that no walk reaches
 
 
 @dataclass(frozen=True)
@@ -138,6 +137,7 @@ def _ints(values, what: str, scale=1) -> np.ndarray:
     )
 
 
+@per_case
 def build_tables(case: CaseData) -> ScanTables:
     k = case.k_system
     basis = case.ktype_basis
@@ -436,14 +436,6 @@ class _SliceResult:
         self.violations += other.violations
 
 
-def _down_caps(slack, col):
-    """Per row of slack, the largest last value v >= -1 with v * c <= slack
-    for every c in col (-1 where none is), as for _walk's caps."""
-    free = np.where(slack < 0, -1, _UNBOUNDED)  # rows with c = 0
-    caps = np.where(col > 0, slack // np.maximum(col, 1), free)
-    return np.maximum(caps.min(axis=1), -1)
-
-
 class _Scanner:
     """One box: its tables, its slices along the longest coordinate, and
     the running minimum of the margins this process has evaluated."""
@@ -462,13 +454,6 @@ class _Scanner:
         self.row_coeffs = np.array([c for c, _ in system.rows], dtype=np.int64)
         self.row_bounds = np.array([b for _, b in system.rows], dtype=np.int64)
         self.semisimple = not case.k_has_center
-        if self.semisimple and (
-            (self.row_coeffs < 0).any() or (self.tables.cheap_coef_s < 0).any()
-        ):
-            # the walk needs rows with nonnegative coefficients
-            raise ConstructionError(
-                f"{case.id.label}: negative u-small or cheap-bound coefficient"
-            )
         self.shortcut = shortcut
         self.dim = len(ranges)
         self.lo = np.array([r[0] for r in ranges], dtype=np.int64)
@@ -541,7 +526,7 @@ class _Scanner:
         eye = np.eye(self.dim, dtype=np.int64)
         coeffs = np.vstack([self.row_coeffs[:, order], eye])
         per_slice = np.zeros(int(edges[0]) + 1, dtype=np.int64)
-        for caps, prefix in _walk(coeffs, np.concatenate([small, edges])):
+        for caps, prefix, _ in _walk(coeffs, np.concatenate([small, edges])):
             np.add.at(per_slice, prefix[:, 0], caps + 1)
         for e, n in enumerate(per_slice.tolist()):
             counts[int(base[order[0]]) + e].filtered -= n
@@ -589,25 +574,15 @@ class _Scanner:
         drops = [(self.row_coeffs[:, order], self.row_bounds - self.row_coeffs @ base)]
         if above is not None:
             drops.append((coef, np.array([above - int(self.cheap(base))])))
-        # coefficients are >= 0, so a drop set with a negative bound at the
-        # base holds no point of these slices
-        drops = [(c, b) for c, b in drops if (b >= 0).all()]
         pending, rows = [], 0
-        for caps, prefix in _walk(np.vstack(coeffs), np.concatenate(bounds)):
-            start = np.zeros(len(caps), dtype=np.int64)
-            for c, b in drops:
-                slack = np.asarray(b) - prefix @ c[:, :-1].T
-                np.maximum(start, _down_caps(slack, c[:, -1]) + 1, out=start)
-            counts = np.maximum(caps - start + 1, 0)
-            total = int(counts.sum())
-            if not total:
+        for caps, prefix, start in _walk(np.vstack(coeffs), np.concatenate(bounds), drops):
+            e, _ = _children(prefix, caps, start)
+            if not len(e):
                 continue
-            offsets = np.repeat(np.cumsum(counts) - counts - start, counts)
-            points = np.empty((total, self.dim), dtype=np.int64)
-            points[:, order[:-1]] = np.repeat(prefix, counts, axis=0) + base[order[:-1]]
-            points[:, order[-1]] = np.arange(total) - offsets + base[order[-1]]
+            points = np.empty_like(e)
+            points[:, order] = e + base[order]
             pending.append(points)
-            rows += total
+            rows += len(points)
             if rows >= _BATCH_ROWS:
                 yield np.concatenate(pending)
                 pending, rows = [], 0

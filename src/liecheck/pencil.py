@@ -59,19 +59,6 @@ class Box:
     def dim(self) -> int:
         return len(self.ranges)
 
-    @property
-    def size(self) -> int:
-        out = 1
-        for lo, hi in self.ranges:
-            out *= hi - lo + 1
-        return out
-
-    def contains(self, coords) -> bool:
-        coords = tuple(coords)
-        return len(coords) == self.dim and all(
-            lo <= c <= hi for c, (lo, hi) in zip(coords, self.ranges)
-        )
-
     def render(self, names) -> str:
         return ",".join(
             f"{name}:{lo}..{hi}" for name, (lo, hi) in zip(names, self.ranges)

@@ -165,7 +165,7 @@ def cmd_case_show(args):
 
 def cmd_usmall_count(args):
     case = _case_from_args(args)
-    count = enumerate_usmall(case, jobs=args.jobs)
+    count = enumerate_usmall(case)
     print(count)
     return 0, (case.id.label, "usmall count", {"jobs": args.jobs}, {"count": count})
 
@@ -316,17 +316,7 @@ def cmd_sp4r_pencils(args):
                 f"  {m:>4} {str(pt.member):>12} {str(pt.good_sq):>14}"
                 f" {str(pt.mid_sq):>12} {str(pt.bad_sq):>12}"
             )
-            rows.append(
-                {
-                    "m": m,
-                    "member": pt.member,
-                    "good_member": pt.good_member,
-                    "bad_member": pt.bad_member,
-                    "good_sq": pt.good_sq,
-                    "mid_sq": pt.mid_sq,
-                    "bad_sq": pt.bad_sq,
-                }
-            )
+            rows.append({"m": m, **asdict(pt)})
         results[direction] = rows
     return 0, ("SP4R", "sp4r pencils", {"m_max": args.m_max}, results)
 
@@ -435,7 +425,7 @@ def run_selftest(jobs: int = 1, golden_data=None, log=None):
     counts = {}
     for family in data["usmall_counts"]:
         expected = published("usmall_counts", family)
-        counts[family] = count = enumerate_usmall(get_case(family), jobs=jobs)
+        counts[family] = count = enumerate_usmall(get_case(family))
         add(f"usmall-count-{family}", expected, count, count == expected)
 
     for family, expected in data["min_coset_counts"].items():

@@ -208,9 +208,6 @@ def _solve_gram(gram: list[list[Q]], columns) -> list[list[Q]]:
         raise ConstructionError("simple roots are linearly dependent") from None
 
 
-_MAX_HEIGHT = 64  # any honest finite system stabilizes far below this
-
-
 def root_closure(cartan: Sequence[Sequence[int]]):
     """Yield (root, parent, i) for every positive root, by height: its
     integer simple-root coordinates, and either parent None and root =
@@ -220,8 +217,12 @@ def root_closure(cartan: Sequence[Sequence[int]]):
     Uses root strings: for a root r and simple s, r+s is a root iff
     p - <r, s-check> >= 1 where p is the largest k with r - k*s a root.
     Builds by height, so the downward string is always known already.
+    Every root height is below the Coxeter number h of its simple
+    component, and h <= max(2r, 30) for rank r (2r for B_r and C_r, 30
+    for E8), so a closure still growing at that height is not finite.
     """
     rank = len(cartan)
+    max_height = max(2 * rank, 30)
     level = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     known = set(level)
     for i, unit in enumerate(level):
@@ -229,7 +230,7 @@ def root_closure(cartan: Sequence[Sequence[int]]):
     height = 1
     while level:
         height += 1
-        if height > _MAX_HEIGHT:
+        if height > max_height:
             raise ConstructionError("root closure did not stabilize")
         nxt = []
         for r in level:
@@ -342,10 +343,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return len(self.simple_roots)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.simple_roots[0])
 
     @property
     def fundamental_weights(self) -> tuple[Vector, ...]:

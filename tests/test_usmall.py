@@ -5,10 +5,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liecheck import usmall
 from liecheck.cases import get_case, ktype_is_dominant
 from liecheck.errors import ConstructionError, UsageError
+from liecheck.fastscan import build_tables
+from liecheck.report_cli import main
 from liecheck.usmall import enumerate_usmall, is_usmall, iter_usmall, usmall_system
 
 SMALL_COUNTS = {
@@ -91,9 +94,14 @@ def test_membership_outside_every_bound():
     assert not is_usmall(case, (cap, cap))
 
 
-def test_jobs_partitioning_stable():
-    case = get_case("EI")
-    assert enumerate_usmall(case, jobs=1) == enumerate_usmall(case, jobs=3)
+def test_jobs_partitioning_stable(capsys):
+    # usmall count accepts --jobs and counts serially: the count is the
+    # same for any --jobs
+    counts = []
+    for jobs in ("1", "3"):
+        assert main(["usmall", "count", "EI", "--jobs", jobs]) == 0
+        counts.append(int(capsys.readouterr().out))
+    assert counts == [enumerate_usmall(get_case("EI"))] * 2
 
 
 def test_sp4r_region_explicitly():
@@ -171,8 +179,49 @@ def test_walk_does_not_depend_on_frontier_groups(frontier, monkeypatch):
         assert list(iter_usmall(case)) == points
     for chunk in usmall.usmall_chunks(cases[0]):
         assert len(chunk) <= frontier or (chunk[:, :-1] == chunk[0, :-1]).all()
-    ev = cases[2]
-    assert enumerate_usmall(ev, jobs=2) == enumerate_usmall(ev, jobs=1)
+
+
+def _rows(dim, lo):
+    """Up to two rows (coeffs, bound) on dim coordinates, coefficients in
+    0..3 and bounds in lo..8."""
+    row = st.tuples(st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                    st.integers(lo, 8))
+    return st.lists(row, min_size=1, max_size=2)
+
+
+def _arrays(rows):
+    return (np.array([c for c, _ in rows], dtype=np.int64),
+            np.array([b for _, b in rows], dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_walk_with_drop_sets_matches_grid_filter(data):
+    # the walk keeps exactly the grid points under its rows that lie in no
+    # drop set, in lexicographic order; a drop set with a bound below zero
+    # holds no point
+    dim = data.draw(st.integers(1, 3))
+    edges = data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim))
+    extra = data.draw(_rows(dim, 0))
+    coeffs = np.vstack([np.eye(dim, dtype=np.int64), _arrays(extra)[0]])
+    bounds = np.concatenate([edges, _arrays(extra)[1]])
+    drops = [_arrays(d) for d in data.draw(st.lists(_rows(dim, -3), max_size=3))]
+    walked = [
+        p for caps, coords, start in usmall._walk(coeffs, bounds, drops)
+        for p in usmall._children(coords, caps, start)[0].tolist()
+    ]
+    grid = np.array(list(itertools.product(*(range(e + 1) for e in edges))))
+    kept = (grid @ coeffs.T <= bounds).all(axis=1)
+    for c, b in drops:
+        kept &= ~(grid @ c.T <= b).all(axis=1)
+    assert walked == grid[kept].tolist()
+
+
+def test_walk_refuses_negative_drop_coefficients():
+    # refused before a drop set with a negative bound would be skipped
+    drop = (np.array([[-1]]), np.array([-1]))
+    with pytest.raises(ConstructionError, match="negative"):
+        list(usmall._walk([(1,)], [3], [drop]))
 
 
 def test_walk_refuses_rows_beyond_int64():
@@ -185,22 +234,38 @@ def test_walk_refuses_rows_beyond_int64():
         usmall._int64_rows((((2**63, 1), 5), ((0, 1), 3)))
 
 
-def test_usmall_system_is_built_once_per_case_object():
+def _key(derived):
+    """derived data as a hashable value: a u-small system is one, while
+    scan tables hold arrays."""
+    if isinstance(derived, usmall.InequalitySystem):
+        return derived
+    return tuple(str(np.asarray(v).tolist()) for v in vars(derived).values())
+
+
+@pytest.mark.parametrize(
+    "derive,build,scaled",
+    [
+        (usmall_system, usmall._build_system, "rho"),
+        (build_tables, build_tables.__wrapped__, "rho_c"),
+    ],
+    ids=["usmall_system", "build_tables"],
+)
+def test_usmall_system_is_built_once_per_case_object(derive, build, scaled):
     case = get_case("EI")
-    assert usmall_system(case) is usmall_system(case)
-    # distinct cases with other hyperplane bounds, each dropped after use:
-    # none may be answered from another case's entry, even when the
-    # interpreter hands a new case the address of a freed one
-    systems = {usmall_system(case)}
+    assert derive(case) is derive(case)
+    # distinct cases with other data, each dropped after use: none may be
+    # answered from another case's entry
+    systems = {_key(derive(case))}
     for factor in range(2, 7):
-        other = dataclasses.replace(case, rho=tuple(factor * x for x in case.rho))
-        system = usmall_system(other)
-        assert system == usmall._build_system(other)
-        assert usmall_system(other) is system
-        systems.add(system)
+        data = tuple(factor * x for x in getattr(case, scaled))
+        other = dataclasses.replace(case, **{scaled: data})
+        system = derive(other)
+        assert _key(system) == _key(build(other))
+        assert derive(other) is system
+        systems.add(_key(system))
         del other
     assert len(systems) == 6
     # an equal but distinct case object gets an entry of its own
     twin = dataclasses.replace(case)
-    assert usmall_system(twin) == usmall_system(case)
-    assert usmall_system(twin) is not usmall_system(case)
+    assert _key(derive(twin)) == _key(derive(case))
+    assert derive(twin) is not derive(case)

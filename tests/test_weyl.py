@@ -144,7 +144,7 @@ def test_reduced_words_identity_telescopes():
                 continue
             image = apply_word(letters, rho, system)
             assert norm_sq(image) == norm_sq(rho)
-            total = vec(*([0] * system.ambient_dim))
+            total = vec(*([0] * len(rho)))
             for k in range(n):
                 prefix = letters[:k]
                 summand = apply_word(prefix, system.simple_roots[letters[k]], system)
