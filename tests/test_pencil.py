@@ -868,3 +868,110 @@ def test_simplex_walk_matches_the_exhaustive_scan(family):
     assert any(rep.filtered for rep in reports)
     if case.k_has_center:
         assert all(rep.violations for rep in reports[:2])
+
+
+# -- walk order and the float64 product ----------------------------------------
+
+# Boxes walked in three orders of the coordinates after the slice
+# coordinate. None stands for the family's default box; the EVI box is the
+# first slice of the published one.
+WALK_ORDER_BOXES = {
+    "default": ("EI", None),
+    "one-value middle": ("EII", "a:0..6,b:0..3,c:2..2,d:0..3,e:0..5,f:1..9"),
+    "EVI g:1..1": ("EVI", "a:0..22,b:0..7,c:0..7,d:0..7,e:0..7,f:1..8,g:1..1"),
+    "custom lower bounds": ("FI", "a:2..8,b:1..7,c:2..5,d:3..13"),
+    "SP4R violations": ("SP4R", "p:-3..4,q:-4..3"),
+}
+
+
+def _walk_in_order(monkeypatch, order):
+    """Make every _Scanner walk the coordinates after its slice coordinate
+    shortest edge first (the scan's own order), longest edge first, or in
+    the reverse of its own order."""
+    init = fastscan._Scanner.__init__
+
+    def patched(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        edge = (self.hi - self.lo).tolist()
+        tail = self.perm[1:]
+        assert tail == sorted(tail, key=lambda k: (edge[k], k))
+        if order == "longest first":
+            tail = sorted(tail, key=lambda k: (-edge[k], k))
+        elif order == "reverse":
+            tail = tail[::-1]
+        self.perm = self.perm[:1] + tail
+        self.lo_p, self.hi_p = self.lo[self.perm], self.hi[self.perm]
+
+    monkeypatch.setattr(fastscan._Scanner, "__init__", patched)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_ORDER_BOXES))
+def test_walk_order_does_not_change_the_report(name, monkeypatch):
+    # the order of the walked coordinates changes which points are screened
+    # and evaluated, never the payload: on every order it equals a brute
+    # force over the box, or for the large EVI slice the --no-shortcut scan
+    family, spec = WALK_ORDER_BOXES[name]
+    case = get_case(family)
+    box = default_box(case) if spec is None else parse_box(spec, case)
+    if family == "EVI":
+        expected = _payload(verify_box(case, box, shortcut=False))
+    else:
+        expected = _brute_force_payload(case, box)
+    assert expected[1] > 0
+    for order in ("shortest first", "longest first", "reverse"):
+        with monkeypatch.context() as patch:
+            _walk_in_order(patch, order)
+            assert _payload(verify_box(case, box)) == expected, order
+            if family != "EVI":
+                assert _payload(verify_box(case, box, shortcut=False)) == expected, order
+
+
+@pytest.mark.parametrize("family", WALKER_FAMILIES)
+def test_float_product_is_exact_at_the_largest_accepted_coordinate(family):
+    # _product returns the float64 matrix product; at the largest coordinate
+    # magnitude_bound accepts it still equals the exact integer product, for
+    # the screen's linear table and the root table, on a row count that is
+    # not a multiple of _CHUNK_ROWS
+    case = get_case(family, 2 if family in ("SL2nR", "SL2n1R", "SLnH") else None)
+    tables = build_tables(case)
+    top = largest_accepted(tables)
+    rng = np.random.default_rng(sum(map(ord, family)))
+    rows = 2 * fastscan._CHUNK_ROWS + 3
+    mu = rng.integers(-top, top + 1, size=(rows, len(tables.beta_coords)))
+    mu[0], mu[1] = top, -top  # corners, where the entries are largest
+    const = tables.variant_nrm_s - 2 * tables.rho_c_var_s
+    lin_const = np.vstack([-2 * tables.variant_s.T, const])
+    for m, table in (
+        (np.column_stack([mu, np.ones(rows, np.int64)]), lin_const),
+        (mu - tables.beta_coords, tables.root_s),
+    ):
+        got = fastscan._product(m, table)
+        exact = m.astype(object) @ table.astype(object)
+        assert got.dtype == np.float64 and got.shape == exact.shape
+        assert (got.astype(object) == exact).all()
+        assert max(abs(x) for x in exact.flat) > 2**20
+
+
+def test_pool_started_after_the_float_product_has_run():
+    # the serial scan runs the float64 product in this process first; a
+    # --jobs pool forked afterwards still finishes with the same payload
+    import signal
+
+    case = get_case("EIX")
+    box = parse_box(
+        "a:0..11,b:0..11,c:0..9,d:0..9,e:0..9,f:0..11,g:1..12,h:55..55", case
+    )
+    serial = verify_box(case, box)
+
+    def stuck(signum, frame):
+        raise TimeoutError("the --jobs 2 scan did not finish")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(120)
+    try:
+        parallel = verify_box(case, box, jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _payload(parallel) == _payload(serial)
+    assert serial.min_margin_sq == 56
