@@ -55,11 +55,13 @@ in passes:
   * pass 2 walks {0 < cheap <= max(0, best)}. If pass 1 evaluated
     nothing, bands of doubling width above 0 come first, until a point is
     evaluated or the box is covered.
-A walked point reaches the kernel only if its cheap bound and its
-margin_lower_bounds are at most max(0, best), best falling after every
-kernel batch. Both bounds are at most margin(m*) = min <= best for the
-minimizer m* and for every violation, so they are evaluated, and the
-report depends neither on --jobs nor on which process saw which slice.
+A walked point reaches the kernel only if its run bound (runs of at least
+_RUN_POINTS points, below), its cheap bound and its margin_lower_bounds
+are all at most max(0, best), best falling after every kernel batch. The
+three bounds are at most margin(m*) = min <= best for the minimizer m*
+and for every violation (a run bound is at most the margin of each point
+of its run), so they are evaluated, and the report depends neither on
+--jobs nor on which process saw which slice.
 k with center (SP4R: rows of both signs, small boxes) lists each slice's
 filtered points from its grid in one pass, under the same two tests.
 --no-shortcut evaluates every filtered point.
@@ -77,6 +79,30 @@ the lowest floor of mu by its row minimum, and the same table plus step
 gives the lowest-floor variant of mu - beta by its row argmin, ties
 included, since a row constant moves no argmin. A chunk with a row
 below W (near the walls of k) builds both floor tables instead.
+
+The run screen run_lower_bounds bounds a whole run of the walk, the
+points (prefix, v) for v = start..cap, by its two ends. Fix one variant
+j' of mu - beta: the row argmin of the table lin + c + step at the lower
+end, its lowest-floor variant away from the walls of k. Then:
+  1. U'(mu) = min_j (lin_j + c_j) + r is at most the lowest floor of mu,
+     as r + c_j <= max(r + c_j, |rho_n^j|^2), and equals it away from
+     the walls. A minimum of affine functions of mu, it is concave.
+  2. The value of mu - beta at j' is at least spin(mu - beta)^2. It is an
+     affine function plus the root sum, a sum of absolute values of
+     affine functions, so it is convex.
+  3. So U'(mu) minus that value, plus the linear |mu|^2 - |mu - beta|^2,
+     is a concave lower bound on the margin, and on a segment it is least
+     at one of the two ends: the smaller of its two end values bounds the
+     margin of every point of the run.
+A run of n points costs the row screen n rows but the run screen two
+ends, so only runs of at least _RUN_POINTS = 3 points are screened, and a
+rejected run is dropped before it is expanded into rows. On the last
+EVIII slice the row screen saw 633,131 walked points, all in pass 2 and
+all rejected; with the run screen it sees 72,835, and the run screen
+evaluates 181,566 ends. The screen is exact like the others: a run's
+ends are points of the box (the top end's last coordinate is its cap, at
+most the box edge), so magnitude_bound covers every integer and float64
+value it computes, as for any row.
 """
 
 from __future__ import annotations
@@ -104,6 +130,9 @@ _BATCH_ROWS = 4_096
 # by 7% over a per-variant kernel and 512 rows by 2%, at the same speed.
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
+# Shortest walker run screened by its two ends: a run of n points costs n
+# rows of the row screen but only two ends of the run screen.
+_RUN_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -124,6 +153,13 @@ class ScanTables:
     beta_coords: np.ndarray  # (l,) k-type coordinates of beta
     cheap_coef_s: np.ndarray  # (l,): 2 * scale * <basis_k, beta>, nonneg
     cheap_const_s: int  # scale * (2<rho_c,beta> + 2 max_j<rho_n_j,beta> + |beta|^2)
+    # the screens' constants (module docstring)
+    step_s: np.ndarray  # (s,): 2 * scale * <beta, rho_n variant>
+    floor_const_s: np.ndarray  # (s,): c_j = variant_nrm_s - 2 rho_c_var_s
+    screen_s: np.ndarray  # (l + 1, s): -2 variant_s.T over c_j, float64
+    # rows with 2 scale <mu, rho_c> >= wall_s have both it and
+    # 2 scale <mu - beta, rho_c> at least 2 max_j rho_c_var_s
+    wall_s: int  # 2 max_j rho_c_var_s + max(0, 2 scale <beta, rho_c>)
 
 
 def _ints(values, what: str, scale=1) -> np.ndarray:
@@ -183,6 +219,12 @@ def build_tables(case: CaseData) -> ScanTables:
     scale = lcm(*(Q(x).denominator for x in rationals))
     rho_c_nrm_s, cheap_const_s = _ints(consts, "scaled constant", scale).tolist()
     root_half_s = _ints(half_sq, "scaled table", scale)[:, None] * roots
+    variant_s = _ints(variant, "scaled table", scale)
+    variant_nrm_s = _ints(variant_nrm, "scaled table", scale)
+    rho_c_lin_s = _ints(rho_c_lin, "scaled table", scale)
+    rho_c_var_s = _ints(rho_c_var, "scaled table", scale)
+    beta_coords = _ints(list(beta_c), "beta coordinates")
+    floor_const_s = variant_nrm_s - 2 * rho_c_var_s
     return ScanTables(
         scale=scale,
         pairing=pairing,
@@ -190,14 +232,20 @@ def build_tables(case: CaseData) -> ScanTables:
         root_s=pairing.T @ root_half_s,
         root_var_s=shift @ root_half_s,
         gram_s=_ints(gram, "scaled table", scale),
-        variant_s=_ints(variant, "scaled table", scale),
-        variant_nrm_s=_ints(variant_nrm, "scaled table", scale),
+        variant_s=variant_s,
+        variant_nrm_s=variant_nrm_s,
         rho_c_nrm_s=rho_c_nrm_s,
-        rho_c_lin_s=_ints(rho_c_lin, "scaled table", scale),
-        rho_c_var_s=_ints(rho_c_var, "scaled table", scale),
-        beta_coords=_ints(list(beta_c), "beta coordinates"),
+        rho_c_lin_s=rho_c_lin_s,
+        rho_c_var_s=rho_c_var_s,
+        beta_coords=beta_coords,
         cheap_coef_s=_ints(cheap_coef, "scaled table", scale),
         cheap_const_s=cheap_const_s,
+        step_s=2 * (variant_s @ beta_coords),
+        floor_const_s=floor_const_s,
+        # C-ordered (_product)
+        screen_s=np.vstack([-2 * variant_s.T, floor_const_s]).astype(np.float64),
+        wall_s=2 * int(rho_c_var_s.max())
+        + max(0, 2 * int(beta_coords @ rho_c_lin_s)),
     )
 
 
@@ -215,10 +263,11 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     values of its addends. The root sum of a variant is
     scale * 2 <dom x, rho_c> <= 2 sqrt(scale |x|^2 * scale |rho_c|^2), and
     its addends and partial sums are nonnegative and at most the whole.
-    margin_lower_bounds adds a table entry (at most lin_part + rho_c_term),
+    margin_lower_bounds, and run_lower_bounds at the ends of a run (points
+    of the box), add a table entry (at most lin_part + rho_c_term),
     one variant value (lin_part plus a root sum) and
     m @ 2 gram beta - |beta|^2 (2 gram beta is cheap_coef_s; |beta|^2 is at
-    most the a^2 part of norm_x), so its partial sums stay below the total.
+    most the a^2 part of norm_x), so their partial sums stay below the total.
     """
 
     def abs_sum(arr):
@@ -323,9 +372,7 @@ def _floor(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
     scale * (|mu|^2 + |rho_c|^2): it changes neither the argmin nor a
     comparison of floors with values of the same row.
     Entry: scale * (|rho_n^j|^2 + 2 max(0, <x_j, rho_c>)) + lin."""
-    floor = np.add.outer(
-        2 * (m @ tables.rho_c_lin_s), tables.variant_nrm_s - 2 * tables.rho_c_var_s
-    )
+    floor = np.add.outer(2 * (m @ tables.rho_c_lin_s), tables.floor_const_s)
     np.maximum(floor, tables.variant_nrm_s, out=floor)
     floor += lin
     return floor
@@ -369,17 +416,36 @@ def bulk_margins_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     The linear-term table of mu - beta is that of mu plus the per-variant
     constant 2 scale <beta, rho_n^j>, so each chunk builds it once.
     """
-    step = 2 * (tables.variant_s @ tables.beta_coords)
     out = np.empty(len(coords), dtype=np.int64)
     for start in range(0, len(coords), _CHUNK_ROWS):
         m = coords[start:start + _CHUNK_ROWS]
         lin = _linear(tables, m)
         upper = bulk_spin_sq_scaled(tables, m, lin)
-        lin += step
+        lin += tables.step_s
         out[start:start + len(m)] = upper - bulk_spin_sq_scaled(
             tables, m - tables.beta_coords, lin
         )
     return out
+
+
+def _screen_table(tables: ScanTables, m: np.ndarray) -> np.ndarray:
+    """The float64 (rows x variants) table lin_j + c_j of mu (module
+    docstring), from one product: a column of ones meets the row c."""
+    return _product(np.column_stack([m, np.ones(len(m), np.int64)]), tables.screen_s)
+
+
+def _down_value(tables: ScanTables, m: np.ndarray, first: np.ndarray,
+                lin_at: np.ndarray) -> np.ndarray:
+    """Per row, the value of mu - beta at variant first, whose linear term
+    is lin_at, without its row constant, minus the linear
+    |mu|^2 - |mu - beta|^2 = 2 <mu, beta> - |beta|^2. A floor of mu
+    without its row constant, minus this, bounds the margin from below."""
+    beta = tables.beta_coords
+    roots = _product(m - beta, tables.root_s)
+    roots -= tables.root_var_s[first]
+    roots = np.abs(roots).sum(axis=1).astype(np.int64)
+    linear = m @ (2 * (tables.gram_s @ beta)) - int(beta @ tables.gram_s @ beta)
+    return lin_at + tables.variant_nrm_s[first] + roots - linear
 
 
 def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
@@ -395,40 +461,48 @@ def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
 
     A chunk whose rows all lie away from the walls of k needs one table
     (module docstring); the others build the floor tables of mu and of
-    mu - beta. |mu|^2 - |mu - beta|^2 = 2 <mu, beta> - |beta|^2 is linear.
+    mu - beta.
     """
-    beta = tables.beta_coords
-    step = 2 * (tables.variant_s @ beta)
-    const = tables.variant_nrm_s - 2 * tables.rho_c_var_s
-    # rows with 2 <mu, rho_c> >= wall have both 2 <mu, rho_c> and
-    # 2 <mu - beta, rho_c> at least 2 max_j <rho_n^j, rho_c>
-    wall = 2 * int(tables.rho_c_var_s.max()) + max(0, 2 * int(beta @ tables.rho_c_lin_s))
-    linear = 2 * (tables.gram_s @ beta)
-    offset = int(beta @ tables.gram_s @ beta)
-    # lin + const from one product: a column of ones meets a row of const
-    lin_const = np.vstack([-2 * tables.variant_s.T, const])
     out = np.empty(len(coords), dtype=np.int64)
     for start in range(0, len(coords), _CHUNK_ROWS):
         m = coords[start:start + _CHUNK_ROWS]
         rows = np.arange(len(m))
-        table = _product(np.column_stack([m, np.ones(len(m), np.int64)]), lin_const)
+        table = _screen_table(tables, m)
         rho_c = 2 * (m @ tables.rho_c_lin_s)
-        if rho_c.min() >= wall:
+        if rho_c.min() >= tables.wall_s:
             upper = table.min(axis=1).astype(np.int64) + rho_c
-            table += step
+            table += tables.step_s
             first = table.argmin(axis=1)
-            lin_at = table[rows, first].astype(np.int64) - const[first]
+            lin_at = table[rows, first].astype(np.int64) - tables.floor_const_s[first]
         else:
-            lin = table.astype(np.int64) - const
+            lin = table.astype(np.int64) - tables.floor_const_s
             upper = _floor(tables, m, lin).min(axis=1)
-            lin += step
-            first = _floor(tables, m - beta, lin).argmin(axis=1)
+            lin += tables.step_s
+            first = _floor(tables, m - tables.beta_coords, lin).argmin(axis=1)
             lin_at = lin[rows, first]
-        roots = _product(m - beta, tables.root_s)
-        roots -= tables.root_var_s[first]
-        roots = np.abs(roots).sum(axis=1).astype(np.int64)
-        lower = lin_at + tables.variant_nrm_s[first] + roots
-        out[start:start + len(m)] = upper - lower + m @ linear - offset
+        out[start:start + len(m)] = upper - _down_value(tables, m, first, lin_at)
+    return out
+
+
+def run_lower_bounds(tables: ScanTables, low: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Per run, the lattice points of the segment from row low to row top
+    of k-type coordinates (rows that differ in one coordinate), an exact
+    integer lower bound on bulk_margins_scaled at every point of the run:
+    the smaller end value of the concave bound of the module docstring.
+    Its variant j' of mu - beta is the row argmin of lin + c + step at
+    low, the lowest-floor variant of low - beta away from the walls of k.
+    Runs go in chunks of _CHUNK_ROWS, like the screen's rows."""
+    out = np.empty(len(low), dtype=np.int64)
+    for start in range(0, len(low), _CHUNK_ROWS):
+        ends = np.concatenate([low[start:start + _CHUNK_ROWS], top[start:start + _CHUNK_ROWS]])
+        n = len(ends) // 2
+        table = _screen_table(tables, ends)
+        upper = table.min(axis=1).astype(np.int64) + 2 * (ends @ tables.rho_c_lin_s)
+        first = np.tile((table[:n] + tables.step_s).argmin(axis=1), 2)
+        lin_at = table[np.arange(2 * n), first].astype(np.int64)
+        lin_at += tables.step_s[first] - tables.floor_const_s[first]
+        bound = upper - _down_value(tables, ends, first, lin_at)
+        out[start:start + n] = np.minimum(bound[:n], bound[n:])
     return out
 
 
@@ -490,6 +564,11 @@ class _Scanner:
     def cheap(self, coords) -> np.ndarray:
         return coords @ self.tables.cheap_coef_s - self.tables.cheap_const_s
 
+    def cutoff(self) -> int | None:
+        """max(0, best), or None (no screen) before a margin is known or
+        without the shortcut."""
+        return None if not self.shortcut or self.best is None else max(0, self.best)
+
     def scan_slices(self, first: int, last: int, band=(None, None),
                     best=None) -> dict[int, _SliceResult]:
         """Evaluate the slices first..last of the first walked coordinate
@@ -503,7 +582,7 @@ class _Scanner:
         axis = self.perm[0]
         results = {v: _SliceResult() for v in range(first, last + 1)}
         for coords in self._batches(first, last, band):
-            cutoff = None if not self.shortcut or self.best is None else max(0, self.best)
+            cutoff = self.cutoff()
             if cutoff is not None:
                 coords = coords[self.cheap(coords) <= cutoff]
                 coords = coords[margin_lower_bounds(self.tables, coords) <= cutoff]
@@ -570,7 +649,8 @@ class _Scanner:
     def _batches(self, first, last, band):
         """Yield the filtered points of slices first..last in the band, in
         batches of at least _BATCH_ROWS rows but the last: the walk of the
-        module docstring over e = mu - base, slice coordinate first."""
+        module docstring over e = mu - base, slice coordinate first, but
+        the runs the run screen rejects at the cutoff of the moment."""
         if not self.semisimple:
             for value in range(first, last + 1):
                 yield from self._grid_batches(value)
@@ -594,15 +674,29 @@ class _Scanner:
         drops = [(self.row_coeffs[:, order], self.row_bounds - self.row_coeffs @ base)]
         if above is not None:
             drops.append((coef, np.array([above - int(self.cheap(base))])))
+
+        def place(e):  # walk rows e to k-type coordinates
+            points = np.empty_like(e)
+            points[:, order] = e + base[order]
+            return points
+
         pending, rows = [], 0
         for caps, prefix, start in _walk(np.vstack(coeffs), np.concatenate(bounds), drops):
+            cutoff = self.cutoff()
+            long = [] if cutoff is None else np.flatnonzero(caps - start >= _RUN_POINTS - 1)
+            if len(long):  # the run screen
+                ends = place(np.column_stack([
+                    np.concatenate([prefix[long], prefix[long]]),
+                    np.concatenate([start[long], caps[long]]),
+                ]))
+                low, top = np.split(ends, 2)
+                cut = long[run_lower_bounds(self.tables, low, top) > cutoff]
+                start[cut] = caps[cut] + 1  # no children
             e, _ = _children(prefix, caps, start)
             if not len(e):
                 continue
-            points = np.empty_like(e)
-            points[:, order] = e + base[order]
-            pending.append(points)
-            rows += len(points)
+            pending.append(place(e))
+            rows += len(e)
             if rows >= _BATCH_ROWS:
                 yield np.concatenate(pending)
                 pending, rows = [], 0

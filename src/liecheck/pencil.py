@@ -17,6 +17,7 @@ Margins split, one rho_n variant at a time, into a conjugation term
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
@@ -34,12 +35,19 @@ from .rootdata import inner, norm_sq, vadd, vscale, vsub
 from .spin import spin_norm_sq
 from .weyl import apply_word, parabolic_longest, to_dominant
 
-_LETTERS = "abcdefgh"
+_LETTERS = string.ascii_lowercase
 
 
 def coordinate_names(case: CaseData) -> tuple[str, ...]:
+    """a, b, c, ... for the k-type coordinates, or p, q for k with center;
+    a rank beyond the alphabet is refused."""
     if case.k_has_center:
         return ("p", "q")
+    if case.rank_k > len(_LETTERS):
+        raise UsageError(
+            f"{case.id.label} has {case.rank_k} k-type coordinates; they are "
+            f"named a..z, so at most {len(_LETTERS)}"
+        )
     return tuple(_LETTERS[: case.rank_k])
 
 

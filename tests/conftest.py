@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from liecheck.cases import CLASSICAL_FAMILIES, get_case
@@ -24,6 +25,15 @@ def largest_accepted(tables) -> int:
         else:
             hi = mid - 1
     return lo
+
+
+def run_points(low, top):
+    """The lattice points of the segment between rows low and top, which
+    differ in one coordinate, in increasing order."""
+    (axis,) = np.flatnonzero(top != low)
+    run = np.repeat(np.minimum(low, top)[None, :], abs(top[axis] - low[axis]) + 1, axis=0)
+    run[:, axis] += np.arange(len(run))
+    return run
 
 
 @pytest.fixture(scope="session")

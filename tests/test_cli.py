@@ -201,6 +201,35 @@ def test_verify_explicit_box_exit_0(capsys):
     assert "violations: 0\n" in out
 
 
+def test_verify_names_coordinates_past_h(tmp_path, capsys):
+    # SLnH at n = 12 has twelve k-type coordinates, named a..l; a tiny box
+    # of u-large points scans, and evaluating every point agrees
+    box = "a:0..1,b:1..2," + ",".join(f"{c}:0..1" for c in "cdefghijk") + ",l:24..25"
+    reports = []
+    for extra in ([], ["--no-shortcut"]):
+        path = tmp_path / f"verify{len(extra)}.json"
+        argv = ["verify", "SLnH", "--n", "12", "--box", box, "--report", str(path)]
+        assert main(argv + extra) == 0
+        assert f"box       : {box}\n" in capsys.readouterr().out
+        reports.append(json.loads(path.read_text())["results"])
+    assert reports[0]["scanned"] == reports[0]["filtered"] == 2**12
+    assert reports[0]["min_margin_sq"] == "62/1"
+    assert strip_timing(reports[0]) == strip_timing(reports[1])
+
+
+@pytest.mark.parametrize("argv,message", [
+    # eight ranges for twelve coordinates
+    (["verify", "SLnH", "--n", "12", "--box", ",".join(f"{c}:0..1" for c in "abcdefgh")],
+     "needs ranges for a,b,c,d,e,f,g,h,i,j,k,l"),
+    # more coordinates than letters
+    (["verify", "SLnH", "--n", "27"], "named a..z, so at most 26"),
+])
+def test_boxes_the_coordinates_do_not_fit_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [
     ["usmall", "count", "G"], ["verify", "G"], ["selftest"],
 ])

@@ -27,7 +27,7 @@ from liecheck.pencil import (
 from liecheck.spin import spin_norm_sq, variant_norms_sq
 from liecheck.usmall import usmall_chunks, usmall_system
 
-from conftest import largest_accepted
+from conftest import largest_accepted, run_points
 
 # frozen outcomes of the default-box scans for the quick families
 EXPECTED_SCANS = {
@@ -611,19 +611,28 @@ def test_large_block_walk_counts_and_payload(family):
 
 @pytest.mark.parametrize("family", sorted(LARGE_BOXES))
 def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch):
-    # The walk visits each point at most once, over every pass, and visits
-    # every filtered point whose cheap bound is at most the minimum. Until
+    # The walk visits each point at most once, over every pass, and every
+    # filtered point whose cheap bound is at most the minimum either
+    # reaches the row screen or lies in a run of at least _RUN_POINTS points
+    # that the run screen rejected: its run bound exceeded max(0, running
+    # minimum) and is at most the exact margin of each of its points. Until
     # a margin is known every walked point reaches the kernel; after that,
     # exactly the walked points whose cheap bound and margin lower bound
     # are at most max(0, running minimum).
     case, box, points, filtered = _large_box_points(family)
     events = []
     bound = fastscan.margin_lower_bounds
+    run_bound = fastscan.run_lower_bounds
     kernel = fastscan.bulk_margins_scaled
 
     def bounded(tables, coords):
         events.append(("screen", coords.copy()))
         return bound(tables, coords)
+
+    def run_bounded(tables, low, top):
+        bounds = run_bound(tables, low, top)
+        events.append(("runs", low.copy(), top.copy(), bounds))
+        return bounds
 
     def recorded(tables, coords):
         margins = kernel(tables, coords)
@@ -631,6 +640,7 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
         return margins
 
     monkeypatch.setattr(fastscan, "margin_lower_bounds", bounded)
+    monkeypatch.setattr(fastscan, "run_lower_bounds", run_bounded)
     monkeypatch.setattr(fastscan, "bulk_margins_scaled", recorded)
     rep = verify_box(case, box)
     tables = build_tables(case)
@@ -641,8 +651,20 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
     assert (filtered & (cheap > minimum)).any()
     assert (filtered & (cheap == minimum)).any()
 
-    best, walked, kept = None, [], 0
-    for i, (kind, coords, *margins) in enumerate(events):
+    best, walked, kept, rejected, run_bounds = None, [], 0, [], []
+    for i, (kind, coords, *rest) in enumerate(events):
+        if kind == "runs":
+            top, bounds = rest
+            assert best is not None
+            steps = top - coords
+            assert (steps >= 0).all() and ((steps > 0).sum(axis=1) == 1).all()
+            assert (steps.sum(axis=1) >= fastscan._RUN_POINTS - 1).all()
+            for low, high, b in zip(coords, top, bounds.tolist()):
+                if b > max(0, best):
+                    run = run_points(low, high)
+                    rejected.append(run)
+                    run_bounds += [b] * len(run)
+            continue
         if kind == "screen":
             walked.append(coords)
             cutoff = max(0, best)
@@ -656,13 +678,38 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
             assert best is None
             walked.append(coords)
         kept += len(coords)
-        low = int(margins[0].min())
+        low = int(rest[0].min())
         best = low if best is None else min(best, low)
+    assert rejected
+    rejected = np.concatenate(rejected)
+    assert (np.array(run_bounds) <= kernel(tables, rejected)).all()
     walked = np.concatenate(walked)
-    assert len({tuple(p) for p in walked.tolist()}) == len(walked)
+    seen = [tuple(p) for p in np.concatenate([walked, rejected]).tolist()]
+    assert len(set(seen)) == len(seen)
     needed = {tuple(p) for p in points[filtered & (cheap <= minimum)].tolist()}
-    assert needed <= {tuple(p) for p in walked.tolist()}
+    assert needed <= set(seen)
     assert kept < len(walked)
+
+
+def test_run_screen_spares_the_row_screen_on_the_last_eviii_slice(monkeypatch):
+    # With every walked point screened row by row, the row screen saw
+    # 633,131 points of the last EVIII slice, all in pass 2, and rejected
+    # every one; the run screen leaves it fewer than a quarter of them.
+    case = get_case("EVIII")
+    box = parse_box(
+        "a:42..42,b:0..15,c:0..15,d:0..15,e:0..15,f:0..15,g:1..16,h:0..15", case
+    )
+    seen = []
+    bound = fastscan.margin_lower_bounds
+
+    def counted(tables, coords):
+        seen.append(len(coords))
+        return bound(tables, coords)
+
+    monkeypatch.setattr(fastscan, "margin_lower_bounds", counted)
+    rep = verify_box(case, box)
+    assert rep.min_margin_sq == 56 and not rep.violations
+    assert 0 < sum(seen) < 633_131 // 4
 
 
 def test_walk_refuses_negative_coefficients_for_semisimple_k(monkeypatch):

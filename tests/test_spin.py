@@ -29,7 +29,7 @@ from liecheck.spin import spin_norm_sq, variant_norms_sq
 from liecheck.usmall import iter_usmall
 from liecheck.weyl import to_dominant
 
-from conftest import BIG_FAMILIES, SMALL_FAMILIES, largest_accepted
+from conftest import BIG_FAMILIES, SMALL_FAMILIES, largest_accepted, run_points
 from oracle import margin_lower_bounds_two_floor, orbit
 
 
@@ -320,6 +320,86 @@ ACCEPTED_BEFORE = {
 def test_magnitude_bound_accepts_what_it_accepted_before(family, n):
     tables = build_tables(get_case(family, n))
     assert largest_accepted(tables) >= ACCEPTED_BEFORE[family, n]
+
+
+# -- the run bound that screens whole walker runs ----------------------------
+
+RUN_CASES = [(family, None) for family in SMALL_FAMILIES + BIG_FAMILIES] + [
+    (family, n) for family in CLASSICAL_FAMILIES for n in (2, 3, 4)
+]
+
+
+def _random_runs(case, tables, rng, count):
+    """count runs (low, top) of 3 to 24 points along one coordinate, with
+    every point mu and mu - beta dominant: a third near the walls of k,
+    a third at offsets 12..60 above max(beta, 0), and a third mixing
+    coordinates up to the largest that magnitude_bound accepts with small
+    ones."""
+    top_coord = largest_accepted(tables)
+    beta = tables.beta_coords
+    dim = case.ktype_dim
+    pairing = tables.pairing.T
+    runs = {"near": [], "far": [], "large": []}
+    while min(map(len, runs.values())) < count:
+        kind = ("near", "far", "large")[int(rng.integers(3))]
+        if len(runs[kind]) == count:
+            continue
+        length = int(rng.integers(3, 25))
+        if kind == "large":
+            pick = rng.integers(3, size=dim)
+            low = np.select(
+                [pick == 0, pick == 1],
+                [rng.integers(0, top_coord - length, size=dim),
+                 top_coord - length - rng.integers(0, 1000, size=dim)],
+                rng.integers(0, 20, size=dim),
+            )
+        else:
+            offsets = (0, 3) if kind == "near" else (12, 60)
+            low = rng.integers(*offsets, size=dim) + np.maximum(beta, 0)
+            if case.k_has_center:  # (p, q): p - q drawn, q in [-20, 20)
+                q = int(rng.integers(-20, 20))
+                low = np.array([q + int(rng.integers(*offsets)), q])
+        low = low.astype(np.int64)
+        top = low.copy()
+        top[int(rng.integers(dim))] += length - 1
+        ends = np.stack([low, top])
+        if (ends @ pairing < 0).any() or ((ends - beta) @ pairing < 0).any():
+            continue
+        if np.abs(ends).max() > top_coord:
+            continue
+        runs[kind].append((low, top))
+    return [run for kind in runs.values() for run in kind]
+
+
+@pytest.mark.parametrize("family,n", RUN_CASES)
+def test_run_lower_bounds_never_exceed_a_margin_on_the_run(family, n):
+    # the run bound is at most the exact margin of every point of its run:
+    # near the walls of k, away from them, and at the largest coordinates
+    # magnitude_bound accepts; for G, FII and EI also against the Fraction
+    # margin
+    case = get_case(family, n)
+    tables = build_tables(case)
+    rng = np.random.default_rng(20251019)
+    runs = _random_runs(case, tables, rng, 60)
+    low = np.array([r[0] for r in runs])
+    top = np.array([r[1] for r in runs])
+    bounds = fastscan.run_lower_bounds(tables, low, top)
+    assert bounds.dtype == np.int64 and len(bounds) == len(runs)
+    # the bound holds on any segment, so also with the ends swapped, where
+    # the variant is fixed at the upper end; margins mostly grow along a
+    # run, so an end's own value would exceed those further down
+    swapped = fastscan.run_lower_bounds(tables, top, low)
+    lows = []
+    for (lo, hi), b, c in zip(runs, bounds.tolist(), swapped.tolist()):
+        margins = bulk_margins_scaled(tables, run_points(lo, hi))
+        assert max(b, c) <= margins.min(), (lo, hi)
+        lows.append(margins.min())
+    # the bound is the smallest margin of many runs: the screen is sharp
+    assert (bounds == np.array(lows)).sum() >= 10
+    if family in ("G", "FII", "EI"):
+        for (lo, hi), b in list(zip(runs, bounds.tolist()))[::6]:
+            for mu in run_points(lo, hi).tolist():
+                assert Q(b, tables.scale) <= step_margin_sq(case, tuple(mu))
 
 
 # -- the int64 engine at the largest coordinates the guard accepts -----------
