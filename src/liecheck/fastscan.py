@@ -66,43 +66,48 @@ k with center (SP4R: rows of both signs, small boxes) lists each slice's
 filtered points from its grid in one pass, under the same two tests.
 --no-shortcut evaluates every filtered point.
 
-The screen margin_lower_bounds takes the lowest floor of mu and the value
-of mu - beta at its lowest-floor variant. With lin_j = -2 <mu, rho_n^j>,
-c_j = |rho_n^j|^2 - 2 <rho_n^j, rho_c> and r = 2 <mu, rho_c>, the floor
-of variant j is lin_j + max(r + c_j, |rho_n^j|^2) plus a row constant,
-and r + c_j >= |rho_n^j|^2 exactly when r >= 2 <rho_n^j, rho_c>. So on
-rows with r and r' = 2 <mu - beta, rho_c> both at least
-W = 2 max_j <rho_n^j, rho_c>, the floors of mu are lin_j + c_j + r and
-those of mu - beta are lin_j + step_j + c_j + r', step_j =
-2 <beta, rho_n^j>, each plus its row constant: one table lin + c gives
-the lowest floor of mu by its row minimum, and the same table plus step
-gives the lowest-floor variant of mu - beta by its row argmin, ties
-included, since a row constant moves no argmin. A chunk with a row
-below W (near the walls of k) builds both floor tables instead.
+Each variant j has the floor |x + rho_c|^2 <= |dom x + rho_c|^2, x =
+mu - rho_n^j: dom x - x is a sum of positive roots of k, each with
+<alpha, rho_c> > 0, so <x, rho_c> <= <dom x, rho_c>. With lin_j =
+-2 <mu, rho_n^j>, c_j = |rho_n^j|^2 - 2 <rho_n^j, rho_c> and r =
+2 <mu, rho_c>, the floor is lin_j + c_j + r plus the row constant
+|mu|^2 + |rho_c|^2, and the floors of mu - beta are lin_j + step_j + c_j
+plus its own r and row constant, step_j = 2 <beta, rho_n^j>: one
+(rows x variants) table lin + c (_screen_table) holds the floors of mu
+and, plus step, those of mu - beta, up to per-row constants that move no
+row minimum or argmin. The kernel evaluates the lowest floor first and
+skips every variant whose floor is not below the value found.
 
-The run screen run_lower_bounds bounds a whole run of the walk, the
-points (prefix, v) for v = start..cap, by its two ends. Fix one variant
-j' of mu - beta: the row argmin of the table lin + c + step at the lower
-end, its lowest-floor variant away from the walls of k. Then:
-  1. U'(mu) = min_j (lin_j + c_j) + r is at most the lowest floor of mu,
-     as r + c_j <= max(r + c_j, |rho_n^j|^2), and equals it away from
-     the walls. A minimum of affine functions of mu, it is concave.
-  2. The value of mu - beta at j' is at least spin(mu - beta)^2. It is an
-     affine function plus the root sum, a sum of absolute values of
-     affine functions, so it is convex.
-  3. So U'(mu) minus that value, plus the linear |mu|^2 - |mu - beta|^2,
-     is a concave lower bound on the margin, and on a segment it is least
-     at one of the two ends: the smaller of its two end values bounds the
-     margin of every point of the run.
-A run of n points costs the row screen n rows but the run screen two
-ends, so only runs of at least _RUN_POINTS = 3 points are screened, and a
+The screens rest on one concave bound. Fix a variant j' of mu - beta.
+  1. F(mu) = min_j (lin_j + c_j) + r + |mu|^2 + |rho_c|^2, the lowest
+     floor, is at most spin(mu)^2; less |mu|^2 it is a minimum of affine
+     functions of mu, so concave.
+  2. The value V(mu) of mu - beta at j' is at least spin(mu - beta)^2;
+     less |mu - beta|^2 it is an affine function plus the root sum, a sum
+     of absolute values of affine functions, so convex.
+  3. So F - V <= margin, and F - V is concave, as the |mu|^2 -
+     |mu - beta|^2 = 2 <mu, beta> - |beta|^2 that the two leave is linear.
+     On a segment it is least at one of the two ends.
+margin_lower_bounds is F - V at each row, j' the row argmin of lin + c +
+step, the lowest-floor variant of mu - beta. run_lower_bounds bounds a
+run of the walk, the points (prefix, v) for v = start..cap, by the
+smaller of the two end values of F - V, with j' taken at the lower end
+for both: a point is a run of one, and both come out of one body. A run
+of n points costs the row screen n rows but the run screen two ends, so
+only runs of at least _RUN_POINTS = 3 points are run-screened, and a
 rejected run is dropped before it is expanded into rows. On the last
 EVIII slice the row screen saw 633,131 walked points, all in pass 2 and
 all rejected; with the run screen it sees 72,835, and the run screen
-evaluates 181,566 ends. The screen is exact like the others: a run's
-ends are points of the box (the top end's last coordinate is its cap, at
-most the box edge), so magnitude_bound covers every integer and float64
-value it computes, as for any row.
+evaluates 181,566 ends. A run's ends are points of the box (the top
+end's last coordinate is its cap, at most the box edge), so
+magnitude_bound covers every integer and float64 value the screens
+compute, as for any row.
+
+A tighter floor, |x|^2 + 2 max(0, <x, rho_c>) + |rho_c|^2, and a second
+pair of floor tables for rows near the walls of k were measured against
+this one and dropped: on every published box, the last EVIII and EIX
+slices, an EVI slice and two SP4R boxes they sent the same rows to the
+kernel.
 """
 
 from __future__ import annotations
@@ -123,7 +128,9 @@ from .rootdata import coroot_pairing, inner, norm_sq, root_closure
 from .usmall import _children, _walk, usmall_system
 
 # Walked points per screen-and-kernel batch; the running minimum falls
-# between batches.
+# between batches. Screening each walker chunk on its own instead took
+# 277-380 ms on the last EVIII slice in process, against 261-345 ms (five
+# runs each on a 2-core machine).
 _BATCH_ROWS = 4_096
 # Rows per best-first kernel chunk. Its (rows x variants) tables and pair
 # arrays grow with it: on the published boxes, 1,024 rows raised peak memory
@@ -157,9 +164,6 @@ class ScanTables:
     step_s: np.ndarray  # (s,): 2 * scale * <beta, rho_n variant>
     floor_const_s: np.ndarray  # (s,): c_j = variant_nrm_s - 2 rho_c_var_s
     screen_s: np.ndarray  # (l + 1, s): -2 variant_s.T over c_j, float64
-    # rows with 2 scale <mu, rho_c> >= wall_s have both it and
-    # 2 scale <mu - beta, rho_c> at least 2 max_j rho_c_var_s
-    wall_s: int  # 2 max_j rho_c_var_s + max(0, 2 scale <beta, rho_c>)
 
 
 def _ints(values, what: str, scale=1) -> np.ndarray:
@@ -244,8 +248,6 @@ def build_tables(case: CaseData) -> ScanTables:
         floor_const_s=floor_const_s,
         # C-ordered (_product)
         screen_s=np.vstack([-2 * variant_s.T, floor_const_s]).astype(np.float64),
-        wall_s=2 * int(rho_c_var_s.max())
-        + max(0, 2 * int(beta_coords @ rho_c_lin_s)),
     )
 
 
@@ -263,11 +265,11 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     values of its addends. The root sum of a variant is
     scale * 2 <dom x, rho_c> <= 2 sqrt(scale |x|^2 * scale |rho_c|^2), and
     its addends and partial sums are nonnegative and at most the whole.
-    margin_lower_bounds, and run_lower_bounds at the ends of a run (points
-    of the box), add a table entry (at most lin_part + rho_c_term),
-    one variant value (lin_part plus a root sum) and
-    m @ 2 gram beta - |beta|^2 (2 gram beta is cheap_coef_s; |beta|^2 is at
-    most the a^2 part of norm_x), so their partial sums stay below the total.
+    A floor is a table entry plus r (at most lin_part + rho_c_term). The
+    screens, at rows of the box (the ends of a run are such rows), add a
+    floor, one variant value (lin_part plus a root sum) and
+    m @ cheap_coef_s - |beta|^2 (|beta|^2 is at most the a^2 part of
+    norm_x), so their partial sums stay below the total.
     """
 
     def abs_sum(arr):
@@ -310,36 +312,25 @@ def conjugate_dominant_bulk(c: np.ndarray, cartan: np.ndarray) -> np.ndarray:
     return c
 
 
-def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray,
-                        lin: np.ndarray | None = None) -> np.ndarray:
+def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     """Squared spin norms (times tables.scale) for rows of coords.
 
     The norm is the minimum over the rho_n variants j of
     |dom(x_j) + rho_c|^2 with x_j = mu - rho_n^j, whose rho_c part
-    2 <dom x_j, rho_c> is the root sum of x_j (module docstring). Each
-    variant has the floor |x_j|^2 + 2 max(0, <x_j, rho_c>) + |rho_c|^2 <=
-    that value (the dominant conjugate maximizes the rho_c pairing over
-    the orbit, and that pairing is nonnegative), which costs no root sum.
-    The kernel is best-first: it evaluates each row's lowest-floor
+    2 <dom x_j, rho_c> is the root sum of x_j. Each variant has the floor
+    |x_j + rho_c|^2 <= that value (module docstring), which costs no root
+    sum. The kernel is best-first: it evaluates each row's lowest-floor
     variant, then only the (row, variant) pairs whose floor is still below
     the row's value. A skipped pair has floor >= value, so it cannot lower
     the minimum, and the result is exact. Rows go in chunks of
     _CHUNK_ROWS, and so do the pairs of the second pass, because the
     (rows x variants) floor table and the (pairs x roots) tables grow with
     them.
-
-    lin, if given, is the linear-term table _linear(tables, coords); a
-    caller that already holds it for related rows passes it to save the
-    largest product of the kernel.
     """
     out = np.empty(len(coords), dtype=np.int64)
     for start in range(0, len(coords), _CHUNK_ROWS):
         chunk = coords[start:start + _CHUNK_ROWS]
-        chunk_lin = (
-            _linear(tables, chunk) if lin is None
-            else lin[start:start + _CHUNK_ROWS]
-        )
-        out[start:start + len(chunk)] = _best_first(tables, chunk, chunk_lin)
+        out[start:start + len(chunk)] = _best_first(tables, chunk, _linear(tables, chunk))
     return out
 
 
@@ -367,17 +358,6 @@ def _linear(tables: ScanTables, m: np.ndarray) -> np.ndarray:
     return _product(m, -2 * tables.variant_s.T).astype(np.int64)
 
 
-def _floor(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    """The (rows x variants) floor table of mu, without the row constant
-    scale * (|mu|^2 + |rho_c|^2): it changes neither the argmin nor a
-    comparison of floors with values of the same row.
-    Entry: scale * (|rho_n^j|^2 + 2 max(0, <x_j, rho_c>)) + lin."""
-    floor = np.add.outer(2 * (m @ tables.rho_c_lin_s), tables.floor_const_s)
-    np.maximum(floor, tables.variant_nrm_s, out=floor)
-    floor += lin
-    return floor
-
-
 def _row_constant(tables: ScanTables, m: np.ndarray) -> np.ndarray:
     return ((m @ tables.gram_s) * m).sum(axis=1) + tables.rho_c_nrm_s
 
@@ -391,7 +371,10 @@ def _value(tables: ScanTables, root_pair: np.ndarray, lin_at: np.ndarray,
 
 
 def _best_first(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    floor = _floor(tables, m, lin)
+    """Scaled squared spin norms of the rows m, whose linear-term table is
+    lin. The floors lin + c + r, like the values, leave out the row
+    constant scale * (|mu|^2 + |rho_c|^2)."""
+    floor = lin + tables.floor_const_s + 2 * (m @ tables.rho_c_lin_s)[:, None]
     root_pair = _product(m, tables.root_s).astype(np.int64)
 
     def value(rows, variants):
@@ -420,11 +403,9 @@ def bulk_margins_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     for start in range(0, len(coords), _CHUNK_ROWS):
         m = coords[start:start + _CHUNK_ROWS]
         lin = _linear(tables, m)
-        upper = bulk_spin_sq_scaled(tables, m, lin)
+        upper = _best_first(tables, m, lin)
         lin += tables.step_s
-        out[start:start + len(m)] = upper - bulk_spin_sq_scaled(
-            tables, m - tables.beta_coords, lin
-        )
+        out[start:start + len(m)] = upper - _best_first(tables, m - tables.beta_coords, lin)
     return out
 
 
@@ -438,71 +419,53 @@ def _down_value(tables: ScanTables, m: np.ndarray, first: np.ndarray,
                 lin_at: np.ndarray) -> np.ndarray:
     """Per row, the value of mu - beta at variant first, whose linear term
     is lin_at, without its row constant, minus the linear
-    |mu|^2 - |mu - beta|^2 = 2 <mu, beta> - |beta|^2. A floor of mu
-    without its row constant, minus this, bounds the margin from below."""
+    |mu|^2 - |mu - beta|^2 = 2 <mu, beta> - |beta|^2 (2 gram beta is
+    cheap_coef_s). A floor of mu without its row constant, minus this,
+    bounds the margin from below."""
     beta = tables.beta_coords
     roots = _product(m - beta, tables.root_s)
     roots -= tables.root_var_s[first]
     roots = np.abs(roots).sum(axis=1).astype(np.int64)
-    linear = m @ (2 * (tables.gram_s @ beta)) - int(beta @ tables.gram_s @ beta)
+    linear = m @ tables.cheap_coef_s - int(beta @ tables.gram_s @ beta)
     return lin_at + tables.variant_nrm_s[first] + roots - linear
 
 
 def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
-    """Exact integer lower bounds on bulk_margins_scaled for rows of coords.
-
-    spin(mu)^2 is at least the lowest floor of mu, and
-    spin(mu - beta)^2 is at most the value of mu - beta at its own
-    lowest-floor variant, so their difference bounds the margin from
-    below. It costs one (rows x variants) table and one root sum per row,
-    where the kernel needs at least two root sums and usually more. Rows
-    go in chunks of _CHUNK_ROWS, like the kernel's, to bound the memory of
-    its tables.
-
-    A chunk whose rows all lie away from the walls of k needs one table
-    (module docstring); the others build the floor tables of mu and of
-    mu - beta.
-    """
-    out = np.empty(len(coords), dtype=np.int64)
-    for start in range(0, len(coords), _CHUNK_ROWS):
-        m = coords[start:start + _CHUNK_ROWS]
-        rows = np.arange(len(m))
-        table = _screen_table(tables, m)
-        rho_c = 2 * (m @ tables.rho_c_lin_s)
-        if rho_c.min() >= tables.wall_s:
-            upper = table.min(axis=1).astype(np.int64) + rho_c
-            table += tables.step_s
-            first = table.argmin(axis=1)
-            lin_at = table[rows, first].astype(np.int64) - tables.floor_const_s[first]
-        else:
-            lin = table.astype(np.int64) - tables.floor_const_s
-            upper = _floor(tables, m, lin).min(axis=1)
-            lin += tables.step_s
-            first = _floor(tables, m - tables.beta_coords, lin).argmin(axis=1)
-            lin_at = lin[rows, first]
-        out[start:start + len(m)] = upper - _down_value(tables, m, first, lin_at)
-    return out
+    """Exact integer lower bounds on bulk_margins_scaled for rows of coords:
+    the concave bound of the module docstring at each row, its variant of
+    mu - beta the row's lowest-floor one. It costs one (rows x variants)
+    table and one root sum per row, where the kernel needs at least two
+    root sums and usually more."""
+    return _concave_bounds(tables, [coords])
 
 
 def run_lower_bounds(tables: ScanTables, low: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Per run, the lattice points of the segment from row low to row top
     of k-type coordinates (rows that differ in one coordinate), an exact
     integer lower bound on bulk_margins_scaled at every point of the run:
-    the smaller end value of the concave bound of the module docstring.
-    Its variant j' of mu - beta is the row argmin of lin + c + step at
-    low, the lowest-floor variant of low - beta away from the walls of k.
-    Runs go in chunks of _CHUNK_ROWS, like the screen's rows."""
-    out = np.empty(len(low), dtype=np.int64)
-    for start in range(0, len(low), _CHUNK_ROWS):
-        ends = np.concatenate([low[start:start + _CHUNK_ROWS], top[start:start + _CHUNK_ROWS]])
-        n = len(ends) // 2
-        table = _screen_table(tables, ends)
-        upper = table.min(axis=1).astype(np.int64) + 2 * (ends @ tables.rho_c_lin_s)
-        first = np.tile((table[:n] + tables.step_s).argmin(axis=1), 2)
-        lin_at = table[np.arange(2 * n), first].astype(np.int64)
+    the smaller end value of the concave bound of the module docstring,
+    its variant of mu - beta the lowest-floor one of low - beta."""
+    return _concave_bounds(tables, [low, top])
+
+
+def _concave_bounds(tables: ScanTables, ends: list) -> np.ndarray:
+    """Per run, the least value of the concave bound over the rows of
+    ends (arrays of equal length, one row per run in each), with the
+    variant of mu - beta fixed at the first. Runs go in chunks of
+    _CHUNK_ROWS, like the kernel's rows, to bound the memory of the
+    tables."""
+    out = np.empty(len(ends[0]), dtype=np.int64)
+    for start in range(0, len(out), _CHUNK_ROWS):
+        part = [e[start:start + _CHUNK_ROWS] for e in ends]
+        n = len(part[0])
+        m = np.concatenate(part)
+        table = _screen_table(tables, m)
+        upper = table.min(axis=1).astype(np.int64) + 2 * (m @ tables.rho_c_lin_s)
+        first = np.tile((table[:n] + tables.step_s).argmin(axis=1), len(ends))
+        lin_at = table[np.arange(len(m)), first].astype(np.int64)
         lin_at += tables.step_s[first] - tables.floor_const_s[first]
-        bound = upper - _down_value(tables, ends, first, lin_at)
-        out[start:start + n] = np.minimum(bound[:n], bound[n:])
+        bound = upper - _down_value(tables, m, first, lin_at)
+        out[start:start + n] = bound.reshape(len(ends), n).min(axis=0)
     return out
 
 

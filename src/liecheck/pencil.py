@@ -10,15 +10,16 @@ when every step margin along it is positive, and verify_box certifies
 positivity for every unitarily large k-type inside a coordinate box.
 
 Margins split, one rho_n variant at a time, into a conjugation term
-(termI, bounded below by parabolic data) plus an exact linear term
-(termII); decompose_step exposes that split for inspection and tests.
+(termI), which parabolic_bound and naive_bound bound from below, plus an
+exact linear term (termII); the fastscan docstring derives the scan's
+cheap bound from that split.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .cases import (
@@ -26,13 +27,13 @@ from .cases import (
     _normalize_ktype,
     get_case,
     ktype_is_dominant,
-    ktype_to_ambient,
 )
 from .data import golden
 from .errors import UsageError
 from .fastscan import scan_box
-from .rootdata import inner, norm_sq, vadd, vscale, vsub
+from .rootdata import inner, vadd, vscale, vsub
 from .spin import spin_norm_sq
+# perfbench/spans.py wraps pencil.to_dominant, so the name stays imported
 from .weyl import apply_word, parabolic_longest, to_dominant
 
 _LETTERS = string.ascii_lowercase
@@ -56,7 +57,6 @@ class Box:
     """Inclusive per-coordinate ranges of k-type coordinates."""
 
     ranges: tuple[tuple[int, int], ...]
-    note: str = field(default="", compare=False)
 
     def __post_init__(self):
         for lo, hi in self.ranges:
@@ -114,7 +114,8 @@ def _validate_box(case: CaseData, box: Box) -> None:
 
 def default_box(case: CaseData) -> Box:
     """The scan box for the case: published ranges for the fixed families,
-    a small sanity range for the classical series."""
+    and 0..2n + 2 in every coordinate for the classical series (a sanity
+    range, not a published scan)."""
     boxes = golden()["boxes"]
     if case.id.family in boxes:
         return Box(tuple(tuple(r) for r in boxes[case.id.family]))
@@ -124,10 +125,7 @@ def default_box(case: CaseData) -> Box:
             "closed-form families"
         )
     n = case.id.n
-    return Box(
-        tuple((0, 2 * n + 2) for _ in range(case.rank_k)),
-        note="sanity range, not a published scan",
-    )
+    return Box(tuple((0, 2 * n + 2) for _ in range(case.rank_k)))
 
 
 @dataclass(frozen=True)
@@ -179,35 +177,6 @@ def step_margin_sq(case: CaseData, mu) -> Q:
     except UsageError as exc:
         raise UsageError(f"step down from {coords} is undefined: {exc}") from exc
     return spin_norm_sq(case, coords) - spin_norm_sq(case, stepped)
-
-
-def decompose_step(case: CaseData, mu, j: int):
-    """Split one variant's contribution to the step at mu.
-
-    Returns (delta, term_conj, term_linear) where, writing x = mu - rho_n(j)
-    and y = mu - beta - rho_n(j) in ambient coordinates and {.} for the
-    dominant conjugate, delta = {x} - {y},
-
-        term_conj   = 2 <rho_c, delta>,
-        term_linear = |x|^2 - |y|^2 = 2 <mu - rho_n(j), beta> - |beta|^2,
-
-    and term_conj + term_linear equals the difference of the variant's
-    norm contributions at mu and mu - beta.
-    """
-    if not 0 <= j < case.num_variants:
-        raise UsageError(
-            f"variant index {j} out of range 0..{case.num_variants - 1}"
-        )
-    coords = _normalize_ktype(case, mu)
-    stepped = pencil_member(case, coords, -1)
-    x = vsub(ktype_to_ambient(case, coords), case.rho_n_variants[j])
-    y = vsub(ktype_to_ambient(case, stepped), case.rho_n_variants[j])
-    dx, _ = to_dominant(x, case.k_system)
-    dy, _ = to_dominant(y, case.k_system)
-    delta = vsub(dx, dy)
-    term_conj = 2 * inner(case.rho_c, delta)
-    term_linear = norm_sq(x) - norm_sq(y)
-    return delta, term_conj, term_linear
 
 
 def parabolic_bound(case: CaseData, k: int) -> Q:

@@ -670,7 +670,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--box",
         default="default",
-        help="'default' (the published box, EVIII and EIX included) or "
+        help="'default' (the published box, EVIII and EIX included; for "
+        "SL2nR, SL2n1R and SLnH every coordinate in 0..2n+2, whose scan grows "
+        "steeply with n, e.g. seconds at n = 9, a minute at n = 10) or "
         "explicit ranges like a:0..12,b:0..7",
     )
     _add_jobs_argument(sp)

@@ -47,7 +47,6 @@ __all__ = [
     "half_sum",
     "root_closure",
     "generate_positive_roots",
-    "solve_linear",
     "RootSystem",
 ]
 
@@ -185,14 +184,6 @@ def _gauss_jordan(
             if r != col and f != 0:
                 aug[r] = [x - f * y if y else x for x, y in zip(aug[r], aug[col])]
     return [[aug[r][n + k] for r in range(n)] for k in range(len(columns))]
-
-
-def solve_linear(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> list[Q]:
-    """Solve a square rational linear system by Gaussian elimination.
-
-    Raises ConstructionError if the matrix is singular.
-    """
-    return _gauss_jordan(rows, [rhs])[0]
 
 
 def _gram(simples: Sequence[Vector]) -> list[list[Q]]:

@@ -37,7 +37,6 @@ from liecheck.cases import (
 )
 from liecheck.fastscan import build_tables, bulk_spin_sq_scaled
 from liecheck.pencil import (
-    decompose_step,
     naive_bound,
     parabolic_bound,
     pencil_member,
@@ -51,7 +50,7 @@ from liecheck.usmall import enumerate_usmall, iter_usmall, usmall_system
 from liecheck.weyl import apply_word, to_dominant
 
 from conftest import sample_case
-from oracle import word_length
+from oracle import decompose_step, word_length
 
 SEED = 20250814
 

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from liecheck import fastscan
-from liecheck.cases import get_case, ktype_is_dominant
+from liecheck.cases import CLASSICAL_FAMILIES, get_case, ktype_is_dominant
 from liecheck.errors import ConstructionError, UsageError
 from liecheck.fastscan import build_tables
 from liecheck.pencil import (
     Box,
     coordinate_names,
-    decompose_step,
     default_box,
     naive_bound,
     parabolic_bound,
@@ -28,6 +27,7 @@ from liecheck.spin import spin_norm_sq, variant_norms_sq
 from liecheck.usmall import usmall_chunks, usmall_system
 
 from conftest import largest_accepted, run_points
+from oracle import decompose_step
 
 # frozen outcomes of the default-box scans for the quick families
 EXPECTED_SCANS = {
@@ -88,10 +88,12 @@ def test_sp4r_has_no_default_box():
 
 
 def test_classical_fallback_box_exists():
-    case = get_case("SL2nR", 2)
-    box = default_box(case)
-    assert box.dim == case.ktype_dim
-    assert "sanity" in box.note
+    # the classical series have no published box: verify scans 0..2n + 2
+    for family in CLASSICAL_FAMILIES:
+        for n in (2, 3, 6):
+            case = get_case(family, n)
+            box = default_box(case)
+            assert box.ranges == ((0, 2 * n + 2),) * case.ktype_dim
 
 
 def test_pencil_member_steps():

@@ -17,7 +17,6 @@ from liecheck.rootdata import (
     norm_sq,
     reflect,
     root_closure,
-    solve_linear,
     vadd,
     vec,
     vneg,
@@ -25,6 +24,7 @@ from liecheck.rootdata import (
 )
 
 from conftest import sample_case
+from oracle import solve_linear
 
 A2 = RootSystem.from_simples([vec(1, -1, 0), vec(0, 1, -1)])
 B2 = RootSystem.from_simples([vec(1, -1), vec(0, 1)])

@@ -30,7 +30,7 @@ from liecheck.usmall import iter_usmall
 from liecheck.weyl import to_dominant
 
 from conftest import BIG_FAMILIES, SMALL_FAMILIES, largest_accepted, run_points
-from oracle import margin_lower_bounds_two_floor, orbit
+from oracle import margin_lower_bounds_one_point, margin_lower_bounds_two_floor, orbit
 
 
 def oracle_spin_sq(case, mu):
@@ -150,27 +150,26 @@ def test_bulk_margins_match_step_margin(family, rng):
 
 
 def _variant_floors(case, mu):
-    """Sweep-free floor |x|^2 + 2 max(0, <x, rho_c>) + |rho_c|^2 of each
-    variant, x = mu - rho_n variant, in exact arithmetic."""
+    """Sweep-free floor |x + rho_c|^2 of each variant, x = mu - rho_n
+    variant, in exact arithmetic."""
     ambient = ktype_to_ambient(case, mu)
-    floors = []
-    for variant in case.rho_n_variants:
-        x = vsub(ambient, variant)
-        floors.append(
-            norm_sq(x) + 2 * max(0, inner(x, case.rho_c)) + norm_sq(case.rho_c)
-        )
-    return floors
+    return [
+        norm_sq(vadd(vsub(ambient, variant), case.rho_c))
+        for variant in case.rho_n_variants
+    ]
 
 
 @pytest.mark.parametrize("family", ["G", "FII", "EI", "FI", "SP4R"])
 def test_bulk_kernel_exact_on_tied_floors(family):
     # rows whose lowest floor is attained by two or more variants: the
-    # kernel sweeps one of them first and must not lose the others
+    # kernel sweeps one of them first and must not lose the others; G has
+    # only 4 such rows in 0..3, so its grid reaches 5
     case = get_case(family)
     tables = build_tables(case)
     lo = -3 if case.k_has_center else 0
+    hi = 6 if family == "G" else 4
     tied = []
-    for mu in itertools.product(range(lo, 4), repeat=case.ktype_dim):
+    for mu in itertools.product(range(lo, hi), repeat=case.ktype_dim):
         if not ktype_is_dominant(case, mu):
             continue
         floors = _variant_floors(case, mu)
@@ -219,8 +218,9 @@ def test_bulk_kernel_on_zero_and_one_row(family):
 
 
 def _tied(tables, coords):
-    """Rows whose lowest sweep-free floor is attained by two variants."""
-    floor = fastscan._floor(tables, coords, fastscan._linear(tables, coords))
+    """Rows whose lowest sweep-free floor is attained by two variants: the
+    table lin + c differs from the floors by a per-row constant."""
+    floor = fastscan._screen_table(tables, coords)
     return (floor == floor.min(axis=1, keepdims=True)).sum(axis=1) > 1
 
 
@@ -279,10 +279,11 @@ def _screen_rows(case, rng, count, low, high):
     (family, None) for family in SMALL_FAMILIES + BIG_FAMILIES
 ] + [("SL2nR", 3), ("SL2n1R", 3), ("SLnH", 3)])
 def test_one_table_screen_equals_the_two_floor_screen(family, n):
-    # margin_lower_bounds gives the same integers as the two-floor form it
-    # replaced: on rows away from the walls of k (one table), on rows near
-    # them (both floor tables), on chunks mixing the two, and on rows whose
-    # lowest floor is tied between variants
+    # away from the walls of k margin_lower_bounds gives the same integers
+    # as the tighter two-floor form it replaced; near them, and on chunks
+    # mixing the two, it is the run bound of a run of one point and at
+    # most the margin; rows whose lowest floor is tied between variants
+    # occur among them
     case = get_case(family, n)
     tables = build_tables(case)
     rng = np.random.default_rng(20251019)
@@ -294,11 +295,15 @@ def test_one_table_screen_equals_the_two_floor_screen(family, n):
     assert ((far @ tables.rho_c_lin_s) * 2 >= wall).all()
     assert ((near - beta) @ tables.rho_c_lin_s * 2 < wall).any()
     mixed = np.concatenate([far[:300], near[:10], far[300:]])
-    for rows in (near, far, mixed):
+    assert len(far) > fastscan._CHUNK_ROWS
+    assert np.array_equal(
+        margin_lower_bounds(tables, far), margin_lower_bounds_two_floor(tables, far)
+    )
+    for rows in (near, mixed):
         assert len(rows) > fastscan._CHUNK_ROWS
-        assert np.array_equal(
-            margin_lower_bounds(tables, rows), margin_lower_bounds_two_floor(tables, rows)
-        )
+        bounds = margin_lower_bounds(tables, rows)
+        assert np.array_equal(bounds, fastscan.run_lower_bounds(tables, rows, rows))
+        assert (bounds <= bulk_margins_scaled(tables, rows)).all()
     if case.num_variants > 1:
         assert _tied(tables, far - beta).any() or _tied(tables, near - beta).any()
 
@@ -432,7 +437,7 @@ def test_bulk_engine_exact_up_to_the_magnitude_bound(family, data):
     stepped = [tuple(max(x, b) for x, b in zip(mu, beta)) for mu in rows]
     bounds = margin_lower_bounds(tables, np.array(stepped, dtype=np.int64))
     assert np.array_equal(
-        bounds, margin_lower_bounds_two_floor(tables, np.array(stepped, dtype=object))
+        bounds, margin_lower_bounds_one_point(tables, np.array(stepped, dtype=object))
     )
     for mu, value in zip(stepped, bounds):
         assert Q(int(value), tables.scale) <= step_margin_sq(case, mu)
