@@ -55,13 +55,14 @@ in passes:
   * pass 2 walks {0 < cheap <= max(0, best)}. If pass 1 evaluated
     nothing, bands of doubling width above 0 come first, until a point is
     evaluated or the box is covered.
-A walked point reaches the kernel only if its run bound (runs of at least
-_RUN_POINTS points, below), its cheap bound and its margin_lower_bounds
-are all at most max(0, best), best falling after every kernel batch. The
-three bounds are at most margin(m*) = min <= best for the minimizer m*
-and for every violation (a run bound is at most the margin of each point
-of its run), so they are evaluated, and the report depends neither on
---jobs nor on which process saw which slice.
+A point of the band reaches the kernel only if the simplex bound of each
+frontier row above it (below), its run bound (runs of at least
+_RUN_POINTS points), its cheap bound and its margin_lower_bounds are all
+at most max(0, best), best falling after every kernel batch. The four
+bounds are at most margin(m*) = min <= best for the minimizer m* and for
+every violation (a simplex or run bound is at most the margin of each
+point under its row or in its run), so they are evaluated, and the
+report depends neither on --jobs nor on which process saw which slice.
 k with center (SP4R: rows of both signs, small boxes) lists each slice's
 filtered points from its grid in one pass, under the same two tests.
 --no-shortcut evaluates every filtered point.
@@ -95,13 +96,43 @@ smaller of the two end values of F - V, with j' taken at the lower end
 for both: a point is a run of one, and both come out of one body. A run
 of n points costs the row screen n rows but the run screen two ends, so
 only runs of at least _RUN_POINTS = 3 points are run-screened, and a
-rejected run is dropped before it is expanded into rows. On the last
-EVIII slice the row screen saw 633,131 walked points, all in pass 2 and
-all rejected; with the run screen it sees 72,835, and the run screen
-evaluates 181,566 ends. A run's ends are points of the box (the top
-end's last coordinate is its cap, at most the box edge), so
-magnitude_bound covers every integer and float64 value the screens
-compute, as for any row.
+rejected run is dropped before it is expanded into rows. A run's ends are
+points of the box (the top end's last coordinate is its cap, at most the
+box edge), so magnitude_bound covers every integer and float64 value
+these two screens compute, as for any row.
+
+The simplex screen drops whole subtrees of the walk. Take a frontier row
+that fixes the first l walked coordinates (the prefix) and leaves k >= 2
+free, with slack s >= 0 on the cheap row, and c_i the cheap coefficients
+of the free coordinates, all > 0 (else the band is not screened).
+  1. Every point under the row is e = (prefix, y) with y >= 0 integral and
+     c @ y <= s.
+  2. Such a y lies in the lattice simplex with the k + 1 vertices 0 and
+     t_i e_i, t_i = ceil(s / c_i): sum_i y_i / t_i <= sum_i y_i c_i / s
+     <= 1 (for s = 0, y = 0, and every vertex is the corner (prefix, 0)).
+  3. F - V with j' fixed is concave on all of R^n, not only on the
+     dominant cone: F less |mu|^2 is a minimum of affine functions of
+     real mu, and V less |mu - beta|^2 an affine function plus a sum of
+     absolute values of affine functions.
+  4. So on the simplex F - V is least at a vertex, and its least vertex
+     value bounds the margin at every point under the row.
+simplex_lower_bounds takes that least value, with j' the lowest-floor
+variant of the corner less beta; where it exceeds max(0, best), the
+screen that _Scanner._batches hands usmall._walk drops the row before
+_children expands it. The run screen stays at the last level, where a
+row's subtree is its run. The vertices need not be points of the box:
+a vertex coordinate is at most base_i + ceil(budget / c_i), as s is at
+most the band's budget. So each band checks magnitude_bound at that
+reach, and a band whose reach fails the check (the second band of G's
+largest accepted box) is walked without the simplex screen.
+
+On the last EVIII slice, without the simplex screen the walk yielded
+140,926 runs of 633,366 points, the run screen evaluated 181,566 ends
+and the row screen 72,835 rows, all in pass 2 and all rejected: 254,401
+evaluations of F - V. With it the walk yields 1,515 runs of 13,358
+points, and the screens evaluate F - V at 15,192 points: 12,417 vertices
+of 3,334 frontier rows (2,700 rejected), 2,474 run ends and 301 rows.
+The same 235 rows reach the kernel.
 
 A tighter floor, |x|^2 + 2 max(0, <x, rho_c>) + |rho_c|^2, and a second
 pair of floor tables for rows near the walls of k were measured against
@@ -132,9 +163,11 @@ from .usmall import _children, _walk, usmall_system
 # 277-380 ms on the last EVIII slice in process, against 261-345 ms (five
 # runs each on a 2-core machine).
 _BATCH_ROWS = 4_096
-# Rows per best-first kernel chunk. Its (rows x variants) tables and pair
-# arrays grow with it: on the published boxes, 1,024 rows raised peak memory
-# by 7% over a per-variant kernel and 512 rows by 2%, at the same speed.
+# Rows per best-first kernel chunk, and per screen chunk over all the ends
+# of its runs. Its (rows x variants) tables and pair arrays grow with it: on
+# the published boxes, 1,024 rows raised peak memory by 7% over a
+# per-variant kernel and 512 rows by 2%, at the same speed. It also keeps
+# each float64 product on one OpenBLAS thread (_product).
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
 # Shortest walker run screened by its two ends: a run of n points costs n
@@ -270,6 +303,12 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     floor, one variant value (lin_part plus a root sum) and
     m @ cheap_coef_s - |beta|^2 (|beta|^2 is at most the a^2 part of
     norm_x), so their partial sums stay below the total.
+
+    The vertices of the simplex screen are not rows of the box: a vertex
+    coordinate reaches up to base_i + ceil(budget / c_i), past the box
+    edge. So the scan calls this bound once more per band, at that reach,
+    and walks a band it refuses without the simplex screen
+    (_Scanner._reach_fits).
     """
 
     def abs_sum(arr):
@@ -346,7 +385,10 @@ def _product(m: np.ndarray, table: np.ndarray) -> np.ndarray:
     OpenBLAS ran it on one thread, and with two processes at once, as
     under --jobs 2, it took 44 us; from 9 x 300 tables on it used two
     threads, and no family that verify scans has tables beyond EVIII's
-    9 x 135 and EIX's 8 x 64. The table must be C-ordered: with a
+    9 x 135 and EIX's 8 x 64. Rows count too: with 1,024 rows the 9 x 135
+    product ran on two threads (cpu time twice wall time, 4,608 rows as
+    well), 768 rows still on one, so no caller passes more than
+    _CHUNK_ROWS rows. The table must be C-ordered: with a
     transposed one the same product took 333 us on two threads, and a
     --jobs 2 scan of the last EVIII slice four times as long."""
     table = np.ascontiguousarray(table, dtype=np.float64)
@@ -448,15 +490,32 @@ def run_lower_bounds(tables: ScanTables, low: np.ndarray, top: np.ndarray) -> np
     return _concave_bounds(tables, [low, top])
 
 
+def simplex_lower_bounds(tables: ScanTables, corner: np.ndarray, axes,
+                         reach: np.ndarray) -> np.ndarray:
+    """Per row of corner (k-type coordinates), an exact integer lower bound
+    on bulk_margins_scaled at every lattice point of the simplex with the
+    vertices corner and corner + reach[:, i] e_axes[i], reach >= 0: the
+    least vertex value of the concave bound of the module docstring, its
+    variant of mu - beta the lowest-floor one of corner - beta."""
+    ends = [corner]
+    for i, axis in enumerate(axes):
+        vertex = corner.copy()
+        vertex[:, axis] += reach[:, i]
+        ends.append(vertex)
+    return _concave_bounds(tables, ends)
+
+
 def _concave_bounds(tables: ScanTables, ends: list) -> np.ndarray:
     """Per run, the least value of the concave bound over the rows of
     ends (arrays of equal length, one row per run in each), with the
     variant of mu - beta fixed at the first. Runs go in chunks of
-    _CHUNK_ROWS, like the kernel's rows, to bound the memory of the
-    tables."""
+    _CHUNK_ROWS // len(ends), so that no product has more than
+    _CHUNK_ROWS rows: that bounds the memory of the tables and keeps
+    OpenBLAS on one thread (_product)."""
     out = np.empty(len(ends[0]), dtype=np.int64)
-    for start in range(0, len(out), _CHUNK_ROWS):
-        part = [e[start:start + _CHUNK_ROWS] for e in ends]
+    step = max(1, _CHUNK_ROWS // len(ends))
+    for start in range(0, len(out), step):
+        part = [e[start:start + step] for e in ends]
         n = len(part[0])
         m = np.concatenate(part)
         table = _screen_table(tables, m)
@@ -496,7 +555,7 @@ class _Scanner:
 
     def __init__(self, case: CaseData, ranges, shortcut: bool):
         self.tables = build_tables(case)
-        coord_max = max(abs(v) for r in ranges for v in r)
+        self.coord_max = coord_max = max(abs(v) for r in ranges for v in r)
         bound = magnitude_bound(self.tables, coord_max)
         if bound > _INT64_MAX:
             raise ConstructionError(
@@ -609,11 +668,23 @@ class _Scanner:
         if len(coords):
             yield coords
 
+    def _reach_fits(self, base, budget: int) -> bool:
+        """Whether magnitude_bound covers every vertex of the simplex screen
+        in a band whose walk starts at base with cheap budget: a vertex
+        coordinate is at most the box's largest or base_i plus the reach
+        ceil(budget / c_i), as a row's slack is at most the budget."""
+        coef = self.tables.cheap_coef_s.tolist()
+        if min(coef) <= 0:  # an unbounded simplex
+            return False
+        reach = max(b - (-budget // c) for b, c in zip(base.tolist(), coef))
+        return magnitude_bound(self.tables, max(self.coord_max, reach)) <= _INT64_MAX
+
     def _batches(self, first, last, band):
         """Yield the filtered points of slices first..last in the band, in
         batches of at least _BATCH_ROWS rows but the last: the walk of the
         module docstring over e = mu - base, slice coordinate first, but
-        the runs the run screen rejects at the cutoff of the moment."""
+        the subtrees the simplex screen and the runs the run screen reject
+        at the cutoff of the moment."""
         if not self.semisimple:
             for value in range(first, last + 1):
                 yield from self._grid_batches(value)
@@ -643,8 +714,20 @@ class _Scanner:
             points[:, order] = e + base[order]
             return points
 
+        def screen(level, prefix, slack):  # the simplex screen
+            cutoff = self.cutoff()
+            if cutoff is None:
+                return np.ones(len(prefix), dtype=bool)
+            corner = place(np.pad(prefix, ((0, 0), (0, self.dim - level))))
+            # the cheap row is the walk's last: its slack s bounds c @ y
+            reach = -(-slack[:, -1:] // coef[:, level:])
+            return simplex_lower_bounds(self.tables, corner, order[level:], reach) <= cutoff
+
+        if upto is None or not self._reach_fits(base, budget):
+            screen = None
         pending, rows = [], 0
-        for caps, prefix, start in _walk(np.vstack(coeffs), np.concatenate(bounds), drops):
+        walk = _walk(np.vstack(coeffs), np.concatenate(bounds), drops, screen)
+        for caps, prefix, start in walk:
             cutoff = self.cutoff()
             long = [] if cutoff is None else np.flatnonzero(caps - start >= _RUN_POINTS - 1)
             if len(long):  # the run screen

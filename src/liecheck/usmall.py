@@ -14,7 +14,8 @@ also takes drop sets, further rows with nonnegative coefficients whose
 points are left out: at the last coordinate each set drops a run of
 values from 0 up, so a frontier row keeps the values from one start on.
 The box scan (fastscan) walks a box this way, dropping its u-small
-points.
+points, and hands the walk a screen that drops frontier rows, each with
+its whole subtree, before they are expanded.
 
 SP4R's k-types are ambient pairs (p, q) with p >= q, and its rows mix
 signs; it is counted and listed from the ranges they give. It is not
@@ -196,7 +197,7 @@ def _first_kept(coords, drops):
     return start
 
 
-def _walk(coeffs, bounds, drops=()):
+def _walk(coeffs, bounds, drops=(), screen=None):
     """Yield (caps, coords, start) over the lattice points e >= 0 with
     coeffs @ e <= bounds and outside every drop set, in lexicographic
     order, for runs of rows at the last coordinate: each row of coords
@@ -204,30 +205,43 @@ def _walk(coeffs, bounds, drops=()):
     coeffs and bounds pass the _int64_rows guard. A drop set is a pair
     (coeffs, bounds) of int64 arrays naming the points with
     coeffs @ e <= bounds; its coefficients must be >= 0, and one with a
-    negative bound holds no point e >= 0, so it is skipped. A stack entry
-    is a group's level, slacks, coords and caps; a group is taken a run of
-    rows at a time, the rest waiting below the children, so a group or
-    run has at most _FRONTIER_ROWS rows or children, or one row."""
+    negative bound holds no point e >= 0, so it is skipped. screen, if
+    given, is called as screen(level, coords, slack) on each new group of
+    frontier rows with at least two coordinates still free (coords their
+    level leading coordinates, slack their rows' slacks) and returns a
+    keep mask: a row it does not keep is dropped with its whole subtree.
+    A stack entry is a group's level, slacks, coords and caps; a group is
+    taken a run of rows at a time, the rest waiting below the children, so
+    a group or run has at most _FRONTIER_ROWS rows or children, or one
+    row."""
     coeffs, bounds = _int64_rows(zip(coeffs, bounds))
     for c, _ in drops:
         if (c < 0).any():
             raise ConstructionError(f"drop set with a negative coefficient: {c.tolist()}")
     drops = [(c, b) for c, b in drops if (b >= 0).all()]
-    coords = np.zeros((1, 0), dtype=np.int64)
-    slack = bounds[None, :]
-    stack = [(0, slack, coords, _caps(coeffs, slack, 0))]
+    last = coeffs.shape[1] - 1
+
+    def group(level, slack, coords):
+        if screen is not None and level < last:
+            keep = screen(level, coords, slack)
+            slack, coords = slack[keep], coords[keep]
+        return level, slack, coords, _caps(coeffs, slack, level)
+
+    stack = [group(0, bounds[None, :], np.zeros((1, 0), dtype=np.int64))]
     while stack:
         level, slack, coords, caps = stack.pop()
         stop = _run(caps)
         if stop < len(caps):
             stack.append((level, slack[stop:], coords[stop:], caps[stop:]))
         slack, coords, caps = slack[:stop], coords[:stop], caps[:stop]
-        if level == coeffs.shape[1] - 1:
+        if not len(caps):  # a group the screen emptied
+            continue
+        if level == last:
             yield caps, coords, _first_kept(coords, drops)
             continue
         kids, values = _children(coords, caps)
         slack = np.repeat(slack, caps + 1, axis=0) - values[:, None] * coeffs[:, level]
-        stack.append((level + 1, slack, kids, _caps(coeffs, slack, level + 1)))
+        stack.append(group(level + 1, slack, kids))
 
 
 def usmall_chunks(case: CaseData):

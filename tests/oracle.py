@@ -105,12 +105,12 @@ def decompose_step(case, mu, j: int):
     return delta, term_conj, term_linear
 
 
-def _floor_bounds(tables, coords, floor):
-    """The spin norm floor of mu minus the value of mu - beta at its own
-    lowest-floor variant, for every row, from int64 or object products:
-    a lower bound on the scaled margin. floor(m, lin) is the (rows x
-    variants) floor table of m without the row constant, lin its
-    linear-term table."""
+def _floor_bounds(tables, coords, floor, first=None):
+    """The spin norm floor of mu minus the value of mu - beta at the
+    variant first (by default its own lowest-floor one), for every row,
+    from int64 or object products: a lower bound on the scaled margin.
+    floor(m, lin) is the (rows x variants) floor table of m without the
+    row constant, lin its linear-term table."""
     beta = tables.beta_coords
 
     def row_constant(m):
@@ -121,7 +121,8 @@ def _floor_bounds(tables, coords, floor):
     lin = -2 * coords @ tables.variant_s.T
     upper = floor(coords, lin).min(axis=1) + row_constant(coords)
     lin += 2 * (tables.variant_s @ beta)
-    first = floor(down, lin).argmin(axis=1)
+    if first is None:
+        first = floor(down, lin).argmin(axis=1)
     roots = np.abs(down @ tables.root_s - tables.root_var_s[first]).sum(axis=1)
     lower = lin[rows, first] + tables.variant_nrm_s[first] + roots
     return upper - lower - row_constant(down)
@@ -136,9 +137,29 @@ def margin_lower_bounds_one_point(tables, coords):
     """fastscan.margin_lower_bounds with the floor |x + rho_c|^2: the
     concave bound at each row. With object coords every integer is exact
     at any size."""
-    return _floor_bounds(
-        tables, coords, lambda m, lin: lin + tables.variant_nrm_s + _pair(tables, m)
-    )
+    return _floor_bounds(tables, coords, _one_point_floor(tables))
+
+
+def _one_point_floor(tables):
+    return lambda m, lin: lin + tables.variant_nrm_s + _pair(tables, m)
+
+
+def simplex_lower_bounds_exact(tables, corner, axes, reach):
+    """fastscan.simplex_lower_bounds with object products: the least
+    value of the concave bound over the vertices corner and
+    corner + reach[:, i] e_axes[i], the variant of mu - beta fixed at the
+    lowest-floor one of corner - beta."""
+    floor = _one_point_floor(tables)
+    corner = corner.astype(object)
+    down = corner - tables.beta_coords
+    lin = -2 * down @ tables.variant_s.T
+    first = floor(down, lin).argmin(axis=1)
+    bounds = _floor_bounds(tables, corner, floor, first)
+    for i, axis in enumerate(axes):
+        vertex = corner.copy()
+        vertex[:, axis] += reach[:, i].astype(object)
+        bounds = np.minimum(bounds, _floor_bounds(tables, vertex, floor, first))
+    return bounds
 
 
 def margin_lower_bounds_two_floor(tables, coords):

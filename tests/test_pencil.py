@@ -611,21 +611,45 @@ def test_large_block_walk_counts_and_payload(family):
     assert _payload(verify_box(case, box, jobs=2)) == _payload(rep)
 
 
+def _subtree(points, corner, axes, band):
+    """The points of a box walk's subtree under the frontier row whose
+    simplex has corner and free axes, in a band (above, upto] of the cheap
+    bound cheap(points): by brute force, the points that agree with corner
+    off axes, lie at or above it on axes, and are in the band."""
+    cheap, above, upto = band
+    fixed = np.setdiff1d(np.arange(points.shape[1]), axes)
+    under = (points[:, fixed] == corner[fixed]).all(axis=1)
+    under &= (points[:, axes] >= corner[axes]).all(axis=1)
+    if above is not None:
+        under &= cheap > above
+    if upto is not None:
+        under &= cheap <= upto
+    return points[under]
+
+
 @pytest.mark.parametrize("family", sorted(LARGE_BOXES))
 def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch):
     # The walk visits each point at most once, over every pass, and every
     # filtered point whose cheap bound is at most the minimum either
-    # reaches the row screen or lies in a run of at least _RUN_POINTS points
-    # that the run screen rejected: its run bound exceeded max(0, running
-    # minimum) and is at most the exact margin of each of its points. Until
-    # a margin is known every walked point reaches the kernel; after that,
-    # exactly the walked points whose cheap bound and margin lower bound
-    # are at most max(0, running minimum).
+    # reaches the row screen, lies in a run of at least _RUN_POINTS points
+    # that the run screen rejected, or lies under a frontier row that the
+    # simplex screen rejected: its run or vertex bound exceeded
+    # max(0, running minimum) and is at most the exact margin of each of
+    # its points. Until a margin is known every walked point reaches the
+    # kernel; after that, exactly the walked points whose cheap bound and
+    # margin lower bound are at most max(0, running minimum).
     case, box, points, filtered = _large_box_points(family)
     events = []
     bound = fastscan.margin_lower_bounds
     run_bound = fastscan.run_lower_bounds
+    simplex_bound = fastscan.simplex_lower_bounds
     kernel = fastscan.bulk_margins_scaled
+    scan_slices = fastscan._Scanner.scan_slices
+    band = []
+
+    def banded(self, first, last, bounds=(None, None), best=None):
+        band[:] = bounds
+        return scan_slices(self, first, last, bounds, best)
 
     def bounded(tables, coords):
         events.append(("screen", coords.copy()))
@@ -636,13 +660,21 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
         events.append(("runs", low.copy(), top.copy(), bounds))
         return bounds
 
+    def simplex_bounded(tables, corner, axes, reach):
+        bounds = simplex_bound(tables, corner, axes, reach)
+        events.append(("simplex", corner.copy(), np.array(axes), reach.copy(), bounds,
+                       tuple(band)))
+        return bounds
+
     def recorded(tables, coords):
         margins = kernel(tables, coords)
         events.append(("kernel", coords.copy(), margins))
         return margins
 
+    monkeypatch.setattr(fastscan._Scanner, "scan_slices", banded)
     monkeypatch.setattr(fastscan, "margin_lower_bounds", bounded)
     monkeypatch.setattr(fastscan, "run_lower_bounds", run_bounded)
+    monkeypatch.setattr(fastscan, "simplex_lower_bounds", simplex_bounded)
     monkeypatch.setattr(fastscan, "bulk_margins_scaled", recorded)
     rep = verify_box(case, box)
     tables = build_tables(case)
@@ -654,7 +686,24 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
     assert (filtered & (cheap == minimum)).any()
 
     best, walked, kept, rejected, run_bounds = None, [], 0, [], []
+    subtrees = []
     for i, (kind, coords, *rest) in enumerate(events):
+        if kind == "simplex":
+            axes, reach, bounds, (above, upto) = rest
+            assert best is not None
+            for corner, r, b in zip(coords, reach, bounds.tolist()):
+                if b <= max(0, best):
+                    continue
+                sub = _subtree(points[filtered], corner, axes, (cheap[filtered], above, upto))
+                # every point of the subtree lies in the row's simplex
+                y = sub[:, axes] - corner[axes]
+                scale = int(np.lcm.reduce(np.maximum(r, 1)))
+                assert (y[:, r == 0] == 0).all()
+                assert ((y * (scale // np.maximum(r, 1))).sum(axis=1) <= scale).all()
+                if len(sub):
+                    assert (b <= kernel(tables, sub)).all()
+                    subtrees.append(sub)
+            continue
         if kind == "runs":
             top, bounds = rest
             assert best is not None
@@ -682,11 +731,11 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
         kept += len(coords)
         low = int(rest[0].min())
         best = low if best is None else min(best, low)
-    assert rejected
+    assert rejected and subtrees
     rejected = np.concatenate(rejected)
     assert (np.array(run_bounds) <= kernel(tables, rejected)).all()
     walked = np.concatenate(walked)
-    seen = [tuple(p) for p in np.concatenate([walked, rejected]).tolist()]
+    seen = [tuple(p) for p in np.concatenate([walked, rejected, *subtrees]).tolist()]
     assert len(set(seen)) == len(seen)
     needed = {tuple(p) for p in points[filtered & (cheap <= minimum)].tolist()}
     assert needed <= set(seen)
@@ -712,6 +761,28 @@ def test_run_screen_spares_the_row_screen_on_the_last_eviii_slice(monkeypatch):
     rep = verify_box(case, box)
     assert rep.min_margin_sq == 56 and not rep.violations
     assert 0 < sum(seen) < 633_131 // 4
+
+
+def test_screen_products_stay_under_the_chunk_size_on_the_last_eviii_slice(monkeypatch):
+    # every float64 product of a verify of the last EVIII slice (kernel,
+    # row screen, run screen with two ends per run, simplex screen with up
+    # to nine vertices per row) has at most _CHUNK_ROWS rows, the size up
+    # to which OpenBLAS runs EVIII's 9 x 135 table on one thread
+    case = get_case("EVIII")
+    box = parse_box(
+        "a:42..42,b:0..15,c:0..15,d:0..15,e:0..15,f:0..15,g:1..16,h:0..15", case
+    )
+    rows = []
+    product = fastscan._product
+
+    def recorded(m, table):
+        rows.append(len(m))
+        return product(m, table)
+
+    monkeypatch.setattr(fastscan, "_product", recorded)
+    rep = verify_box(case, box)
+    assert rep.min_margin_sq == 56 and not rep.violations
+    assert rows and max(rows) <= fastscan._CHUNK_ROWS
 
 
 def test_walk_refuses_negative_coefficients_for_semisimple_k(monkeypatch):
@@ -768,6 +839,30 @@ def test_largest_accepted_box_is_exact(family):
     assert list(rep.violations) == sorted(
         (mu, m) for mu, m in margins.items() if m <= 0
     )
+
+
+def test_band_beyond_the_reach_guard_is_walked_without_the_screen(monkeypatch):
+    # on G's largest accepted box the first band above 0 screens its
+    # frontier rows, but the vertices of the next band's simplices reach
+    # past the largest coordinate magnitude_bound accepts: that band is
+    # walked without the simplex screen, not refused, and the report is
+    # that of the scan without the shortcut
+    case = get_case("G")
+    top = largest_accepted(build_tables(case))
+    box = Box(((top - 2, top),) * 2)
+    walk = fastscan._walk
+    screened = []
+
+    def recorded(coeffs, bounds, drops=(), screen=None):
+        if drops:  # a band's walk, not the count of filtered points
+            screened.append(screen is not None)
+        return walk(coeffs, bounds, drops, screen)
+
+    monkeypatch.setattr(fastscan, "_walk", recorded)
+    rep = verify_box(case, box)
+    assert screened == [True, False]
+    assert rep.filtered == 9 and rep.min_margin_sq > 0
+    assert _payload(verify_box(case, box, shortcut=False)) == _payload(rep)
 
 
 def test_sp4r_families_closed_forms():

@@ -30,7 +30,12 @@ from liecheck.usmall import iter_usmall
 from liecheck.weyl import to_dominant
 
 from conftest import BIG_FAMILIES, SMALL_FAMILIES, largest_accepted, run_points
-from oracle import margin_lower_bounds_one_point, margin_lower_bounds_two_floor, orbit
+from oracle import (
+    margin_lower_bounds_one_point,
+    margin_lower_bounds_two_floor,
+    orbit,
+    simplex_lower_bounds_exact,
+)
 
 
 def oracle_spin_sq(case, mu):
@@ -405,6 +410,98 @@ def test_run_lower_bounds_never_exceed_a_margin_on_the_run(family, n):
         for (lo, hi), b in list(zip(runs, bounds.tolist()))[::6]:
             for mu in run_points(lo, hi).tolist():
                 assert Q(b, tables.scale) <= step_margin_sq(case, tuple(mu))
+
+
+# -- the vertex bound that screens whole walker subtrees ---------------------
+
+SIMPLEX_CASES = [
+    (family, None) for family in SMALL_FAMILIES + BIG_FAMILIES if family != "SP4R"
+] + [(family, n) for family in CLASSICAL_FAMILIES for n in (2, 3)]
+
+
+def _random_frontier_rows(case, tables, rng, count):
+    """count frontier rows (corner, axes, reach) of the box walk: corner
+    a point with corner and corner - beta dominant, near the walls of k,
+    at offsets 12..60 above max(beta, 0), or mixing coordinates up to the
+    largest that magnitude_bound accepts with small ones; axes its 2 or
+    more free coordinates; reach ceil(s / c_i) over them for a slack s of
+    the cheap row (coefficients c) small enough to list the simplex."""
+    top_coord = largest_accepted(tables)
+    beta = tables.beta_coords
+    dim = case.ktype_dim
+    coef = tables.cheap_coef_s
+    rows = []
+    while len(rows) < count:
+        kind = ("near", "far", "large")[len(rows) % 3]
+        axes = rng.permutation(dim)[: int(rng.integers(2, dim + 1))]
+        slack = int(rng.integers(0, 3 * coef[axes].max() + 1))
+        reach = -(-slack // coef[axes])
+        if kind == "large":
+            corner = np.where(
+                rng.integers(2, size=dim) == 0,
+                top_coord - reach.max() - rng.integers(0, 1000, size=dim),
+                rng.integers(0, 20, size=dim),
+            )
+        else:
+            offsets = (0, 3) if kind == "near" else (12, 60)
+            corner = rng.integers(*offsets, size=dim)
+        corner = (corner + np.maximum(beta, 0)).astype(np.int64)
+        if corner.max() + reach.max() > top_coord:
+            continue
+        rows.append((corner, axes, reach))
+    return rows
+
+
+def _simplex_points(corner, axes, reach):
+    """The lattice points corner + y with y >= 0 supported on axes and
+    sum y_i / reach_i <= 1 (y_i = 0 where reach_i = 0), one axis at a
+    time: with scale the lcm of the reaches, y_i costs y_i * scale /
+    reach_i of a budget of scale."""
+    scale = int(np.lcm.reduce(np.maximum(reach, 1)))
+    weight = np.where(reach > 0, scale // np.maximum(reach, 1), scale + 1)
+    y, used = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for w in weight.tolist():
+        counts = (scale - used) // w + 1
+        values = np.concatenate([np.arange(c) for c in counts.tolist()])
+        y = np.column_stack([np.repeat(y, counts, axis=0), values])
+        used = np.repeat(used, counts) + values * w
+    points = np.repeat(corner[None, :], len(y), axis=0)
+    points[:, axes] += y
+    return points
+
+
+@pytest.mark.parametrize("family,n", SIMPLEX_CASES)
+def test_simplex_lower_bounds_never_exceed_a_margin_on_the_simplex(family, n):
+    # the vertex bound of a frontier row is at most the exact margin of
+    # every lattice point of the row's simplex, and equals the bound
+    # computed with object integers, near the walls of k, away from them,
+    # and at coordinates up to the largest that magnitude_bound accepts;
+    # for G, FII and EI also against the Fraction margin
+    case = get_case(family, n)
+    tables = build_tables(case)
+    rng = np.random.default_rng(20261019)
+    for corner, axes, reach in _random_frontier_rows(case, tables, rng, 30):
+        (bound,) = fastscan.simplex_lower_bounds(tables, corner[None, :], axes, reach[None, :])
+        exact = simplex_lower_bounds_exact(tables, corner[None, :], axes, reach[None, :])
+        assert bound == exact[0], (corner, axes, reach)
+        points = _simplex_points(corner, axes, reach)
+        assert bound <= bulk_margins_scaled(tables, points).min(), (corner, axes, reach)
+        if family in ("G", "FII", "EI") and corner.max() < 100:
+            for mu in points[:: max(1, len(points) // 8)].tolist():
+                assert Q(int(bound), tables.scale) <= step_margin_sq(case, tuple(mu))
+    # the largest reach magnitude_bound accepts: a vertex at its largest
+    # coordinate, checked at the vertices and at sampled points inside
+    top = largest_accepted(tables)
+    dim = case.ktype_dim
+    corner = (np.maximum(tables.beta_coords, 0) + rng.integers(0, 5, size=dim)).astype(np.int64)
+    axes = np.arange(dim)
+    reach = top - corner
+    (bound,) = fastscan.simplex_lower_bounds(tables, corner[None, :], axes, reach[None, :])
+    assert bound == simplex_lower_bounds_exact(tables, corner[None, :], axes, reach[None, :])[0]
+    inside = rng.dirichlet(np.ones(dim + 1), size=200)[:, :dim] * reach
+    samples = corner + np.floor(inside).astype(np.int64)
+    vertices = corner + np.vstack([np.zeros(dim, np.int64), np.diag(reach)])
+    assert bound <= bulk_margins_scaled(tables, np.vstack([vertices, samples])).min()
 
 
 # -- the int64 engine at the largest coordinates the guard accepts -----------

@@ -169,14 +169,30 @@ def test_walk_matches_grid_sweep(family, n):
     assert enumerate_usmall(case) == len(admitted)
 
 
+def _screened_points(case):
+    """The u-small points of case that a walk with a screen keeps: the
+    screen rejects the frontier rows whose coordinate sum plus level is 3
+    mod 4, a rule that depends on the row alone."""
+
+    def screen(level, coords, slack):
+        return (coords.sum(axis=1) + level) % 4 != 3
+
+    walk = usmall._walk(*zip(*usmall_system(case).rows), screen=screen)
+    return [p for caps, coords, _ in walk for p in usmall._children(coords, caps)[0].tolist()]
+
+
 @pytest.mark.parametrize("frontier", [1, 7])
 def test_walk_does_not_depend_on_frontier_groups(frontier, monkeypatch):
     cases = [get_case(f) for f in ("EI", "EII", "EV")]
     expected = [(enumerate_usmall(c), list(iter_usmall(c))) for c in cases]
+    screened = [_screened_points(c) for c in cases]
+    for (count, _), kept in zip(expected, screened):
+        assert 0 < len(kept) < count
     monkeypatch.setattr(usmall, "_FRONTIER_ROWS", frontier)
-    for case, (count, points) in zip(cases, expected):
+    for case, (count, points), kept in zip(cases, expected, screened):
         assert enumerate_usmall(case) == count
         assert list(iter_usmall(case)) == points
+        assert _screened_points(case) == kept
     for chunk in usmall.usmall_chunks(cases[0]):
         assert len(chunk) <= frontier or (chunk[:, :-1] == chunk[0, :-1]).all()
 
@@ -215,6 +231,48 @@ def test_walk_with_drop_sets_matches_grid_filter(data):
     for c, b in drops:
         kept &= ~(grid @ c.T <= b).all(axis=1)
     assert walked == grid[kept].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_walk_with_a_screen_drops_exactly_the_rejected_subtrees(data):
+    # a screen sees each new frontier row with two or more coordinates
+    # free, with its slacks; the walk yields exactly the grid points under
+    # its rows and outside its drop sets, in lexicographic order, minus the
+    # subtrees of the rows the screen rejects, and never expands such a row
+    dim = data.draw(st.integers(2, 4))
+    edges = data.draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+    extra = data.draw(_rows(dim, 0))
+    coeffs = np.vstack([np.eye(dim, dtype=np.int64), _arrays(extra)[0]])
+    bounds = np.concatenate([edges, _arrays(extra)[1]])
+    drops = [_arrays(d) for d in data.draw(st.lists(_rows(dim, -3), max_size=2))]
+    prefix = st.integers(0, dim - 2).flatmap(
+        lambda n: st.tuples(*(st.integers(0, e) for e in edges[:n]))
+    )
+    chosen = data.draw(st.sets(prefix, max_size=4))
+    screened = []
+
+    def screen(level, coords, slack):
+        assert level < dim - 1 and coords.shape == (len(slack), level)
+        assert np.array_equal(slack, bounds - coords @ coeffs[:, :level].T)
+        rows = [tuple(row) for row in coords.tolist()]
+        screened.extend(rows)
+        return np.array([row not in chosen for row in rows], dtype=bool)
+
+    walked = [
+        p for caps, coords, start in usmall._walk(coeffs, bounds, drops, screen)
+        for p in usmall._children(coords, caps, start)[0].tolist()
+    ]
+    grid = np.array(list(itertools.product(*(range(e + 1) for e in edges))))
+    kept = (grid @ coeffs.T <= bounds).all(axis=1)
+    for c, b in drops:
+        kept &= ~(grid @ c.T <= b).all(axis=1)
+    under = [any(tuple(p[:n]) in chosen for n in range(dim - 1)) for p in grid.tolist()]
+    assert walked == grid[kept & ~np.array(under, dtype=bool)].tolist()
+    # no row below a rejected one reached the screen
+    for row in screened:
+        assert not any(row[:n] in chosen for n in range(len(row)))
+    assert len(set(screened)) == len(screened)
 
 
 def test_walk_refuses_negative_drop_coefficients():
