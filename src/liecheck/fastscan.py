@@ -56,12 +56,11 @@ in passes:
     nothing, bands of doubling width above 0 come first, until a point is
     evaluated or the box is covered.
 A point of the band reaches the kernel only if the simplex bound of each
-frontier row above it (below), its run bound (runs of at least
-_RUN_POINTS points), its cheap bound and its margin_lower_bounds are all
-at most max(0, best), best falling after every kernel batch. The four
-bounds are at most margin(m*) = min <= best for the minimizer m* and for
-every violation (a simplex or run bound is at most the margin of each
-point under its row or in its run), so they are evaluated, and the
+frontier row above it (below), its cheap bound and its
+margin_lower_bounds are all at most max(0, best), best falling after
+every kernel batch. The three bounds are at most margin(m*) = min <= best
+for the minimizer m* and for every violation (a simplex bound is at most
+the margin of each point under its row), so they are evaluated, and the
 report depends neither on --jobs nor on which process saw which slice.
 k with center (SP4R: rows of both signs, small boxes) lists each slice's
 filtered points from its grid in one pass, under the same two tests.
@@ -88,21 +87,12 @@ The screens rest on one concave bound. Fix a variant j' of mu - beta.
      of absolute values of affine functions, so convex.
   3. So F - V <= margin, and F - V is concave, as the |mu|^2 -
      |mu - beta|^2 = 2 <mu, beta> - |beta|^2 that the two leave is linear.
-     On a segment it is least at one of the two ends.
 margin_lower_bounds is F - V at each row, j' the row argmin of lin + c +
-step, the lowest-floor variant of mu - beta. run_lower_bounds bounds a
-run of the walk, the points (prefix, v) for v = start..cap, by the
-smaller of the two end values of F - V, with j' taken at the lower end
-for both: a point is a run of one, and both come out of one body. A run
-of n points costs the row screen n rows but the run screen two ends, so
-only runs of at least _RUN_POINTS = 3 points are run-screened, and a
-rejected run is dropped before it is expanded into rows. A run's ends are
-points of the box (the top end's last coordinate is its cap, at most the
-box edge), so magnitude_bound covers every integer and float64 value
-these two screens compute, as for any row.
+step, the lowest-floor variant of mu - beta; magnitude_bound covers
+every integer and float64 value it computes, as for any row of the box.
 
 The simplex screen drops whole subtrees of the walk. Take a frontier row
-that fixes the first l walked coordinates (the prefix) and leaves k >= 2
+that fixes the first l walked coordinates (the prefix) and leaves k >= 1
 free, with slack s >= 0 on the cheap row, and c_i the cheap coefficients
 of the free coordinates, all > 0 (else the band is not screened).
   1. Every point under the row is e = (prefix, y) with y >= 0 integral and
@@ -119,26 +109,31 @@ of the free coordinates, all > 0 (else the band is not screened).
 simplex_lower_bounds takes that least value, with j' the lowest-floor
 variant of the corner less beta; where it exceeds max(0, best), the
 screen that _Scanner._batches hands usmall._walk drops the row before
-_children expands it. The run screen stays at the last level, where a
-row's subtree is its run. The vertices need not be points of the box:
+_children expands it. At the last level a row's subtree is its run,
+start..cap with cap <= floor(s / c), and its simplex is the segment from
+(prefix, 0) to (prefix, ceil(s / c)): a point is a simplex of one
+vertex, and the row screen and the walk's screen share one body
+(_concave_bounds). The vertices need not be points of the box:
 a vertex coordinate is at most base_i + ceil(budget / c_i), as s is at
 most the band's budget. So each band checks magnitude_bound at that
 reach, and a band whose reach fails the check (the second band of G's
 largest accepted box) is walked without the simplex screen.
 
-On the last EVIII slice, without the simplex screen the walk yielded
-140,926 runs of 633,366 points, the run screen evaluated 181,566 ends
-and the row screen 72,835 rows, all in pass 2 and all rejected: 254,401
-evaluations of F - V. With it the walk yields 1,515 runs of 13,358
-points, and the screens evaluate F - V at 15,192 points: 12,417 vertices
-of 3,334 frontier rows (2,700 rejected), 2,474 run ends and 301 rows.
-The same 235 rows reach the kernel.
+On the last EVIII slice the walk yields 220 runs of 1,512 points, all in
+pass 2, and the screens evaluate F - V at 16,448 points: 15,171 vertices
+of 4,463 frontier rows and 1,277 rows; 235 rows reach the kernel.
 
 A tighter floor, |x|^2 + 2 max(0, <x, rho_c>) + |rho_c|^2, and a second
 pair of floor tables for rows near the walls of k were measured against
 this one and dropped: on every published box, the last EVIII and EIX
 slices, an EVI slice and two SP4R boxes they sent the same rows to the
-kernel.
+kernel. Two screen sets with the simplex screen stopping above the last
+level were dropped as well. With a separate run screen on the two ends of
+each run of at least three points, a second code path, the last EVIII
+slice took 15,192 evaluations of F - V for the same 235 kernel rows.
+Without it the row screen saw 13,123 points there, and the long-slices
+benchmark took a median 0.183 s of wall time against 0.168 s with the
+screen at the last level (six alternating runs each, 2-core machine).
 """
 
 from __future__ import annotations
@@ -163,16 +158,13 @@ from .usmall import _children, _walk, usmall_system
 # 277-380 ms on the last EVIII slice in process, against 261-345 ms (five
 # runs each on a 2-core machine).
 _BATCH_ROWS = 4_096
-# Rows per best-first kernel chunk, and per screen chunk over all the ends
-# of its runs. Its (rows x variants) tables and pair arrays grow with it: on
-# the published boxes, 1,024 rows raised peak memory by 7% over a
+# Rows per best-first kernel chunk, and per screen chunk over all the
+# vertices of its rows. Its (rows x variants) tables and pair arrays grow
+# with it: on the published boxes, 1,024 rows raised peak memory by 7% over a
 # per-variant kernel and 512 rows by 2%, at the same speed. It also keeps
 # each float64 product on one OpenBLAS thread (_product).
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
-# Shortest walker run screened by its two ends: a run of n points costs n
-# rows of the row screen but only two ends of the run screen.
-_RUN_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -299,16 +291,16 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     scale * 2 <dom x, rho_c> <= 2 sqrt(scale |x|^2 * scale |rho_c|^2), and
     its addends and partial sums are nonnegative and at most the whole.
     A floor is a table entry plus r (at most lin_part + rho_c_term). The
-    screens, at rows of the box (the ends of a run are such rows), add a
-    floor, one variant value (lin_part plus a root sum) and
-    m @ cheap_coef_s - |beta|^2 (|beta|^2 is at most the a^2 part of
-    norm_x), so their partial sums stay below the total.
+    row screen, at rows of the box, adds a floor, one variant value
+    (lin_part plus a root sum) and m @ cheap_coef_s - |beta|^2 (|beta|^2
+    is at most the a^2 part of norm_x), so its partial sums stay below the
+    total.
 
-    The vertices of the simplex screen are not rows of the box: a vertex
-    coordinate reaches up to base_i + ceil(budget / c_i), past the box
-    edge. So the scan calls this bound once more per band, at that reach,
-    and walks a band it refuses without the simplex screen
-    (_Scanner._reach_fits).
+    The simplex screen computes the same at its vertices, which are not
+    rows of the box: a vertex coordinate reaches up to
+    base_i + ceil(budget / c_i), past the box edge. So the scan calls this
+    bound once more per band, at that reach, and walks a band it refuses
+    without the simplex screen (_Scanner._reach_fits).
     """
 
     def abs_sum(arr):
@@ -481,15 +473,6 @@ def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     return _concave_bounds(tables, [coords])
 
 
-def run_lower_bounds(tables: ScanTables, low: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Per run, the lattice points of the segment from row low to row top
-    of k-type coordinates (rows that differ in one coordinate), an exact
-    integer lower bound on bulk_margins_scaled at every point of the run:
-    the smaller end value of the concave bound of the module docstring,
-    its variant of mu - beta the lowest-floor one of low - beta."""
-    return _concave_bounds(tables, [low, top])
-
-
 def simplex_lower_bounds(tables: ScanTables, corner: np.ndarray, axes,
                          reach: np.ndarray) -> np.ndarray:
     """Per row of corner (k-type coordinates), an exact integer lower bound
@@ -506,10 +489,10 @@ def simplex_lower_bounds(tables: ScanTables, corner: np.ndarray, axes,
 
 
 def _concave_bounds(tables: ScanTables, ends: list) -> np.ndarray:
-    """Per run, the least value of the concave bound over the rows of
-    ends (arrays of equal length, one row per run in each), with the
-    variant of mu - beta fixed at the first. Runs go in chunks of
-    _CHUNK_ROWS // len(ends), so that no product has more than
+    """Per simplex, the least value of the concave bound over its vertices,
+    the rows of ends (arrays of equal length, one row per simplex in each),
+    with the variant of mu - beta fixed at the first. Simplices go in
+    chunks of _CHUNK_ROWS // len(ends), so that no product has more than
     _CHUNK_ROWS rows: that bounds the memory of the tables and keeps
     OpenBLAS on one thread (_product)."""
     out = np.empty(len(ends[0]), dtype=np.int64)
@@ -683,8 +666,8 @@ class _Scanner:
         """Yield the filtered points of slices first..last in the band, in
         batches of at least _BATCH_ROWS rows but the last: the walk of the
         module docstring over e = mu - base, slice coordinate first, but
-        the subtrees the simplex screen and the runs the run screen reject
-        at the cutoff of the moment."""
+        the subtrees the simplex screen rejects at the cutoff of the
+        moment."""
         if not self.semisimple:
             for value in range(first, last + 1):
                 yield from self._grid_batches(value)
@@ -728,16 +711,6 @@ class _Scanner:
         pending, rows = [], 0
         walk = _walk(np.vstack(coeffs), np.concatenate(bounds), drops, screen)
         for caps, prefix, start in walk:
-            cutoff = self.cutoff()
-            long = [] if cutoff is None else np.flatnonzero(caps - start >= _RUN_POINTS - 1)
-            if len(long):  # the run screen
-                ends = place(np.column_stack([
-                    np.concatenate([prefix[long], prefix[long]]),
-                    np.concatenate([start[long], caps[long]]),
-                ]))
-                low, top = np.split(ends, 2)
-                cut = long[run_lower_bounds(self.tables, low, top) > cutoff]
-                start[cut] = caps[cut] + 1  # no children
             e, _ = _children(prefix, caps, start)
             if not len(e):
                 continue

@@ -207,9 +207,9 @@ def _walk(coeffs, bounds, drops=(), screen=None):
     coeffs @ e <= bounds; its coefficients must be >= 0, and one with a
     negative bound holds no point e >= 0, so it is skipped. screen, if
     given, is called as screen(level, coords, slack) on each new group of
-    frontier rows with at least two coordinates still free (coords their
-    level leading coordinates, slack their rows' slacks) and returns a
-    keep mask: a row it does not keep is dropped with its whole subtree.
+    frontier rows (coords their level leading coordinates, slack their
+    rows' slacks) and returns a keep mask: a row it does not keep is
+    dropped with its whole subtree, at the last level its run.
     A stack entry is a group's level, slacks, coords and caps; a group is
     taken a run of rows at a time, the rest waiting below the children, so
     a group or run has at most _FRONTIER_ROWS rows or children, or one
@@ -222,7 +222,7 @@ def _walk(coeffs, bounds, drops=(), screen=None):
     last = coeffs.shape[1] - 1
 
     def group(level, slack, coords):
-        if screen is not None and level < last:
+        if screen is not None:
             keep = screen(level, coords, slack)
             slack, coords = slack[keep], coords[keep]
         return level, slack, coords, _caps(coeffs, slack, level)

@@ -37,6 +37,7 @@ from liecheck.cases import (
 )
 from liecheck.fastscan import build_tables, bulk_spin_sq_scaled
 from liecheck.pencil import (
+    default_box,
     naive_bound,
     parabolic_bound,
     pencil_member,
@@ -176,6 +177,19 @@ def test_naive_bounds(family, golden_data):
 
 
 # ------------------------------------------- 5. box verification scans
+
+
+@pytest.mark.parametrize("family", [f for f in FIXED_FAMILIES if f != "SP4R"])
+def test_published_boxes_end_below_the_margin_thresholds(family, golden_data):
+    # each published box is [lo, threshold - 1] in every coordinate, and
+    # verify scans it as printed; SP4R has neither a box nor thresholds
+    boxes, thresholds = golden_data["boxes"], golden_data["margin_thresholds"]
+    assert set(boxes) == set(thresholds) == set(FIXED_FAMILIES) - {"SP4R"}
+    box = [tuple(r) for r in boxes[family]]
+    assert len(box) == len(thresholds[family]) == get_case(family).rank_k
+    assert [hi for _, hi in box] == [t - 1 for t in thresholds[family]]
+    assert all(lo <= hi for lo, hi in box)
+    assert default_box(get_case(family)).ranges == tuple(box)
 
 
 @pytest.mark.parametrize("family", sorted(SCAN_BUDGET_S))

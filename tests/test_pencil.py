@@ -26,7 +26,7 @@ from liecheck.pencil import (
 from liecheck.spin import spin_norm_sq, variant_norms_sq
 from liecheck.usmall import usmall_chunks, usmall_system
 
-from conftest import largest_accepted, run_points
+from conftest import largest_accepted
 from oracle import decompose_step
 
 # frozen outcomes of the default-box scans for the quick families
@@ -631,17 +631,15 @@ def _subtree(points, corner, axes, band):
 def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch):
     # The walk visits each point at most once, over every pass, and every
     # filtered point whose cheap bound is at most the minimum either
-    # reaches the row screen, lies in a run of at least _RUN_POINTS points
-    # that the run screen rejected, or lies under a frontier row that the
-    # simplex screen rejected: its run or vertex bound exceeded
-    # max(0, running minimum) and is at most the exact margin of each of
-    # its points. Until a margin is known every walked point reaches the
+    # reaches the row screen or lies under a frontier row (at the last
+    # level, a run) that the simplex screen rejected: its vertex bound
+    # exceeded max(0, running minimum) and is at most the exact margin of
+    # each of its points. Until a margin is known every walked point reaches the
     # kernel; after that, exactly the walked points whose cheap bound and
     # margin lower bound are at most max(0, running minimum).
     case, box, points, filtered = _large_box_points(family)
     events = []
     bound = fastscan.margin_lower_bounds
-    run_bound = fastscan.run_lower_bounds
     simplex_bound = fastscan.simplex_lower_bounds
     kernel = fastscan.bulk_margins_scaled
     scan_slices = fastscan._Scanner.scan_slices
@@ -654,11 +652,6 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
     def bounded(tables, coords):
         events.append(("screen", coords.copy()))
         return bound(tables, coords)
-
-    def run_bounded(tables, low, top):
-        bounds = run_bound(tables, low, top)
-        events.append(("runs", low.copy(), top.copy(), bounds))
-        return bounds
 
     def simplex_bounded(tables, corner, axes, reach):
         bounds = simplex_bound(tables, corner, axes, reach)
@@ -673,7 +666,6 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
 
     monkeypatch.setattr(fastscan._Scanner, "scan_slices", banded)
     monkeypatch.setattr(fastscan, "margin_lower_bounds", bounded)
-    monkeypatch.setattr(fastscan, "run_lower_bounds", run_bounded)
     monkeypatch.setattr(fastscan, "simplex_lower_bounds", simplex_bounded)
     monkeypatch.setattr(fastscan, "bulk_margins_scaled", recorded)
     rep = verify_box(case, box)
@@ -685,8 +677,7 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
     assert (filtered & (cheap > minimum)).any()
     assert (filtered & (cheap == minimum)).any()
 
-    best, walked, kept, rejected, run_bounds = None, [], 0, [], []
-    subtrees = []
+    best, walked, kept, subtrees = None, [], 0, []
     for i, (kind, coords, *rest) in enumerate(events):
         if kind == "simplex":
             axes, reach, bounds, (above, upto) = rest
@@ -704,18 +695,6 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
                     assert (b <= kernel(tables, sub)).all()
                     subtrees.append(sub)
             continue
-        if kind == "runs":
-            top, bounds = rest
-            assert best is not None
-            steps = top - coords
-            assert (steps >= 0).all() and ((steps > 0).sum(axis=1) == 1).all()
-            assert (steps.sum(axis=1) >= fastscan._RUN_POINTS - 1).all()
-            for low, high, b in zip(coords, top, bounds.tolist()):
-                if b > max(0, best):
-                    run = run_points(low, high)
-                    rejected.append(run)
-                    run_bounds += [b] * len(run)
-            continue
         if kind == "screen":
             walked.append(coords)
             cutoff = max(0, best)
@@ -731,21 +710,20 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
         kept += len(coords)
         low = int(rest[0].min())
         best = low if best is None else min(best, low)
-    assert rejected and subtrees
-    rejected = np.concatenate(rejected)
-    assert (np.array(run_bounds) <= kernel(tables, rejected)).all()
+    assert subtrees
     walked = np.concatenate(walked)
-    seen = [tuple(p) for p in np.concatenate([walked, rejected, *subtrees]).tolist()]
+    seen = [tuple(p) for p in np.concatenate([walked, *subtrees]).tolist()]
     assert len(set(seen)) == len(seen)
     needed = {tuple(p) for p in points[filtered & (cheap <= minimum)].tolist()}
     assert needed <= set(seen)
     assert kept < len(walked)
 
 
-def test_run_screen_spares_the_row_screen_on_the_last_eviii_slice(monkeypatch):
+def test_walk_screen_spares_the_row_screen_on_the_last_eviii_slice(monkeypatch):
     # With every walked point screened row by row, the row screen saw
     # 633,131 points of the last EVIII slice, all in pass 2, and rejected
-    # every one; the run screen leaves it fewer than a quarter of them.
+    # every one; the walk's simplex screen, which also takes each run at
+    # the last level, leaves it fewer than a quarter of them.
     case = get_case("EVIII")
     box = parse_box(
         "a:42..42,b:0..15,c:0..15,d:0..15,e:0..15,f:0..15,g:1..16,h:0..15", case
@@ -765,8 +743,7 @@ def test_run_screen_spares_the_row_screen_on_the_last_eviii_slice(monkeypatch):
 
 def test_screen_products_stay_under_the_chunk_size_on_the_last_eviii_slice(monkeypatch):
     # every float64 product of a verify of the last EVIII slice (kernel,
-    # row screen, run screen with two ends per run, simplex screen with up
-    # to nine vertices per row) has at most _CHUNK_ROWS rows, the size up
+    # row screen, simplex screen with up to nine vertices per row) has at most _CHUNK_ROWS rows, the size up
     # to which OpenBLAS runs EVIII's 9 x 135 table on one thread
     case = get_case("EVIII")
     box = parse_box(

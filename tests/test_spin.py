@@ -286,9 +286,9 @@ def _screen_rows(case, rng, count, low, high):
 def test_one_table_screen_equals_the_two_floor_screen(family, n):
     # away from the walls of k margin_lower_bounds gives the same integers
     # as the tighter two-floor form it replaced; near them, and on chunks
-    # mixing the two, it is the run bound of a run of one point and at
-    # most the margin; rows whose lowest floor is tied between variants
-    # occur among them
+    # mixing the two, it is the simplex bound of a simplex of one point
+    # and at most the margin; rows whose lowest floor is tied between
+    # variants occur among them
     case = get_case(family, n)
     tables = build_tables(case)
     rng = np.random.default_rng(20251019)
@@ -307,7 +307,9 @@ def test_one_table_screen_equals_the_two_floor_screen(family, n):
     for rows in (near, mixed):
         assert len(rows) > fastscan._CHUNK_ROWS
         bounds = margin_lower_bounds(tables, rows)
-        assert np.array_equal(bounds, fastscan.run_lower_bounds(tables, rows, rows))
+        reach = np.zeros((len(rows), 1), dtype=np.int64)
+        point = fastscan.simplex_lower_bounds(tables, rows, [0], reach)
+        assert np.array_equal(bounds, point)
         assert (bounds <= bulk_margins_scaled(tables, rows)).all()
     if case.num_variants > 1:
         assert _tied(tables, far - beta).any() or _tied(tables, near - beta).any()
@@ -332,7 +334,7 @@ def test_magnitude_bound_accepts_what_it_accepted_before(family, n):
     assert largest_accepted(tables) >= ACCEPTED_BEFORE[family, n]
 
 
-# -- the run bound that screens whole walker runs ----------------------------
+# -- the simplex bound on one free axis, which screens whole walker runs -----
 
 RUN_CASES = [(family, None) for family in SMALL_FAMILIES + BIG_FAMILIES] + [
     (family, n) for family in CLASSICAL_FAMILIES for n in (2, 3, 4)
@@ -383,26 +385,28 @@ def _random_runs(case, tables, rng, count):
 
 @pytest.mark.parametrize("family,n", RUN_CASES)
 def test_run_lower_bounds_never_exceed_a_margin_on_the_run(family, n):
-    # the run bound is at most the exact margin of every point of its run:
-    # near the walls of k, away from them, and at the largest coordinates
-    # magnitude_bound accepts; for G, FII and EI also against the Fraction
-    # margin
+    # the simplex bound with one free axis, the walk's screen of a run at
+    # the last level, is at most the exact margin of every point of its
+    # run: near the walls of k, away from them, and at the largest
+    # coordinates magnitude_bound accepts; for G, FII and EI also against
+    # the Fraction margin
     case = get_case(family, n)
     tables = build_tables(case)
     rng = np.random.default_rng(20251019)
     runs = _random_runs(case, tables, rng, 60)
     low = np.array([r[0] for r in runs])
     top = np.array([r[1] for r in runs])
-    bounds = fastscan.run_lower_bounds(tables, low, top)
-    assert bounds.dtype == np.int64 and len(bounds) == len(runs)
-    # the bound holds on any segment, so also with the ends swapped, where
-    # the variant is fixed at the upper end; margins mostly grow along a
-    # run, so an end's own value would exceed those further down
-    swapped = fastscan.run_lower_bounds(tables, top, low)
+    axis = (top != low).argmax(axis=1)
+    bounds = np.empty(len(runs), dtype=np.int64)
+    for a in np.unique(axis).tolist():
+        at = axis == a
+        part = fastscan.simplex_lower_bounds(tables, low[at], [a], (top - low)[at][:, [a]])
+        assert part.dtype == np.int64 and len(part) == at.sum()
+        bounds[at] = part
     lows = []
-    for (lo, hi), b, c in zip(runs, bounds.tolist(), swapped.tolist()):
+    for (lo, hi), b in zip(runs, bounds.tolist()):
         margins = bulk_margins_scaled(tables, run_points(lo, hi))
-        assert max(b, c) <= margins.min(), (lo, hi)
+        assert b <= margins.min(), (lo, hi)
         lows.append(margins.min())
     # the bound is the smallest margin of many runs: the screen is sharp
     assert (bounds == np.array(lows)).sum() >= 10
@@ -502,6 +506,28 @@ def test_simplex_lower_bounds_never_exceed_a_margin_on_the_simplex(family, n):
     samples = corner + np.floor(inside).astype(np.int64)
     vertices = corner + np.vstack([np.zeros(dim, np.int64), np.diag(reach)])
     assert bound <= bulk_margins_scaled(tables, np.vstack([vertices, samples])).min()
+
+
+# -- the cheap bound far outside every box ----------------------------------
+
+
+@pytest.mark.parametrize("family,n", SIMPLEX_CASES)
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.data())
+def test_cheap_bound_never_exceeds_the_exact_margin_far_outside_the_boxes(family, n, data):
+    # the cheap-bound lemma of the fastscan docstring holds for every mu
+    # with mu - beta dominant: mu = beta + y, y >= 0, with coordinates up to
+    # 10^6 (far past every box) mixed with small ones near the walls of k,
+    # against the Fraction margin
+    case = get_case(family, n)
+    tables = build_tables(case)
+    beta = tables.beta_coords.tolist()
+    assert min(beta) >= 0
+    coordinate = st.one_of(st.integers(0, 10**6), st.integers(0, 5))
+    y = data.draw(st.tuples(*[coordinate] * case.ktype_dim))
+    mu = tuple(b + v for b, v in zip(beta, y))
+    cheap = sum(c * x for c, x in zip(tables.cheap_coef_s.tolist(), mu)) - tables.cheap_const_s
+    assert Q(cheap, tables.scale) <= step_margin_sq(case, mu)
 
 
 # -- the int64 engine at the largest coordinates the guard accepts -----------

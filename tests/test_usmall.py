@@ -236,7 +236,7 @@ def test_walk_with_drop_sets_matches_grid_filter(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_walk_with_a_screen_drops_exactly_the_rejected_subtrees(data):
-    # a screen sees each new frontier row with two or more coordinates
+    # a screen sees each new frontier row with one or more coordinates
     # free, with its slacks; the walk yields exactly the grid points under
     # its rows and outside its drop sets, in lexicographic order, minus the
     # subtrees of the rows the screen rejects, and never expands such a row
@@ -246,14 +246,14 @@ def test_walk_with_a_screen_drops_exactly_the_rejected_subtrees(data):
     coeffs = np.vstack([np.eye(dim, dtype=np.int64), _arrays(extra)[0]])
     bounds = np.concatenate([edges, _arrays(extra)[1]])
     drops = [_arrays(d) for d in data.draw(st.lists(_rows(dim, -3), max_size=2))]
-    prefix = st.integers(0, dim - 2).flatmap(
+    prefix = st.integers(0, dim - 1).flatmap(
         lambda n: st.tuples(*(st.integers(0, e) for e in edges[:n]))
     )
     chosen = data.draw(st.sets(prefix, max_size=4))
     screened = []
 
     def screen(level, coords, slack):
-        assert level < dim - 1 and coords.shape == (len(slack), level)
+        assert level < dim and coords.shape == (len(slack), level)
         assert np.array_equal(slack, bounds - coords @ coeffs[:, :level].T)
         rows = [tuple(row) for row in coords.tolist()]
         screened.extend(rows)
@@ -267,7 +267,7 @@ def test_walk_with_a_screen_drops_exactly_the_rejected_subtrees(data):
     kept = (grid @ coeffs.T <= bounds).all(axis=1)
     for c, b in drops:
         kept &= ~(grid @ c.T <= b).all(axis=1)
-    under = [any(tuple(p[:n]) in chosen for n in range(dim - 1)) for p in grid.tolist()]
+    under = [any(tuple(p[:n]) in chosen for n in range(dim)) for p in grid.tolist()]
     assert walked == grid[kept & ~np.array(under, dtype=bool)].tolist()
     # no row below a rejected one reached the screen
     for row in screened:
