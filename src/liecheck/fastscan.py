@@ -47,9 +47,10 @@ usmall._walk yields as runs, is the longest of the others. With the
 longest edges first, a last slice's one-value coordinate came last, and a
 verify of the last EVIII slice walked 633,601 runs for 633,366 points
 (140,926 runs in this order). The order changes what is evaluated, not
-the report (below). With one running minimum best per process, the scan
-walks the slices (all at once in a serial scan, one per task with --jobs)
-in passes:
+the report (below). Each process keeps one running minimum best, and each
+scan task (all slices at once in a serial scan, one slice with --jobs)
+walks every pass over its slices under it; the parent only gathers the
+tasks' results:
   * pass 1 walks {cheap <= 0}, which holds every violation, as
     cheap <= margin <= 0 for each one;
   * pass 2 walks {0 < cheap <= max(0, best)}. If pass 1 evaluated
@@ -457,11 +458,9 @@ def _down_value(tables: ScanTables, m: np.ndarray, first: np.ndarray,
     cheap_coef_s). A floor of mu without its row constant, minus this,
     bounds the margin from below."""
     beta = tables.beta_coords
-    roots = _product(m - beta, tables.root_s)
-    roots -= tables.root_var_s[first]
-    roots = np.abs(roots).sum(axis=1).astype(np.int64)
+    root_pair = _product(m - beta, tables.root_s).astype(np.int64)
     linear = m @ tables.cheap_coef_s - int(beta @ tables.gram_s @ beta)
-    return lin_at + tables.variant_nrm_s[first] + roots - linear
+    return _value(tables, root_pair, lin_at, first) - linear
 
 
 def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
@@ -518,11 +517,13 @@ def _concave_bounds(tables: ScanTables, ends: list) -> np.ndarray:
 
 @dataclass
 class _SliceResult:
+    """One slice's counts, and the minimum and violations of its evaluated
+    points: its checkpoint record, written once after the last task."""
+
     scanned: int = 0
     filtered: int = 0
     min_scaled: int | None = None
     violations: list = field(default_factory=list)
-    passes: int = 0  # cheap-bound passes finished, for checkpoint records
 
     def add(self, other: _SliceResult) -> None:
         self.scanned += other.scanned
@@ -574,37 +575,34 @@ class _Scanner:
         without the shortcut."""
         return None if not self.shortcut or self.best is None else max(0, self.best)
 
-    def scan_slices(self, first: int, last: int, band=(None, None),
-                    best=None) -> dict[int, _SliceResult]:
-        """Evaluate the slices first..last of the first walked coordinate
-        over the points with cheap bound in band = (above, upto], None for
-        no limit, and return each slice's minimum and violations (scanned
-        and filtered are slice_counts'). best, when given, lowers
-        self.best. A slice's min_scaled covers only the points evaluated,
-        and is None if there are none."""
-        if best is not None and (self.best is None or best < self.best):
-            self.best = best
+    def scan_slices(self, first: int, last: int) -> dict[int, _SliceResult]:
+        """Evaluate the slices first..last of the first walked coordinate in
+        every cheap-bound band of _bands(self), under this process's running
+        minimum self.best, and return each slice's minimum and violations
+        (scanned and filtered are slice_counts'). A slice's min_scaled
+        covers only the points evaluated, and is None if there are none."""
         axis = self.perm[0]
         results = {v: _SliceResult() for v in range(first, last + 1)}
-        for coords in self._batches(first, last, band):
-            cutoff = self.cutoff()
-            if cutoff is not None:
-                coords = coords[self.cheap(coords) <= cutoff]
-                coords = coords[margin_lower_bounds(self.tables, coords) <= cutoff]
-                if not len(coords):
-                    continue
-            margins = bulk_margins_scaled(self.tables, coords)
-            low = int(margins.min())
-            self.best = low if self.best is None else min(self.best, low)
-            values = coords[:, axis]  # nondecreasing, in walk order
-            starts = np.flatnonzero(np.diff(values, prepend=values[0] - 1))
-            lows = np.minimum.reduceat(margins, starts)
-            for v, low in zip(values[starts].tolist(), lows.tolist()):
-                results[v].add(_SliceResult(min_scaled=low))
-            for i in np.flatnonzero(margins <= 0):
-                results[int(values[i])].violations.append(
-                    (tuple(int(x) for x in coords[i]), int(margins[i]))
-                )
+        for band in _bands(self):
+            for coords in self._batches(first, last, band):
+                cutoff = self.cutoff()
+                if cutoff is not None:
+                    coords = coords[self.cheap(coords) <= cutoff]
+                    coords = coords[margin_lower_bounds(self.tables, coords) <= cutoff]
+                    if not len(coords):
+                        continue
+                margins = bulk_margins_scaled(self.tables, coords)
+                low = int(margins.min())
+                self.best = low if self.best is None else min(self.best, low)
+                values = coords[:, axis]  # nondecreasing, in walk order
+                starts = np.flatnonzero(np.diff(values, prepend=values[0] - 1))
+                lows = np.minimum.reduceat(margins, starts)
+                for v, low in zip(values[starts].tolist(), lows.tolist()):
+                    results[v].add(_SliceResult(min_scaled=low))
+                for i in np.flatnonzero(margins <= 0):
+                    results[int(values[i])].violations.append(
+                        (tuple(int(x) for x in coords[i]), int(margins[i]))
+                    )
         return results
 
     def slice_counts(self) -> dict[int, _SliceResult]:
@@ -756,22 +754,18 @@ def _checkpoint_path(directory, case, ranges):
     return os.path.join(directory, f"scan-{case.id.family}-{box}.json")
 
 
-def _save_checkpoint(path, done, finished=False):
-    payload = {
-        "finished": finished,
-        "slices": {str(v): asdict(r) for v, r in sorted(done.items())},
-    }
+def _save_checkpoint(path, done):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump({"slices": {str(v): asdict(r) for v, r in sorted(done.items())}}, fh)
     os.replace(tmp, path)
 
 
-def _bands(scanner, best):
-    """The cheap-bound bands (above, upto] of a scan, in order; best() is
-    the smallest margin evaluated so far, read before each next band.
-    While it is None, the bands above 0 reach the lowest cheap bound of
-    the dominant sub-box, then double their width until they cover the
+def _bands(scanner):
+    """The cheap-bound bands (above, upto] of a scan, in order; scanner.best,
+    the smallest margin the process has evaluated, is read before each next
+    band. While it is None, the bands above 0 reach the lowest cheap bound
+    of the dominant sub-box, then double their width until they cover the
     box."""
     if not (scanner.shortcut and scanner.semisimple):
         yield None, None
@@ -779,12 +773,12 @@ def _bands(scanner, best):
     yield None, 0
     above = 0
     low, top = int(scanner.cheap(scanner.base)), int(scanner.cheap(scanner.hi))
-    while best() is None and above < top:
+    while scanner.best is None and above < top:
         upto = low if above < low else low + 2 * (above - low) + 1
         yield above, upto
         above = upto
-    if best() is not None and best() > above:
-        yield above, best()
+    if scanner.best is not None and scanner.best > above:
+        yield above, scanner.best
 
 
 def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
@@ -803,43 +797,33 @@ def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
 
     t0 = time.monotonic()
     done = scanner.slice_counts()
-
-    def best():
-        mins = [r.min_scaled for r in done.values() if r.min_scaled is not None]
-        return min(mins) if mins else None
-
-    # A serial scan walks all slices of a pass at once: walking them one by
-    # one took 1.5 to 3 times as long on the published boxes, whose slices
-    # are small enough for the per-walk cost of the walk, screen and kernel
-    # calls to dominate. A --jobs pool hands out one slice per task.
+    # A serial scan walks all slices at once: walking them one by one took
+    # 1.5 to 3 times as long on the published boxes, whose slices are small
+    # enough for the per-walk cost of the walk, screen and kernel calls to
+    # dominate. A --jobs pool hands out one slice per task.
     workers = min(jobs, len(values))
     pool = None
-    spans = [(values[0], values[-1])]
+    tasks = [(values[0], values[-1])]
     scan, run = (lambda task: scanner.scan_slices(*task)), map
     if workers > 1:
         import multiprocessing as mp
 
         pool = mp.Pool(workers, initializer=_start_worker, initargs=(scanner,))
-        spans = [(value, value) for value in values]
+        tasks = [(value, value) for value in values]
         scan, run = _slice_for_pool, pool.imap_unordered
     with pool or contextlib.nullcontext():
-        for number, band in enumerate(_bands(scanner, best), 1):
-            tasks = [(first, last, band, best()) for first, last in spans]
-            finished = 0
-            for part in run(scan, tasks):
-                for value, result in part.items():
-                    done[value].add(result)
-                    done[value].passes = number
-                finished += len(part)
-                if ckpath:
-                    _save_checkpoint(ckpath, done)
-                if log:
-                    log(
-                        f"pass {number}: {finished}/{len(values)} slices done, "
-                        f"{time.monotonic() - t0:.1f}s elapsed"
-                    )
+        finished = 0
+        for part in run(scan, tasks):
+            for value, result in part.items():
+                done[value].add(result)
+            finished += len(part)
+            if log:
+                log(
+                    f"{finished}/{len(values)} slices done, "
+                    f"{time.monotonic() - t0:.1f}s elapsed"
+                )
     if ckpath:
-        _save_checkpoint(ckpath, done, finished=True)
+        _save_checkpoint(ckpath, done)
 
     merged = _merge([done[v] for v in sorted(done)], scanner.tables.scale)
     merged["elapsed_ms"] = int((time.monotonic() - t0) * 1000)

@@ -213,8 +213,8 @@ def verify_box(
     sorted by coordinates with their exact margins; min_margin_sq is the
     exact minimum margin over all filtered points, so the report does not
     depend on jobs or shortcut. With checkpoint_dir (default: the
-    LIECHECK_CHECKPOINT_DIR variable) each finished slice's record is
-    written there; records are never read back.
+    LIECHECK_CHECKPOINT_DIR variable) one record per slice is written
+    there once, after the last scan task; records are never read back.
     """
     if box is None:
         box = default_box(case)

@@ -685,7 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--progress",
         action="store_true",
-        help="print a progress line as slices of each scan pass finish",
+        help="print a progress line as each scan task finishes (one per "
+        "slice with --jobs, one for a serial scan)",
     )
     _add_report_argument(sp)
     sp.set_defaults(func=cmd_verify)

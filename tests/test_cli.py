@@ -239,18 +239,23 @@ def test_jobs_below_one_exit_2(command, jobs, capsys):
     assert "--jobs: expected a whole number >= 1" in capsys.readouterr().err
 
 
-def test_pools_capped_at_work_items(monkeypatch, capsys):
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replaces multiprocessing.Pool with an in-process pool; returns the
+    list of (processes asked for, tasks handed out as (fn, item)) per pool."""
     import multiprocessing
 
     import liecheck.fastscan as fastscan
 
-    sizes = []
+    pools = []
 
     class RecordingPool:
-        """Records the size it was asked for; runs the work in this process."""
+        """Records the size it was asked for and the tasks it was handed;
+        runs the work in this process."""
 
         def __init__(self, processes, initializer=None, initargs=()):
-            sizes.append(processes)
+            self.tasks = []
+            pools.append((processes, self.tasks))
             if initializer is not None:
                 initializer(*initargs)
 
@@ -261,19 +266,64 @@ def test_pools_capped_at_work_items(monkeypatch, capsys):
             return False
 
         def imap_unordered(self, fn, items):
+            items = list(items)
+            self.tasks += [(fn, item) for item in items]
             return map(fn, items)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(fastscan, "_worker", None)
+    return pools
+
+
+def test_pools_capped_at_work_items(recording_pool, capsys):
     # u-small counts run serially whatever --jobs asks for
     assert main(["usmall", "count", "G", "--jobs", "64"]) == 0
     assert capsys.readouterr().out.strip() == "29"
-    assert sizes == []
+    assert recording_pool == []
     # a scan slices its longest coordinate: two slices, then one, which
     # needs no pool at all
     assert main(["verify", "G", "--box", "a:0..1,b:0..1", "--jobs", "8"]) == 0
     assert main(["verify", "G", "--box", "a:0..0,b:0..0", "--jobs", "8"]) == 0
-    assert sizes == [2]
+    assert [size for size, _ in recording_pool] == [2]
+
+
+@pytest.mark.parametrize("family, box, slices", [
+    ("EII", "a:0..14,b:0..3,c:1..4,d:0..3,e:0..6,f:17..19", 15),
+    ("EVIII", "a:42..42,b:0..15,c:0..15,d:0..15,e:0..15,f:0..15,g:1..16,h:0..15", 16),
+], ids=["EII-seeded", "EVIII-last-slice"])
+def test_jobs_scan_hands_out_each_slice_once_and_writes_records_once(
+        family, box, slices, recording_pool, tmp_path, monkeypatch):
+    # a --jobs task runs every cheap-bound pass of its slice, so the pool
+    # gets one task per slice, and the slice records are written once,
+    # after the last task (EII's seeded sub-box has its minimum in pass 2
+    # only; the last EVIII slice has no point in pass 1)
+    import liecheck.fastscan as fastscan
+
+    saves = []
+    save = fastscan._save_checkpoint
+
+    def recorded(path, done):
+        saves.append(path)
+        save(path, done)
+
+    monkeypatch.setattr(fastscan, "_save_checkpoint", recorded)
+    results = []
+    for jobs in ("2", "1"):
+        monkeypatch.setenv("LIECHECK_CHECKPOINT_DIR", str(tmp_path / f"ck{jobs}"))
+        path = tmp_path / f"jobs{jobs}.json"
+        assert main(["verify", family, "--box", box, "--jobs", jobs,
+                     "--report", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["results"].pop("elapsed_ms")
+        results.append(doc["results"])
+    ((size, tasks),) = recording_pool
+    assert size == 2 and len(tasks) == slices
+    assert all(fn is fastscan._slice_for_pool for fn, _ in tasks)
+    items = [item for _, item in tasks]  # (first, last) slices of a task
+    assert all(first == last for first, last in items)
+    assert len(set(items)) == slices
+    assert len(saves) == 2 and saves[0] != saves[1]
+    assert results[0] == results[1]
 
 
 def test_report_determinism(tmp_path):

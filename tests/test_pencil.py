@@ -406,37 +406,42 @@ def test_checkpoint_records_add_up_to_the_report(tmp_path):
     assert recorded == list(rep.violations)
 
 
-def test_checkpoint_records_show_the_passes_each_slice_finished(tmp_path, monkeypatch):
-    # every write holds one record per slice with its final scanned and
-    # filtered counts; passes says how many cheap-bound passes the slice
-    # has finished, and only the last write, after the last pass, is
-    # marked finished. EII's sub-box has its minimum in pass 2 only.
+def _first_pass_only(monkeypatch):
+    """Make every scan walk pass 1 ({cheap <= 0}) alone."""
+    bands = fastscan._bands
+    monkeypatch.setattr(fastscan, "_bands", lambda scanner: itertools.islice(bands(scanner), 1))
+
+
+def test_checkpoint_records_hold_each_slice_final_result(tmp_path, monkeypatch):
+    # the records are written once, after the last task, in a serial scan
+    # and in a --jobs scan alike: one record per slice with its scanned and
+    # filtered counts and the minimum of its evaluated points. EII's
+    # sub-box has its minimum in pass 2 only.
     writes = []
     save = fastscan._save_checkpoint
 
-    def recorded(path, done, finished=False):
-        save(path, done, finished)
+    def recorded(path, done):
+        save(path, done)
         writes.append(json.loads(open(path, encoding="utf-8").read()))
 
     monkeypatch.setattr(fastscan, "_save_checkpoint", recorded)
     case, box = _seeded_box("EII")
-    rep = verify_box(case, box, checkpoint_dir=str(tmp_path))
-    *running, last = writes
-    assert last["finished"] and not any(w["finished"] for w in running)
-    passes = {rec["passes"] for rec in last["slices"].values()}
-    assert len(passes) == 1 and passes.pop() > 1
+    rep = verify_box(case, box, checkpoint_dir=str(tmp_path / "serial"))
+    assert _payload(rep) == _payload(verify_box(case, box, shortcut=False))
+    jobs = verify_box(case, box, jobs=2, checkpoint_dir=str(tmp_path / "jobs"))
+    assert _payload(jobs) == _payload(rep)
+    assert len(writes) == 2
+    scale = build_tables(case).scale
     for w in writes:
+        assert set(w) == {"slices"}
         assert sum(rec["scanned"] for rec in w["slices"].values()) == rep.scanned
         assert sum(rec["filtered"] for rec in w["slices"].values()) == rep.filtered
-    # after pass 1, before pass 2: the records' minimum is pass 1's alone
-    after_one = next(
-        w for w in running if {r["passes"] for r in w["slices"].values()} == {1}
-    )
-    scale = build_tables(case).scale
-    low = min(r["min_scaled"] for r in after_one["slices"].values()
-              if r["min_scaled"] is not None)
-    assert Q(low, scale) > rep.min_margin_sq
-    assert _payload(rep) == _payload(verify_box(case, box))
+        low = min(r["min_scaled"] for r in w["slices"].values()
+                  if r["min_scaled"] is not None)
+        assert Q(low, scale) == rep.min_margin_sq
+    # pass 1 alone misses the minimum
+    _first_pass_only(monkeypatch)
+    assert verify_box(case, box).min_margin_sq > rep.min_margin_sq
 
 
 # Boxes for the exactness of the cheap-bound prune. EI's minimum lies
@@ -461,7 +466,7 @@ def _seeded_box(family):
     return case, default_box(case) if spec is None else parse_box(spec, case)
 
 
-def test_seeded_boxes_cover_the_hard_cases():
+def test_seeded_boxes_cover_the_hard_cases(monkeypatch):
     from liecheck.fastscan import _Scanner
 
     case, box = _seeded_box("EI")
@@ -471,22 +476,24 @@ def test_seeded_boxes_cover_the_hard_cases():
     box_min = verify_box(case, box).min_margin_sq
     assert verify_box(case, Box(tuple(lowest))).min_margin_sq > box_min
 
-    case, box = _seeded_box("EII")
+    eii, eviii = _seeded_box("EII"), _seeded_box("EVIII")
+    eii_min, eviii_min = (verify_box(*seeded).min_margin_sq for seeded in (eii, eviii))
+    _first_pass_only(monkeypatch)  # scans walk pass 1 alone from here on
+    case, box = eii
     scanner = _Scanner(case, box.ranges, True)
     assert scanner.perm[0] != _Scanner(case, default_box(case).ranges, True).perm[0]
-    slices = scanner.scan_slices(int(scanner.lo_p[0]), int(scanner.hi_p[0]), (None, 0))
+    slices = scanner.scan_slices(int(scanner.lo_p[0]), int(scanner.hi_p[0]))
     first_pass = [r.min_scaled for r in slices.values()]
     first_min = Q(min(m for m in first_pass if m is not None), scanner.tables.scale)
-    assert first_min > verify_box(case, box).min_margin_sq
+    assert first_min > eii_min
 
-    case, box = _seeded_box("EVIII")
+    case, box = eviii
     scanner = _Scanner(case, box.ranges, True)
     first = next(
         m for v in range(int(scanner.lo_p[0]), int(scanner.hi_p[0]) + 1)
-        if (m := scanner.scan_slices(v, v, (None, 0))[v].min_scaled) is not None
+        if (m := scanner.scan_slices(v, v)[v].min_scaled) is not None
     )
-    box_min = verify_box(case, box).min_margin_sq
-    assert Q(first, scanner.tables.scale) - box_min > 40
+    assert Q(first, scanner.tables.scale) - eviii_min > 40
 
 
 @pytest.mark.parametrize("family", sorted(SEEDED_BOXES))
@@ -642,12 +649,12 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
     bound = fastscan.margin_lower_bounds
     simplex_bound = fastscan.simplex_lower_bounds
     kernel = fastscan.bulk_margins_scaled
-    scan_slices = fastscan._Scanner.scan_slices
+    batches = fastscan._Scanner._batches
     band = []
 
-    def banded(self, first, last, bounds=(None, None), best=None):
+    def banded(self, first, last, bounds):
         band[:] = bounds
-        return scan_slices(self, first, last, bounds, best)
+        return batches(self, first, last, bounds)
 
     def bounded(tables, coords):
         events.append(("screen", coords.copy()))
@@ -664,7 +671,7 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
         events.append(("kernel", coords.copy(), margins))
         return margins
 
-    monkeypatch.setattr(fastscan._Scanner, "scan_slices", banded)
+    monkeypatch.setattr(fastscan._Scanner, "_batches", banded)
     monkeypatch.setattr(fastscan, "margin_lower_bounds", bounded)
     monkeypatch.setattr(fastscan, "simplex_lower_bounds", simplex_bounded)
     monkeypatch.setattr(fastscan, "bulk_margins_scaled", recorded)
