@@ -36,7 +36,6 @@ from .weyl import (
     apply_word,
     int_root_coords,
     minimal_coset_reps,
-    word_matrices,
 )
 
 FIXED_FAMILIES = (
@@ -397,8 +396,7 @@ def build_case(case_id: CaseId) -> CaseData:
     rho_c = k.half_positive_sum()
     rho_n = half_sum(sorted(p))
     rho = vadd(rho_c, rho_n)
-    w1 = tuple(minimal_coset_reps(g, k))
-    w1_matrices = tuple(word_matrices(w1, g))
+    w1, w1_matrices = map(tuple, minimal_coset_reps(g, k))
     rho_coords, scale = int_root_coords(g, [rho])
     variants = tuple(
         vsub(combine(g.simple_roots, [Q(int(c), scale) for c in w_rho]), rho_c)

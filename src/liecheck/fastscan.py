@@ -71,13 +71,21 @@ Each variant j has the floor |x + rho_c|^2 <= |dom x + rho_c|^2, x =
 mu - rho_n^j: dom x - x is a sum of positive roots of k, each with
 <alpha, rho_c> > 0, so <x, rho_c> <= <dom x, rho_c>. With lin_j =
 -2 <mu, rho_n^j>, c_j = |rho_n^j|^2 - 2 <rho_n^j, rho_c> and r =
-2 <mu, rho_c>, the floor is lin_j + c_j + r plus the row constant
-|mu|^2 + |rho_c|^2, and the floors of mu - beta are lin_j + step_j + c_j
-plus its own r and row constant, step_j = 2 <beta, rho_n^j>: one
-(rows x variants) table lin + c (_screen_table) holds the floors of mu
-and, plus step, those of mu - beta, up to per-row constants that move no
-row minimum or argmin. The kernel evaluates the lowest floor first and
-skips every variant whose floor is not below the value found.
+2 <mu, rho_c>, the floor is lin_j + c_j + r and the value lin_j + c_j +
+2 <rho_n^j, rho_c> plus the root sum, each plus the row constant
+|mu|^2 + |rho_c|^2. So one float64 (rows x variants) table lin + c
+(_table) serves the kernel and both screens: a floor is a table entry
+plus r, a value a table entry plus 2 <rho_n^j, rho_c> plus the root sum.
+The kernel evaluates the lowest floor first and skips every variant
+whose floor is not below the value found; bulk_margins_scaled is the
+difference of two kernel calls, so the kernel builds the table of
+mu - beta with its own product. The screens take the entries of mu - beta
+as those of mu plus step_j = 2 <beta, rho_n^j>, as lin_j moves by step_j
+from mu to mu - beta. Every table entry and floor is an integer below
+2^53 (magnitude_bound), so the float64 table is exact, and so is the
+kernel's comparison of a float64 floor with an int64 value: a value
+below 2^53 converts exactly, and one of 2^53 or more to a float of at
+least 2^53, above every floor.
 
 The screens rest on one concave bound. Fix a variant j' of mu - beta.
   1. F(mu) = min_j (lin_j + c_j) + r + |mu|^2 + |rho_c|^2, the lowest
@@ -186,10 +194,9 @@ class ScanTables:
     beta_coords: np.ndarray  # (l,) k-type coordinates of beta
     cheap_coef_s: np.ndarray  # (l,): 2 * scale * <basis_k, beta>, nonneg
     cheap_const_s: int  # scale * (2<rho_c,beta> + 2 max_j<rho_n_j,beta> + |beta|^2)
-    # the screens' constants (module docstring)
+    # the floor table's constants (module docstring)
     step_s: np.ndarray  # (s,): 2 * scale * <beta, rho_n variant>
-    floor_const_s: np.ndarray  # (s,): c_j = variant_nrm_s - 2 rho_c_var_s
-    screen_s: np.ndarray  # (l + 1, s): -2 variant_s.T over c_j, float64
+    table_s: np.ndarray  # (l + 1, s): -2 variant_s.T over c_j, float64
 
 
 def _ints(values, what: str, scale=1) -> np.ndarray:
@@ -254,7 +261,6 @@ def build_tables(case: CaseData) -> ScanTables:
     rho_c_lin_s = _ints(rho_c_lin, "scaled table", scale)
     rho_c_var_s = _ints(rho_c_var, "scaled table", scale)
     beta_coords = _ints(list(beta_c), "beta coordinates")
-    floor_const_s = variant_nrm_s - 2 * rho_c_var_s
     return ScanTables(
         scale=scale,
         pairing=pairing,
@@ -271,9 +277,10 @@ def build_tables(case: CaseData) -> ScanTables:
         cheap_coef_s=_ints(cheap_coef, "scaled table", scale),
         cheap_const_s=cheap_const_s,
         step_s=2 * (variant_s @ beta_coords),
-        floor_const_s=floor_const_s,
-        # C-ordered (_product)
-        screen_s=np.vstack([-2 * variant_s.T, floor_const_s]).astype(np.float64),
+        # C-ordered (_product); the last row is c_j
+        table_s=np.vstack(
+            [-2 * variant_s.T, variant_nrm_s - 2 * rho_c_var_s]
+        ).astype(np.float64),
     )
 
 
@@ -356,13 +363,12 @@ def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     the row's value. A skipped pair has floor >= value, so it cannot lower
     the minimum, and the result is exact. Rows go in chunks of
     _CHUNK_ROWS, and so do the pairs of the second pass, because the
-    (rows x variants) floor table and the (pairs x roots) tables grow with
-    them.
+    (rows x variants) table and the (pairs x roots) tables grow with them.
     """
     out = np.empty(len(coords), dtype=np.int64)
     for start in range(0, len(coords), _CHUNK_ROWS):
         chunk = coords[start:start + _CHUNK_ROWS]
-        out[start:start + len(chunk)] = _best_first(tables, chunk, _linear(tables, chunk))
+        out[start:start + len(chunk)] = _best_first(tables, chunk)
     return out
 
 
@@ -373,8 +379,8 @@ def _product(m: np.ndarray, table: np.ndarray) -> np.ndarray:
     partial sum is an integer below 2^53, in any BLAS blocking or
     summation order, with or without FMA.
 
-    On a 2-core machine (OpenBLAS 0.3.31) a 512 x 9 by 9 x 135 screen
-    table took 47 us, against 189 us for the float64 einsum used before.
+    On a 2-core machine (OpenBLAS 0.3.31) a 512 x 9 by 9 x 135 table
+    took 47 us, against 189 us for the float64 einsum used before.
     OpenBLAS ran it on one thread, and with two processes at once, as
     under --jobs 2, it took 44 us; from 9 x 300 tables on it used two
     threads, and no family that verify scans has tables beyond EVIII's
@@ -385,35 +391,42 @@ def _product(m: np.ndarray, table: np.ndarray) -> np.ndarray:
     transposed one the same product took 333 us on two threads, and a
     --jobs 2 scan of the last EVIII slice four times as long."""
     table = np.ascontiguousarray(table, dtype=np.float64)
-    return m.astype(np.float64) @ table
+    return np.asarray(m, dtype=np.float64) @ table
 
 
-def _linear(tables: ScanTables, m: np.ndarray) -> np.ndarray:
-    """The (rows x variants) table scale * -2 <mu, rho_n^j>."""
-    return _product(m, -2 * tables.variant_s.T).astype(np.int64)
+def _table(tables: ScanTables, m: np.ndarray) -> np.ndarray:
+    """The float64 (rows x variants) table lin_j + c_j of mu (module
+    docstring), from one product: a column of ones meets the row c."""
+    padded = np.ones((len(m), m.shape[1] + 1))
+    padded[:, :-1] = m
+    return _product(padded, tables.table_s)
 
 
 def _row_constant(tables: ScanTables, m: np.ndarray) -> np.ndarray:
     return ((m @ tables.gram_s) * m).sum(axis=1) + tables.rho_c_nrm_s
 
 
-def _value(tables: ScanTables, root_pair: np.ndarray, lin_at: np.ndarray,
+def _value(tables: ScanTables, root_pair: np.ndarray, table_at: np.ndarray,
            variants: np.ndarray) -> np.ndarray:
     """Values of the given variants, without the row constant, for rows
-    with root table root_pair = mu @ root_s and linear terms lin_at."""
+    with root table root_pair = mu @ root_s and table entries table_at:
+    an entry plus 2 <rho_n^j, rho_c> plus the root sum."""
     roots = np.abs(root_pair - tables.root_var_s[variants]).sum(axis=1)
-    return lin_at + tables.variant_nrm_s[variants] + roots
+    return table_at + 2 * tables.rho_c_var_s[variants] + roots
 
 
-def _best_first(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    """Scaled squared spin norms of the rows m, whose linear-term table is
-    lin. The floors lin + c + r, like the values, leave out the row
-    constant scale * (|mu|^2 + |rho_c|^2)."""
-    floor = lin + tables.floor_const_s + 2 * (m @ tables.rho_c_lin_s)[:, None]
+def _best_first(tables: ScanTables, m: np.ndarray) -> np.ndarray:
+    """Scaled squared spin norms of the rows m. The floors, a table entry
+    plus r = 2 <mu, rho_c> in float64, and the int64 values leave out the
+    row constant scale * (|mu|^2 + |rho_c|^2); comparing the two is exact
+    (module docstring)."""
+    table = _table(tables, m)
+    floor = table + 2 * (m @ tables.rho_c_lin_s)[:, None]
     root_pair = _product(m, tables.root_s).astype(np.int64)
 
     def value(rows, variants):
-        return _value(tables, root_pair[rows], lin[rows, variants], variants)
+        at = table[rows, variants].astype(np.int64)
+        return _value(tables, root_pair[rows], at, variants)
 
     rows = np.arange(len(m))
     first = floor.argmin(axis=1)
@@ -429,38 +442,22 @@ def _best_first(tables: ScanTables, m: np.ndarray, lin: np.ndarray) -> np.ndarra
 
 
 def bulk_margins_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
-    """Scaled step margins spin(mu)^2 - spin(mu - beta)^2 for rows of coords.
-
-    The linear-term table of mu - beta is that of mu plus the per-variant
-    constant 2 scale <beta, rho_n^j>, so each chunk builds it once.
-    """
-    out = np.empty(len(coords), dtype=np.int64)
-    for start in range(0, len(coords), _CHUNK_ROWS):
-        m = coords[start:start + _CHUNK_ROWS]
-        lin = _linear(tables, m)
-        upper = _best_first(tables, m, lin)
-        lin += tables.step_s
-        out[start:start + len(m)] = upper - _best_first(tables, m - tables.beta_coords, lin)
-    return out
-
-
-def _screen_table(tables: ScanTables, m: np.ndarray) -> np.ndarray:
-    """The float64 (rows x variants) table lin_j + c_j of mu (module
-    docstring), from one product: a column of ones meets the row c."""
-    return _product(np.column_stack([m, np.ones(len(m), np.int64)]), tables.screen_s)
+    """Scaled step margins spin(mu)^2 - spin(mu - beta)^2 for rows of coords."""
+    return (bulk_spin_sq_scaled(tables, coords)
+            - bulk_spin_sq_scaled(tables, coords - tables.beta_coords))
 
 
 def _down_value(tables: ScanTables, m: np.ndarray, first: np.ndarray,
-                lin_at: np.ndarray) -> np.ndarray:
-    """Per row, the value of mu - beta at variant first, whose linear term
-    is lin_at, without its row constant, minus the linear
+                table_at: np.ndarray) -> np.ndarray:
+    """Per row, the value of mu - beta at variant first, whose table entry
+    is table_at, without its row constant, minus the linear
     |mu|^2 - |mu - beta|^2 = 2 <mu, beta> - |beta|^2 (2 gram beta is
     cheap_coef_s). A floor of mu without its row constant, minus this,
     bounds the margin from below."""
     beta = tables.beta_coords
     root_pair = _product(m - beta, tables.root_s).astype(np.int64)
     linear = m @ tables.cheap_coef_s - int(beta @ tables.gram_s @ beta)
-    return _value(tables, root_pair, lin_at, first) - linear
+    return _value(tables, root_pair, table_at, first) - linear
 
 
 def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
@@ -500,12 +497,11 @@ def _concave_bounds(tables: ScanTables, ends: list) -> np.ndarray:
         part = [e[start:start + step] for e in ends]
         n = len(part[0])
         m = np.concatenate(part)
-        table = _screen_table(tables, m)
+        table = _table(tables, m)
         upper = table.min(axis=1).astype(np.int64) + 2 * (m @ tables.rho_c_lin_s)
         first = np.tile((table[:n] + tables.step_s).argmin(axis=1), len(ends))
-        lin_at = table[np.arange(len(m)), first].astype(np.int64)
-        lin_at += tables.step_s[first] - tables.floor_const_s[first]
-        bound = upper - _down_value(tables, m, first, lin_at)
+        down_at = table[np.arange(len(m)), first].astype(np.int64) + tables.step_s[first]
+        bound = upper - _down_value(tables, m, first, down_at)
         out[start:start + n] = bound.reshape(len(ends), n).min(axis=0)
     return out
 
@@ -782,14 +778,13 @@ def _bands(scanner):
 
 
 def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
-             checkpoint_dir: str | None = None, log=None) -> dict:
+             log=None) -> dict:
     """Scan every lattice point of the box; see pencil.verify_box."""
     ranges = tuple((int(lo), int(hi)) for lo, hi in ranges)
     scanner = _Scanner(case, ranges, shortcut)
     values = list(range(int(scanner.lo_p[0]), int(scanner.hi_p[0]) + 1))
 
-    if checkpoint_dir is None:
-        checkpoint_dir = os.environ.get("LIECHECK_CHECKPOINT_DIR") or None
+    checkpoint_dir = os.environ.get("LIECHECK_CHECKPOINT_DIR")
     ckpath = None
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)

@@ -21,6 +21,9 @@ import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cache
+
+import numpy as np
 
 from .cases import (
     CaseData,
@@ -33,6 +36,7 @@ from .errors import UsageError
 from .fastscan import scan_box
 from .rootdata import inner, vadd, vscale, vsub
 from .spin import spin_norm_sq
+from .usmall import usmall_chunks
 # perfbench/spans.py wraps pencil.to_dominant, so the name stays imported
 from .weyl import apply_word, parabolic_longest, to_dominant
 
@@ -202,7 +206,6 @@ def verify_box(
     *,
     jobs: int = 1,
     shortcut: bool = True,
-    checkpoint_dir: str | None = None,
     log=None,
 ) -> PencilReport:
     """Check every unitarily large k-type mu in the box with mu - beta
@@ -212,21 +215,14 @@ def verify_box(
     the dominance and largeness filter. Violations (margin <= 0) come back
     sorted by coordinates with their exact margins; min_margin_sq is the
     exact minimum margin over all filtered points, so the report does not
-    depend on jobs or shortcut. With checkpoint_dir (default: the
-    LIECHECK_CHECKPOINT_DIR variable) one record per slice is written
-    there once, after the last scan task; records are never read back.
+    depend on jobs or shortcut. With the LIECHECK_CHECKPOINT_DIR variable
+    set, one record per slice is written to that directory once, after the
+    last scan task; records are never read back.
     """
     if box is None:
         box = default_box(case)
     _validate_box(case, box)
-    raw = scan_box(
-        case,
-        box.ranges,
-        jobs=jobs,
-        shortcut=shortcut,
-        checkpoint_dir=checkpoint_dir,
-        log=log,
-    )
+    raw = scan_box(case, box.ranges, jobs=jobs, shortcut=shortcut, log=log)
     return PencilReport(
         case=case.id.label,
         box=box,
@@ -253,6 +249,18 @@ class Sp4rFamilyPoint:
     bad_sq: Q
 
 
+@cache
+def sp4r_min_m(direction: str) -> int:
+    """The first unitarily large member index of an SP4R family: one more
+    than the largest m whose member start + m * direction is u-small."""
+    rec = golden()["sp4r_pencils"][direction]
+    start, step = np.array(rec["start"]), np.array(rec["direction"])
+    offset = np.concatenate(list(usmall_chunks(get_case("SP4R")))) - start
+    m = offset @ step // (step @ step)
+    on_family = (np.outer(m, step) == offset).all(axis=1)
+    return int(m[on_family].max(initial=-1)) + 1
+
+
 def sp4r_family(m: int, direction: str) -> Sp4rFamilyPoint:
     """Closed-form SP4R family member and its squared spin norms."""
     table = golden()["sp4r_pencils"]
@@ -261,10 +269,11 @@ def sp4r_family(m: int, direction: str) -> Sp4rFamilyPoint:
             f"unknown family {direction!r}; choose from {sorted(table)}"
         )
     rec = table[direction]
-    if m < rec["min_m"]:
+    min_m = sp4r_min_m(direction)
+    if m < min_m:
         raise UsageError(
             f"{direction} family members are unitarily large only for "
-            f"m >= {rec['min_m']}, got {m}"
+            f"m >= {min_m}, got {m}"
         )
     case = get_case("SP4R")
     step = tuple(Q(c) for c in rec["direction"])

@@ -40,6 +40,7 @@ from .pencil import (
     parabolic_bound,
     parse_box,
     sp4r_family,
+    sp4r_min_m,
     verify_box,
 )
 from .spin import spin_norm_sq, variant_norms_sq
@@ -304,13 +305,12 @@ def cmd_sp4r_pencils(args):
     results = {}
     for direction in ("descending", "ascending"):
         entry = table[direction]
-        min_m = entry["min_m"]
         rows = []
         print(f"{direction} family: member = "
               f"{tuple(entry['start'])} + m*{tuple(entry['direction'])}")
         print(f"  {'m':>4} {'member':>12} {'step-aligned':>14}"
               f" {'member norm':>12} {'step-other':>12}")
-        for m in range(min_m, args.m_max + 1):
+        for m in range(sp4r_min_m(direction), args.m_max + 1):
             pt = sp4r_family(m, direction)
             print(
                 f"  {m:>4} {str(pt.member):>12} {str(pt.good_sq):>14}"

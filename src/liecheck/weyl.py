@@ -4,8 +4,9 @@ Group elements are named by words in the simple reflections of a
 designated RootSystem. A word (i1, ..., in) denotes the composition
 s_{i1} s_{i2} ... s_{in} with the LEFTMOST letter applied LAST; indices are
 0-based positions into system.simple_roots. To act with an element in
-bulk, word_matrices turns words into integer matrices on simple-root
-coordinates; apply_word is the single-vector exact path.
+bulk, minimal_coset_reps returns each representative's integer matrix on
+simple-root coordinates with its word; apply_word is the single-vector
+exact path.
 
 For a non-reduced system the simple roots are those of the underlying
 reduced system, so every function here works unchanged.
@@ -36,7 +37,6 @@ __all__ = [
     "to_dominant",
     "parabolic_longest",
     "minimal_coset_reps",
-    "word_matrices",
     "int_root_coords",
 ]
 
@@ -116,22 +116,6 @@ def _reflection_matrices(system: RootSystem) -> list[np.ndarray]:
     return mats
 
 
-def word_matrices(words, system: RootSystem) -> list[np.ndarray]:
-    """Integer matrix of each word's element on simple-root coordinates.
-
-    Column j holds the simple-root coordinates of the image of simple root
-    j, so matrix @ root_coords(v) == root_coords(apply_word(word, v)).
-    """
-    refl = _reflection_matrices(system)
-    out = []
-    for word in words:
-        m = np.eye(system.rank, dtype=np.int64)
-        for i in word:
-            m = m @ refl[i]
-        out.append(m)
-    return out
-
-
 def int_root_coords(system: RootSystem, vectors) -> tuple[np.ndarray, int]:
     """Simple-root coordinates of the vectors as the columns of one integer
     matrix, times their least common denominator; returns (matrix, scale)."""
@@ -141,9 +125,14 @@ def int_root_coords(system: RootSystem, vectors) -> tuple[np.ndarray, int]:
     return np.array(cols, dtype=np.int64).reshape(len(cols), system.rank).T, scale
 
 
-def minimal_coset_reps(g_system: RootSystem, k_system: RootSystem) -> list[WeylWord]:
+def minimal_coset_reps(
+    g_system: RootSystem, k_system: RootSystem
+) -> tuple[list[WeylWord], list[np.ndarray]]:
     """Kostant representatives: all w in W(g) mapping the g-dominant chamber
-    into the k-dominant chamber.
+    into the k-dominant chamber, as their words and their integer matrices
+    on simple-root coordinates. Column j of a matrix holds the simple-root
+    coordinates of the image of simple root j, so matrix @ root_coords(v)
+    == root_coords(apply_word(word, v)).
 
     Membership test: w^{-1}(gamma) is a positive g-root for every k-simple
     gamma. Search is breadth-first over words by length, expanding members
@@ -168,6 +157,7 @@ def minimal_coset_reps(g_system: RootSystem, k_system: RootSystem) -> list[WeylW
 
     ident = np.eye(rank, dtype=np.int64)
     words: list[WeylWord] = [()]
+    matrices = [ident]
     seen = {tuple(fingerprint_seed)}
     frontier: list[tuple[WeylWord, np.ndarray, np.ndarray]] = [((), ident, ident)]
     while frontier:
@@ -183,6 +173,7 @@ def minimal_coset_reps(g_system: RootSystem, k_system: RootSystem) -> list[WeylW
                 if member(new_inv):
                     new_word = word + (i,)
                     words.append(new_word)
+                    matrices.append(new_mat)
                     nxt.append((new_word, new_mat, new_inv))
         frontier = nxt
-    return words
+    return words, matrices

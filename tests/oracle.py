@@ -1,7 +1,7 @@
-"""Exact helpers that only the tests use: longest elements, word lengths
-and whole orbits, on top of the package's single-vector reflections; a
-rational linear solver; the split of a step into its conjugation and
-linear terms; and the margin lower bounds of the screen."""
+"""Exact helpers that only the tests use: longest elements, word lengths,
+whole orbits and word matrices, on top of the package's single-vector
+reflections; a rational linear solver; the split of a step into its
+conjugation and linear terms; and the margin lower bounds of the screen."""
 
 from fractions import Fraction as Q
 
@@ -10,7 +10,16 @@ import numpy as np
 from liecheck.cases import _normalize_ktype, ktype_to_ambient
 from liecheck.errors import ConstructionError, UsageError
 from liecheck.pencil import pencil_member
-from liecheck.rootdata import RootSystem, Vector, inner, norm_sq, reflect, vneg, vsub
+from liecheck.rootdata import (
+    RootSystem,
+    Vector,
+    coroot_pairing,
+    inner,
+    norm_sq,
+    reflect,
+    vneg,
+    vsub,
+)
 from liecheck.weyl import WeylWord, apply_word, to_dominant
 
 
@@ -53,6 +62,26 @@ def orbit(v: Vector, system: RootSystem) -> set[Vector]:
                     nxt.append(img)
         frontier = nxt
     return seen
+
+
+def word_matrices(words, system: RootSystem) -> list[np.ndarray]:
+    """Integer matrix of each word's element on simple-root coordinates,
+    the product of its letters' reflection matrices. Column j holds the
+    simple-root coordinates of the image of simple root j, so
+    matrix @ root_coords(v) == root_coords(apply_word(word, v))."""
+    simples = system.simple_roots
+    refl = []
+    for i, alpha in enumerate(simples):
+        m = np.eye(system.rank, dtype=np.int64)
+        m[i] -= [int(coroot_pairing(beta, alpha)) for beta in simples]
+        refl.append(m)
+    out = []
+    for word in words:
+        m = np.eye(system.rank, dtype=np.int64)
+        for i in word:
+            m = m @ refl[i]
+        out.append(m)
+    return out
 
 
 def solve_linear(rows, rhs) -> list[Q]:

@@ -20,6 +20,7 @@ from liecheck.pencil import (
     parse_box,
     pencil_member,
     sp4r_family,
+    sp4r_min_m,
     step_margin_sq,
     verify_box,
 )
@@ -224,19 +225,27 @@ def test_sp4r_negative_margins_reported():
     assert not rep.ok
 
 
-def test_checkpoint_resume_preserves_report(tmp_path):
+@pytest.fixture
+def ckdir(tmp_path, monkeypatch):
+    """tmp_path as LIECHECK_CHECKPOINT_DIR: every scan of the test writes
+    its slice records there."""
+    monkeypatch.setenv("LIECHECK_CHECKPOINT_DIR", str(tmp_path))
+    return tmp_path
+
+
+def test_checkpoint_resume_preserves_report(ckdir):
     case = get_case("FII")
     box = default_box(case)
     fresh = verify_box(case, box)
-    first = verify_box(case, box, checkpoint_dir=str(tmp_path))
-    files = list(tmp_path.glob("scan-*.json"))
+    first = verify_box(case, box)
+    files = list(ckdir.glob("scan-*.json"))
     assert len(files) == 1
     # a file that lost some records, as after an interrupted run, is not
     # read back: the rerun scans every slice again
     state = json.loads(files[0].read_text())
     kept = dict(list(state["slices"].items())[:1])
     files[0].write_text(json.dumps({"slices": kept}))
-    resumed = verify_box(case, box, checkpoint_dir=str(tmp_path))
+    resumed = verify_box(case, box)
     for rep in (first, resumed):
         assert rep.scanned == fresh.scanned
         assert rep.filtered == fresh.filtered
@@ -244,14 +253,12 @@ def test_checkpoint_resume_preserves_report(tmp_path):
         assert rep.min_margin_sq == fresh.min_margin_sq
 
 
-def test_checkpoint_ignores_other_boxes(tmp_path):
+def test_checkpoint_ignores_other_boxes(ckdir):
     case = get_case("G")
-    verify_box(case, parse_box("a:3..6,b:1..3", case), checkpoint_dir=str(tmp_path))
-    rep = verify_box(
-        case, parse_box("a:3..7,b:1..3", case), checkpoint_dir=str(tmp_path)
-    )
+    verify_box(case, parse_box("a:3..6,b:1..3", case))
+    rep = verify_box(case, parse_box("a:3..7,b:1..3", case))
     assert rep.scanned == 15
-    assert len(list(tmp_path.glob("scan-*.json"))) == 2
+    assert len(list(ckdir.glob("scan-*.json"))) == 2
 
 
 def _payload(rep):
@@ -263,25 +270,25 @@ def _only_checkpoint(directory):
     return path
 
 
-def _assert_damaged_record_is_rescanned(tmp_path, damage):
+def _assert_damaged_record_is_rescanned(ckdir, damage):
     # FII's lowest slice record gets damage(record) on top of a bogus minimum
     def damage_lowest(state):
         damage(state["slices"][min(state["slices"], key=int)])
         return state
 
-    _assert_damaged_file_is_rescanned(tmp_path, damage_lowest)
+    _assert_damaged_file_is_rescanned(ckdir, damage_lowest)
 
 
-def test_checkpoint_rejects_slice_of_wrong_size(tmp_path):
+def test_checkpoint_rejects_slice_of_wrong_size(ckdir):
     def damage(rec):
         rec["scanned"] -= 1
 
-    _assert_damaged_record_is_rescanned(tmp_path, damage)
+    _assert_damaged_record_is_rescanned(ckdir, damage)
 
 
-def test_checkpoint_rejects_record_with_missing_field(tmp_path):
+def test_checkpoint_rejects_record_with_missing_field(ckdir):
     # not read with the missing field's default (no violations)
-    _assert_damaged_record_is_rescanned(tmp_path, lambda rec: rec.pop("violations"))
+    _assert_damaged_record_is_rescanned(ckdir, lambda rec: rec.pop("violations"))
 
 
 @pytest.mark.parametrize(
@@ -297,15 +304,15 @@ def test_checkpoint_rejects_record_with_missing_field(tmp_path):
         ("filtered", True),
     ],
 )
-def test_checkpoint_rejects_record_with_a_field_of_the_wrong_type(tmp_path, name, value):
+def test_checkpoint_rejects_record_with_a_field_of_the_wrong_type(ckdir, name, value):
     # a record of the wrong type changes nothing: the rerun scans afresh
     def damage(rec):
         rec[name] = value
 
-    _assert_damaged_record_is_rescanned(tmp_path, damage)
+    _assert_damaged_record_is_rescanned(ckdir, damage)
 
 
-def _assert_damaged_file_is_rescanned(tmp_path, damage):
+def _assert_damaged_file_is_rescanned(ckdir, damage):
     # the checkpoint file of FII's default box is replaced by damage(state),
     # with every record's minimum made bogus first; records are never read
     # back, so a rerun into the same directory gives the payload of a fresh
@@ -313,52 +320,52 @@ def _assert_damaged_file_is_rescanned(tmp_path, damage):
     case = get_case("FII")
     box = default_box(case)
     fresh = verify_box(case, box)
-    verify_box(case, box, checkpoint_dir=str(tmp_path))
-    path = _only_checkpoint(tmp_path)
+    verify_box(case, box)
+    path = _only_checkpoint(ckdir)
     written = path.read_text()
     state = json.loads(written)
     for rec in state["slices"].values():
         rec["min_scaled"] = -10**6
     path.write_text(json.dumps(damage(state)))
-    assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
+    assert _payload(verify_box(case, box)) == _payload(fresh)
     assert path.read_text() == written
 
 
-def test_checkpoint_records_are_never_read_back(tmp_path):
+def test_checkpoint_records_are_never_read_back(ckdir):
     # an invented violation in every record does not reach the report
     def damage(state):
         for rec in state["slices"].values():
             rec["violations"].append([[0, 2, 0, 2], -10**6])
         return state
 
-    _assert_damaged_file_is_rescanned(tmp_path, damage)
+    _assert_damaged_file_is_rescanned(ckdir, damage)
 
 
-def test_checkpoint_that_is_not_an_object_is_absent(tmp_path):
-    _assert_damaged_file_is_rescanned(tmp_path, lambda state: [1, 2])
+def test_checkpoint_that_is_not_an_object_is_absent(ckdir):
+    _assert_damaged_file_is_rescanned(ckdir, lambda state: [1, 2])
 
 
-def test_checkpoint_slices_that_are_not_an_object_are_absent(tmp_path):
+def test_checkpoint_slices_that_are_not_an_object_are_absent(ckdir):
     _assert_damaged_file_is_rescanned(
-        tmp_path, lambda state: {"slices": list(state["slices"].values())}
+        ckdir, lambda state: {"slices": list(state["slices"].values())}
     )
 
 
-def test_checkpoint_record_that_is_not_an_object_is_absent(tmp_path):
+def test_checkpoint_record_that_is_not_an_object_is_absent(ckdir):
     def damage(state):
         return {"slices": {key: [1, 2] for key in state["slices"]}}
 
-    _assert_damaged_file_is_rescanned(tmp_path, damage)
+    _assert_damaged_file_is_rescanned(ckdir, damage)
 
 
-def test_checkpoint_record_with_a_non_integer_key_is_absent(tmp_path):
+def test_checkpoint_record_with_a_non_integer_key_is_absent(ckdir):
     def damage(state):
         return {"slices": {f"{key}.0": rec for key, rec in state["slices"].items()}}
 
-    _assert_damaged_file_is_rescanned(tmp_path, damage)
+    _assert_damaged_file_is_rescanned(ckdir, damage)
 
 
-def test_checkpoint_ignores_records_of_older_scan_format(tmp_path):
+def test_checkpoint_ignores_records_of_older_scan_format(ckdir):
     # slice records written before the box seed were keyed by case, ranges
     # and shortcut alone; a file under that key must not be read back
     import hashlib
@@ -366,8 +373,8 @@ def test_checkpoint_ignores_records_of_older_scan_format(tmp_path):
     case = get_case("FII")
     box = default_box(case)
     fresh = verify_box(case, box)
-    verify_box(case, box, checkpoint_dir=str(tmp_path))
-    path = _only_checkpoint(tmp_path)
+    verify_box(case, box)
+    path = _only_checkpoint(ckdir)
     state = json.loads(path.read_text())
     for rec in state["slices"].values():
         rec["min_scaled"] = -10**6
@@ -378,22 +385,22 @@ def test_checkpoint_ignores_records_of_older_scan_format(tmp_path):
         sort_keys=True,
     )
     digest = hashlib.sha1(old_key.encode()).hexdigest()[:16]
-    (tmp_path / f"scan-{case.id.family}-{digest}.json").write_text(json.dumps(state))
-    assert _payload(verify_box(case, box, checkpoint_dir=str(tmp_path))) == _payload(fresh)
+    (ckdir / f"scan-{case.id.family}-{digest}.json").write_text(json.dumps(state))
+    assert _payload(verify_box(case, box)) == _payload(fresh)
 
 
-def test_checkpoint_records_add_up_to_the_report(tmp_path):
+def test_checkpoint_records_add_up_to_the_report(ckdir):
     # one record per value of the first walked coordinate, whose counts and
     # violations make up the report of a two-process scan with violations
     from liecheck.fastscan import _Scanner
 
     case = get_case("SP4R")
     box = parse_box("p:-3..4,q:-4..3", case)
-    rep = verify_box(case, box, jobs=2, checkpoint_dir=str(tmp_path))
+    rep = verify_box(case, box, jobs=2)
     assert rep.violations
     scanner = _Scanner(case, box.ranges, True)
     walked = range(int(scanner.lo_p[0]), int(scanner.hi_p[0]) + 1)
-    slices = json.loads(_only_checkpoint(tmp_path).read_text())["slices"]
+    slices = json.loads(_only_checkpoint(ckdir).read_text())["slices"]
     assert sorted(slices, key=int) == [str(v) for v in walked]
     assert sum(rec["scanned"] for rec in slices.values()) == rep.scanned
     assert sum(rec["filtered"] for rec in slices.values()) == rep.filtered
@@ -426,9 +433,12 @@ def test_checkpoint_records_hold_each_slice_final_result(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fastscan, "_save_checkpoint", recorded)
     case, box = _seeded_box("EII")
-    rep = verify_box(case, box, checkpoint_dir=str(tmp_path / "serial"))
+    monkeypatch.setenv("LIECHECK_CHECKPOINT_DIR", str(tmp_path / "serial"))
+    rep = verify_box(case, box)
+    monkeypatch.setenv("LIECHECK_CHECKPOINT_DIR", str(tmp_path / "jobs"))
+    jobs = verify_box(case, box, jobs=2)
+    monkeypatch.delenv("LIECHECK_CHECKPOINT_DIR")
     assert _payload(rep) == _payload(verify_box(case, box, shortcut=False))
-    jobs = verify_box(case, box, jobs=2, checkpoint_dir=str(tmp_path / "jobs"))
     assert _payload(jobs) == _payload(rep)
     assert len(writes) == 2
     scale = build_tables(case).scale
@@ -505,17 +515,17 @@ def test_seeded_prune_is_exact(family):
 
 
 @pytest.mark.parametrize("family", sorted(SEEDED_BOXES))
-def test_seeded_prune_resume_is_exact(family, tmp_path):
+def test_seeded_prune_resume_is_exact(family, ckdir):
     # a two-process rerun over a file holding every other record scans the
     # whole box afresh
     case, box = _seeded_box(family)
     fresh = verify_box(case, box)
-    verify_box(case, box, checkpoint_dir=str(tmp_path))
-    path = _only_checkpoint(tmp_path)
+    verify_box(case, box)
+    path = _only_checkpoint(ckdir)
     state = json.loads(path.read_text())
     kept = dict(sorted(state["slices"].items(), key=lambda kv: int(kv[0]))[1::2])
     path.write_text(json.dumps({"slices": kept}))
-    resumed = verify_box(case, box, checkpoint_dir=str(tmp_path), jobs=2)
+    resumed = verify_box(case, box, jobs=2)
     assert _payload(resumed) == _payload(fresh)
 
 
@@ -865,6 +875,19 @@ def test_sp4r_families_closed_forms():
         assert up.good_sq < up.mid_sq < up.bad_sq
         assert down.good_sq < down.mid_sq < down.bad_sq
         assert up.mid_sq == sp4r_family(m + 2, "descending").mid_sq
+
+
+def test_sp4r_min_m_is_the_published_one(golden_data):
+    # the first unitarily large member index, derived from the u-small
+    # k-types, is golden's min_m; the member before it is u-small
+    case = get_case("SP4R")
+    small = set(map(tuple, np.concatenate(list(usmall_chunks(case))).tolist()))
+    for direction, rec in golden_data["sp4r_pencils"].items():
+        min_m = sp4r_min_m(direction)
+        assert min_m == rec["min_m"], direction
+        before = tuple(s + (min_m - 1) * d for s, d in zip(rec["start"], rec["direction"]))
+        assert before in small
+        assert sp4r_family(min_m, direction).member not in small
 
 
 def test_sp4r_family_argument_checks():

@@ -225,7 +225,7 @@ def test_bulk_kernel_on_zero_and_one_row(family):
 def _tied(tables, coords):
     """Rows whose lowest sweep-free floor is attained by two variants: the
     table lin + c differs from the floors by a per-row constant."""
-    floor = fastscan._screen_table(tables, coords)
+    floor = fastscan._table(tables, coords)
     return (floor == floor.min(axis=1, keepdims=True)).sum(axis=1) > 1
 
 
@@ -555,15 +555,20 @@ def test_bulk_engine_exact_up_to_the_magnitude_bound(family, data):
     for mu, value in zip(rows, scaled):
         assert Q(int(value), tables.scale) == spin_norm_sq(case, mu)
     # the same rows raised to beta, so that mu - beta is dominant too: the
-    # margin lower bound is at most the exact margin
+    # margins kernel is the exact margin, and the margin lower bound is at
+    # most it
     beta = case.beta_ktype
     stepped = [tuple(max(x, b) for x, b in zip(mu, beta)) for mu in rows]
-    bounds = margin_lower_bounds(tables, np.array(stepped, dtype=np.int64))
+    arr = np.array(stepped, dtype=np.int64)
+    bounds = margin_lower_bounds(tables, arr)
     assert np.array_equal(
         bounds, margin_lower_bounds_one_point(tables, np.array(stepped, dtype=object))
     )
-    for mu, value in zip(stepped, bounds):
-        assert Q(int(value), tables.scale) <= step_margin_sq(case, mu)
+    exact = [step_margin_sq(case, mu) for mu in stepped]
+    margins = bulk_margins_scaled(tables, arr)
+    assert [Q(int(m), tables.scale) for m in margins] == exact
+    for value, margin in zip(bounds, exact):
+        assert Q(int(value), tables.scale) <= margin
 
 
 @pytest.mark.parametrize("family", ["EVIII", "EIX"])
@@ -645,7 +650,7 @@ def test_root_sum_matches_the_swept_kernel(family, n):
     coords = np.array(
         [_random_coords(rng, case.ktype_dim) for _ in range(60)], dtype=np.int64
     )
-    lin = fastscan._linear(tables, coords)
+    lin = -2 * coords @ tables.variant_s.T
     root_pair = coords @ tables.root_s
     swept = np.empty(lin.shape, dtype=object)
     for j in range(case.num_variants):

@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from liecheck.cases import get_case
@@ -18,10 +19,9 @@ from liecheck.weyl import (
     minimal_coset_reps,
     parabolic_longest,
     to_dominant,
-    word_matrices,
 )
 
-from oracle import longest_element, orbit, word_length
+from oracle import longest_element, orbit, word_length, word_matrices
 
 B2 = RootSystem.from_simples([vec(1, -1), vec(0, 1)])
 A3 = RootSystem.from_simples([vec(1, -1, 0, 0), vec(0, 1, -1, 0), vec(0, 0, 1, -1)])
@@ -107,15 +107,30 @@ def test_parabolic_longest_stays_in_subgroup():
 def test_minimal_coset_reps_small():
     # B2 over its long-root A1 subsystem: index |W(B2)| / |W(A1)| = 4
     sub = RootSystem.from_simples([vec(1, -1)])
-    reps = minimal_coset_reps(B2, sub)
+    reps, matrices = minimal_coset_reps(B2, sub)
     assert len(reps) == 4
     assert () in reps
-    matrices = {tuple(m.flat) for m in word_matrices(reps, B2)}
-    assert len(matrices) == len(reps)
+    assert len({tuple(m.flat) for m in matrices}) == len(reps)
     rho = B2.half_positive_sum()
     for word in reps:
         image = apply_word(word, rho, B2)
         assert coroot_pairing(image, vec(1, -1)) > 0
+
+
+@pytest.mark.parametrize("family", ["G", "EI", "EII", "EVIII", "EIX", "SP4R"])
+def test_coset_rep_matrices_are_their_words(family):
+    # the matrices the search multiplies out (the case's W^1 matrices) are
+    # the products of their words' reflection matrices, and they move rho
+    # as apply_word does
+    case = get_case(family)
+    g = case.g_restricted
+    rho = g.half_positive_sum()
+    coords = g.root_coords(rho)
+    rebuilt = word_matrices(case.w1, g)
+    for word, m, expected in zip(case.w1, case.w1_matrices, rebuilt, strict=True):
+        assert np.array_equal(m, expected), word
+        image = [sum(int(x) * c for x, c in zip(row, coords)) for row in m]
+        assert image == g.root_coords(apply_word(word, rho, g)), word
 
 
 def test_minimal_reps_map_chamber_into_sub_chamber():
