@@ -47,10 +47,8 @@ usmall._walk yields as runs, is the longest of the others. With the
 longest edges first, a last slice's one-value coordinate came last, and a
 verify of the last EVIII slice walked 633,601 runs for 633,366 points
 (140,926 runs in this order). The order changes what is evaluated, not
-the report (below). Each process keeps one running minimum best, and each
-scan task (all slices at once in a serial scan, one slice with --jobs)
-walks every pass over its slices under it; the parent only gathers the
-tasks' results:
+the report (below). The scan keeps one running minimum best and walks
+every pass over all slices under it:
   * pass 1 walks {cheap <= 0}, which holds every violation, as
     cheap <= margin <= 0 for each one;
   * pass 2 walks {0 < cheap <= max(0, best)}. If pass 1 evaluated
@@ -61,8 +59,7 @@ frontier row above it (below), its cheap bound and its
 margin_lower_bounds are all at most max(0, best), best falling after
 every kernel batch. The three bounds are at most margin(m*) = min <= best
 for the minimizer m* and for every violation (a simplex bound is at most
-the margin of each point under its row), so they are evaluated, and the
-report depends neither on --jobs nor on which process saw which slice.
+the margin of each point under its row), so they are evaluated.
 k with center (SP4R: rows of both signs, small boxes) lists each slice's
 filtered points from its grid in one pass, under the same two tests.
 --no-shortcut evaluates every filtered point.
@@ -147,7 +144,6 @@ screen at the last level (six alternating runs each, 2-core machine).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
@@ -381,15 +377,13 @@ def _product(m: np.ndarray, table: np.ndarray) -> np.ndarray:
 
     On a 2-core machine (OpenBLAS 0.3.31) a 512 x 9 by 9 x 135 table
     took 47 us, against 189 us for the float64 einsum used before.
-    OpenBLAS ran it on one thread, and with two processes at once, as
-    under --jobs 2, it took 44 us; from 9 x 300 tables on it used two
+    OpenBLAS ran it on one thread; from 9 x 300 tables on it used two
     threads, and no family that verify scans has tables beyond EVIII's
     9 x 135 and EIX's 8 x 64. Rows count too: with 1,024 rows the 9 x 135
     product ran on two threads (cpu time twice wall time, 4,608 rows as
     well), 768 rows still on one, so no caller passes more than
-    _CHUNK_ROWS rows. The table must be C-ordered: with a
-    transposed one the same product took 333 us on two threads, and a
-    --jobs 2 scan of the last EVIII slice four times as long."""
+    _CHUNK_ROWS rows. The table must be C-ordered: with a transposed one
+    the same product took 333 us on two threads."""
     table = np.ascontiguousarray(table, dtype=np.float64)
     return np.asarray(m, dtype=np.float64) @ table
 
@@ -442,9 +436,17 @@ def _best_first(tables: ScanTables, m: np.ndarray) -> np.ndarray:
 
 
 def bulk_margins_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
-    """Scaled step margins spin(mu)^2 - spin(mu - beta)^2 for rows of coords."""
-    return (bulk_spin_sq_scaled(tables, coords)
-            - bulk_spin_sq_scaled(tables, coords - tables.beta_coords))
+    """Scaled step margins spin(mu)^2 - spin(mu - beta)^2 for rows of coords.
+    Rows go in chunks of _CHUNK_ROWS, so mu - beta is formed for one chunk
+    at a time, not for a whole scan batch."""
+    out = np.empty(len(coords), dtype=np.int64)
+    for start in range(0, len(coords), _CHUNK_ROWS):
+        chunk = coords[start:start + _CHUNK_ROWS]
+        out[start:start + len(chunk)] = (
+            bulk_spin_sq_scaled(tables, chunk)
+            - bulk_spin_sq_scaled(tables, chunk - tables.beta_coords)
+        )
+    return out
 
 
 def _down_value(tables: ScanTables, m: np.ndarray, first: np.ndarray,
@@ -514,7 +516,7 @@ def _concave_bounds(tables: ScanTables, ends: list) -> np.ndarray:
 @dataclass
 class _SliceResult:
     """One slice's counts, and the minimum and violations of its evaluated
-    points: its checkpoint record, written once after the last task."""
+    points: its checkpoint record, written once after the scan."""
 
     scanned: int = 0
     filtered: int = 0
@@ -531,7 +533,7 @@ class _SliceResult:
 
 class _Scanner:
     """One box: its tables, its slices along the longest coordinate, and
-    the running minimum of the margins this process has evaluated."""
+    the running minimum of the margins the scan has evaluated."""
 
     def __init__(self, case: CaseData, ranges, shortcut: bool):
         self.tables = build_tables(case)
@@ -559,9 +561,10 @@ class _Scanner:
         self.perm = [axis] + sorted(rest, key=edge.__getitem__)
         self.lo_p = self.lo[self.perm]
         self.hi_p = self.hi[self.perm]
+        self.slices = range(int(self.lo_p[0]), int(self.hi_p[0]) + 1)
         # the sub-box of mu with mu - beta dominant, for semisimple k
         self.base = np.maximum(self.lo, self.tables.beta_coords)
-        self.best = None  # smallest margin this process has evaluated
+        self.best = None  # smallest margin the scan has evaluated
 
     def cheap(self, coords) -> np.ndarray:
         return coords @ self.tables.cheap_coef_s - self.tables.cheap_const_s
@@ -571,16 +574,16 @@ class _Scanner:
         without the shortcut."""
         return None if not self.shortcut or self.best is None else max(0, self.best)
 
-    def scan_slices(self, first: int, last: int) -> dict[int, _SliceResult]:
-        """Evaluate the slices first..last of the first walked coordinate in
-        every cheap-bound band of _bands(self), under this process's running
-        minimum self.best, and return each slice's minimum and violations
-        (scanned and filtered are slice_counts'). A slice's min_scaled
-        covers only the points evaluated, and is None if there are none."""
+    def scan_slices(self) -> dict[int, _SliceResult]:
+        """Evaluate every slice of the first walked coordinate in every
+        cheap-bound band of _bands(self), under the running minimum
+        self.best, and return each slice's minimum and violations (scanned
+        and filtered are slice_counts'). A slice's min_scaled covers only
+        the points evaluated, and is None if there are none."""
         axis = self.perm[0]
-        results = {v: _SliceResult() for v in range(first, last + 1)}
+        results = {v: _SliceResult() for v in self.slices}
         for band in _bands(self):
-            for coords in self._batches(first, last, band):
+            for coords in self._batches(band):
                 cutoff = self.cutoff()
                 if cutoff is not None:
                     coords = coords[self.cheap(coords) <= cutoff]
@@ -605,11 +608,10 @@ class _Scanner:
         """Per slice value, a record of its scanned and filtered points:
         the slice size, and the dominant sub-box minus its u-small points,
         counted by one walk with the slice coordinate first."""
-        values = range(int(self.lo_p[0]), int(self.hi_p[0]) + 1)
         size = int(np.prod((self.hi_p[1:] - self.lo_p[1:] + 1).astype(object)))
-        counts = {v: _SliceResult(scanned=size) for v in values}
+        counts = {v: _SliceResult(scanned=size) for v in self.slices}
         if not self.semisimple:
-            for v in values:
+            for v in self.slices:
                 counts[v].filtered = sum(len(c) for c in self._grid_batches(v))
             return counts
         base, order = self.base, self.perm
@@ -656,22 +658,18 @@ class _Scanner:
         reach = max(b - (-budget // c) for b, c in zip(base.tolist(), coef))
         return magnitude_bound(self.tables, max(self.coord_max, reach)) <= _INT64_MAX
 
-    def _batches(self, first, last, band):
-        """Yield the filtered points of slices first..last in the band, in
-        batches of at least _BATCH_ROWS rows but the last: the walk of the
-        module docstring over e = mu - base, slice coordinate first, but
-        the subtrees the simplex screen rejects at the cutoff of the
-        moment."""
+    def _batches(self, band):
+        """Yield the filtered points of the box in the band, in batches of
+        at least _BATCH_ROWS rows but the last: the walk of the module
+        docstring over e = mu - base, slice coordinate first, but the
+        subtrees the simplex screen rejects at the cutoff of the moment."""
         if not self.semisimple:
-            for value in range(first, last + 1):
+            for value in self.slices:
                 yield from self._grid_batches(value)
             return
         above, upto = band
-        order = self.perm
-        base = self.base.copy()
-        base[order[0]] = max(first, base[order[0]])
+        order, base = self.perm, self.base
         edges = self.hi[order] - base[order]
-        edges[0] = last - base[order[0]]
         if (edges < 0).any():
             return
         coef = self.tables.cheap_coef_s[order][None, :]
@@ -730,18 +728,6 @@ def _merge(results, scale) -> dict:
     }
 
 
-_worker = None  # the _Scanner of a --jobs pool worker
-
-
-def _start_worker(scanner):
-    global _worker
-    _worker = scanner
-
-
-def _slice_for_pool(task):
-    return _worker.scan_slices(*task)
-
-
 def _checkpoint_path(directory, case, ranges):
     """Slice-record file of one box scan, named by family and box, e.g.
     scan-FII-0-3_0-2_0-2_1-4.json. Records are written for inspection and
@@ -759,7 +745,7 @@ def _save_checkpoint(path, done):
 
 def _bands(scanner):
     """The cheap-bound bands (above, upto] of a scan, in order; scanner.best,
-    the smallest margin the process has evaluated, is read before each next
+    the smallest margin the scan has evaluated, is read before each next
     band. While it is None, the bands above 0 reach the lowest cheap bound
     of the dominant sub-box, then double their width until they cover the
     box."""
@@ -777,12 +763,10 @@ def _bands(scanner):
         yield above, scanner.best
 
 
-def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
-             log=None) -> dict:
+def scan_box(case: CaseData, ranges, *, shortcut: bool = True, log=None) -> dict:
     """Scan every lattice point of the box; see pencil.verify_box."""
     ranges = tuple((int(lo), int(hi)) for lo, hi in ranges)
     scanner = _Scanner(case, ranges, shortcut)
-    values = list(range(int(scanner.lo_p[0]), int(scanner.hi_p[0]) + 1))
 
     checkpoint_dir = os.environ.get("LIECHECK_CHECKPOINT_DIR")
     ckpath = None
@@ -792,31 +776,14 @@ def scan_box(case: CaseData, ranges, *, jobs: int = 1, shortcut: bool = True,
 
     t0 = time.monotonic()
     done = scanner.slice_counts()
-    # A serial scan walks all slices at once: walking them one by one took
-    # 1.5 to 3 times as long on the published boxes, whose slices are small
+    # The scan walks all slices at once: walking them one by one took 1.5
+    # to 3 times as long on the published boxes, whose slices are small
     # enough for the per-walk cost of the walk, screen and kernel calls to
-    # dominate. A --jobs pool hands out one slice per task.
-    workers = min(jobs, len(values))
-    pool = None
-    tasks = [(values[0], values[-1])]
-    scan, run = (lambda task: scanner.scan_slices(*task)), map
-    if workers > 1:
-        import multiprocessing as mp
-
-        pool = mp.Pool(workers, initializer=_start_worker, initargs=(scanner,))
-        tasks = [(value, value) for value in values]
-        scan, run = _slice_for_pool, pool.imap_unordered
-    with pool or contextlib.nullcontext():
-        finished = 0
-        for part in run(scan, tasks):
-            for value, result in part.items():
-                done[value].add(result)
-            finished += len(part)
-            if log:
-                log(
-                    f"{finished}/{len(values)} slices done, "
-                    f"{time.monotonic() - t0:.1f}s elapsed"
-                )
+    # dominate.
+    for value, result in scanner.scan_slices().items():
+        done[value].add(result)
+    if log:
+        log(f"{len(done)}/{len(done)} slices done, {time.monotonic() - t0:.1f}s elapsed")
     if ckpath:
         _save_checkpoint(ckpath, done)
 

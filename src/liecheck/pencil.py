@@ -34,11 +34,10 @@ from .cases import (
 from .data import golden
 from .errors import UsageError
 from .fastscan import scan_box
-from .rootdata import inner, vadd, vscale, vsub
+from .rootdata import inner, vadd, vneg, vscale, vsub
 from .spin import spin_norm_sq
 from .usmall import usmall_chunks
-# perfbench/spans.py wraps pencil.to_dominant, so the name stays imported
-from .weyl import apply_word, parabolic_longest, to_dominant
+from .weyl import to_dominant
 
 _LETTERS = string.ascii_lowercase
 
@@ -186,12 +185,18 @@ def step_margin_sq(case: CaseData, mu) -> Q:
 def parabolic_bound(case: CaseData, k: int) -> Q:
     """Lower bound 2 <rho_c, w0k(beta)> for the conjugation term, where w0k
     is the longest element of the parabolic omitting the k-th k-simple root
-    (1-based)."""
+    (1-based).
+
+    w0k(beta) = -dom'(-beta), dom' the conjugation into the parabolic's
+    dominant chamber (to_dominant on its letters). Proof: w0k maps that
+    chamber onto its negative, and beta, being k-dominant, lies in it, so
+    both sides are the one point of the parabolic orbit of beta in the
+    negative chamber."""
     if not 1 <= k <= case.rank_k:
         raise UsageError(f"parabolic index {k} out of range 1..{case.rank_k}")
-    word = parabolic_longest(case.k_system, k - 1)
-    moved = apply_word(word, case.beta, case.k_system)
-    return 2 * inner(case.rho_c, moved)
+    kept = tuple(i for i in range(case.rank_k) if i != k - 1)
+    dom, _ = to_dominant(vneg(case.beta), case.k_system, letters=kept)
+    return 2 * inner(case.rho_c, vneg(dom))
 
 
 def naive_bound(case: CaseData) -> Q:
@@ -204,7 +209,6 @@ def verify_box(
     case: CaseData,
     box: Box | None = None,
     *,
-    jobs: int = 1,
     shortcut: bool = True,
     log=None,
 ) -> PencilReport:
@@ -215,14 +219,14 @@ def verify_box(
     the dominance and largeness filter. Violations (margin <= 0) come back
     sorted by coordinates with their exact margins; min_margin_sq is the
     exact minimum margin over all filtered points, so the report does not
-    depend on jobs or shortcut. With the LIECHECK_CHECKPOINT_DIR variable
-    set, one record per slice is written to that directory once, after the
-    last scan task; records are never read back.
+    depend on shortcut. With the LIECHECK_CHECKPOINT_DIR variable set, one
+    record per slice is written to that directory once, after the scan;
+    records are never read back.
     """
     if box is None:
         box = default_box(case)
     _validate_box(case, box)
-    raw = scan_box(case, box.ranges, jobs=jobs, shortcut=shortcut, log=log)
+    raw = scan_box(case, box.ranges, shortcut=shortcut, log=log)
     return PencilReport(
         case=case.id.label,
         box=box,

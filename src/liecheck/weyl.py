@@ -25,8 +25,6 @@ from .rootdata import (
     coroot_pairing,
     inner,
     reflect,
-    vadd,
-    vneg,
 )
 
 WeylWord = tuple[int, ...]
@@ -35,7 +33,6 @@ __all__ = [
     "WeylWord",
     "apply_word",
     "to_dominant",
-    "parabolic_longest",
     "minimal_coset_reps",
     "int_root_coords",
 ]
@@ -80,27 +77,6 @@ def to_dominant(
         else:
             break
     return v, tuple(reversed(applied))
-
-
-def parabolic_longest(system: RootSystem, omit_index: int) -> WeylWord:
-    """Longest element of the parabolic subgroup generated by all simple
-    reflections except the one at omit_index."""
-    rank = system.rank
-    if not 0 <= omit_index < rank:
-        raise UsageError(f"omit_index {omit_index} out of range for rank {rank}")
-    letters = tuple(i for i in range(rank) if i != omit_index)
-    if not letters:
-        return ()
-    anti = vneg(_wsum(system, letters))
-    _, word = to_dominant(anti, system, letters=letters)
-    return word
-
-
-def _wsum(system: RootSystem, letters: tuple[int, ...]) -> Vector:
-    total = system.fundamental_weights[letters[0]]
-    for i in letters[1:]:
-        total = vadd(total, system.fundamental_weights[i])
-    return total
 
 
 def _reflection_matrices(system: RootSystem) -> list[np.ndarray]:

@@ -240,63 +240,47 @@ def test_jobs_below_one_exit_2(command, jobs, capsys):
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """Replaces multiprocessing.Pool with an in-process pool; returns the
-    list of (processes asked for, tasks handed out as (fn, item)) per pool."""
+def no_process(monkeypatch):
+    """Makes starting a multiprocessing pool or process raise."""
     import multiprocessing
+    import multiprocessing.process
 
-    import liecheck.fastscan as fastscan
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan started a process")
 
-    pools = []
-
-    class RecordingPool:
-        """Records the size it was asked for and the tasks it was handed;
-        runs the work in this process."""
-
-        def __init__(self, processes, initializer=None, initargs=()):
-            self.tasks = []
-            pools.append((processes, self.tasks))
-            if initializer is not None:
-                initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap_unordered(self, fn, items):
-            items = list(items)
-            self.tasks += [(fn, item) for item in items]
-            return map(fn, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(fastscan, "_worker", None)
-    return pools
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
-def test_pools_capped_at_work_items(recording_pool, capsys):
-    # u-small counts run serially whatever --jobs asks for
+def test_pools_capped_at_work_items(no_process, capsys):
+    # u-small counts and scans run in this process whatever --jobs asks for
     assert main(["usmall", "count", "G", "--jobs", "64"]) == 0
     assert capsys.readouterr().out.strip() == "29"
-    assert recording_pool == []
-    # a scan slices its longest coordinate: two slices, then one, which
-    # needs no pool at all
     assert main(["verify", "G", "--box", "a:0..1,b:0..1", "--jobs", "8"]) == 0
     assert main(["verify", "G", "--box", "a:0..0,b:0..0", "--jobs", "8"]) == 0
-    assert [size for size, _ in recording_pool] == [2]
+
+
+SEEDED_EII = "a:0..14,b:0..3,c:1..4,d:0..3,e:0..6,f:17..19"
+
+
+def test_scans_start_no_process(no_process):
+    # --jobs is accepted, and every scan runs in this process:
+    # a default box, a box of 15 slices, and the selftest's eight boxes
+    for argv in (["verify", "EI", "--jobs", "4"],
+                 ["verify", "EII", "--box", SEEDED_EII, "--jobs", "2"]):
+        assert main(argv) == 0
+    assert [item.name for item in run_selftest() if not item.ok] == []
 
 
 @pytest.mark.parametrize("family, box, slices", [
-    ("EII", "a:0..14,b:0..3,c:1..4,d:0..3,e:0..6,f:17..19", 15),
+    ("EII", SEEDED_EII, 15),
     ("EVIII", "a:42..42,b:0..15,c:0..15,d:0..15,e:0..15,f:0..15,g:1..16,h:0..15", 16),
 ], ids=["EII-seeded", "EVIII-last-slice"])
-def test_jobs_scan_hands_out_each_slice_once_and_writes_records_once(
-        family, box, slices, recording_pool, tmp_path, monkeypatch):
-    # a --jobs task runs every cheap-bound pass of its slice, so the pool
-    # gets one task per slice, and the slice records are written once,
-    # after the last task (EII's seeded sub-box has its minimum in pass 2
-    # only; the last EVIII slice has no point in pass 1)
+def test_scan_writes_one_record_per_slice_once(family, box, slices, tmp_path, monkeypatch):
+    # the slice records are written once, after the scan: one record per
+    # slice, which add up to the report, the same for any --jobs (EII's
+    # seeded sub-box has its minimum in pass 2 only; the last EVIII slice
+    # has no point in pass 1)
     import liecheck.fastscan as fastscan
 
     saves = []
@@ -314,16 +298,58 @@ def test_jobs_scan_hands_out_each_slice_once_and_writes_records_once(
         assert main(["verify", family, "--box", box, "--jobs", jobs,
                      "--report", str(path)]) == 0
         doc = json.loads(path.read_text())
+        assert doc["parameters"]["jobs"] == int(jobs)
         doc["results"].pop("elapsed_ms")
         results.append(doc["results"])
-    ((size, tasks),) = recording_pool
-    assert size == 2 and len(tasks) == slices
-    assert all(fn is fastscan._slice_for_pool for fn, _ in tasks)
-    items = [item for _, item in tasks]  # (first, last) slices of a task
-    assert all(first == last for first, last in items)
-    assert len(set(items)) == slices
+        records = json.loads(open(saves[-1], encoding="utf-8").read())["slices"]
+        assert len(records) == slices
+        assert sum(r["scanned"] for r in records.values()) == doc["results"]["scanned"]
+        assert sum(r["filtered"] for r in records.values()) == doc["results"]["filtered"]
+        low = min(r["min_scaled"] for r in records.values() if r["min_scaled"] is not None)
+        scale = fastscan.build_tables(get_case(family)).scale
+        assert Q(low, scale) == Q(doc["results"]["min_margin_sq"])
     assert len(saves) == 2 and saves[0] != saves[1]
     assert results[0] == results[1]
+
+
+# Rows that reach the margin kernel and the row screen, and vertices of the
+# simplex screen, in a scan of the EII box and of the last EIX slice
+SCAN_WORK = {
+    ("EII", "default"): (5_223, 12_461, 28_503),
+    ("EIX", "a:0..11,b:0..11,c:0..9,d:0..9,e:0..9,f:0..11,g:1..12,h:55..55"):
+        (277, 1_261, 22_447),
+}
+
+
+@pytest.mark.parametrize("family, box", sorted(SCAN_WORK), ids=["EII", "EIX-last-slice"])
+def test_scan_work_does_not_depend_on_jobs(family, box, tmp_path, monkeypatch):
+    # the rows each screen and the kernel see are the same for any --jobs
+    import liecheck.fastscan as fastscan
+
+    work = {}
+
+    def counted(name, size):
+        fn = getattr(fastscan, name)
+
+        def wrapper(*args):
+            work[name] = work.get(name, 0) + size(*args)
+            return fn(*args)
+
+        monkeypatch.setattr(fastscan, name, wrapper)
+
+    counted("bulk_margins_scaled", lambda tables, coords: len(coords))
+    counted("margin_lower_bounds", lambda tables, coords: len(coords))
+    counted("simplex_lower_bounds",
+            lambda tables, corner, axes, reach: len(corner) * (1 + len(axes)))
+    names = ("bulk_margins_scaled", "margin_lower_bounds", "simplex_lower_bounds")
+    for jobs in ("1", "2"):
+        work.clear()
+        path = tmp_path / f"jobs{jobs}.json"
+        assert main(["verify", family, "--box", box, "--jobs", jobs,
+                     "--report", str(path)]) == 0
+        assert tuple(work.get(name, 0) for name in names) == SCAN_WORK[family, box]
+    if family == "EIX":
+        assert Q(json.loads(path.read_text())["results"]["min_margin_sq"]) == 56
 
 
 def test_report_determinism(tmp_path):
@@ -404,7 +430,7 @@ def test_list_cases_report(tmp_path):
 
 @pytest.fixture(scope="module")
 def baseline_items():
-    return run_selftest(jobs=2)
+    return run_selftest()
 
 
 ERRATA_ITEMS = {
@@ -449,7 +475,7 @@ def test_selftest_detects_perturbed_constant(baseline_items):
     data = copy.deepcopy(golden())
     data["usmall_counts"]["EI"] = 923
     perturbed = {
-        item.name for item in run_selftest(jobs=2, golden_data=data) if not item.ok
+        item.name for item in run_selftest(golden_data=data) if not item.ok
     }
     baseline = {item.name for item in baseline_items if not item.ok}
     assert perturbed - baseline == {"usmall-count-EI"}

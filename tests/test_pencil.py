@@ -190,12 +190,10 @@ def test_shortcut_and_jobs_do_not_change_reports():
     case = get_case("EI")
     base = verify_box(case)
     no_shortcut = verify_box(case, shortcut=False)
-    parallel = verify_box(case, jobs=3)
-    for other in (no_shortcut, parallel):
-        assert other.scanned == base.scanned
-        assert other.filtered == base.filtered
-        assert other.violations == base.violations
-        assert other.min_margin_sq == base.min_margin_sq
+    assert no_shortcut.scanned == base.scanned
+    assert no_shortcut.filtered == base.filtered
+    assert no_shortcut.violations == base.violations
+    assert no_shortcut.min_margin_sq == base.min_margin_sq
 
 
 def test_sp4r_negative_margins_reported():
@@ -391,12 +389,12 @@ def test_checkpoint_ignores_records_of_older_scan_format(ckdir):
 
 def test_checkpoint_records_add_up_to_the_report(ckdir):
     # one record per value of the first walked coordinate, whose counts and
-    # violations make up the report of a two-process scan with violations
+    # violations make up the report of a scan with violations
     from liecheck.fastscan import _Scanner
 
     case = get_case("SP4R")
     box = parse_box("p:-3..4,q:-4..3", case)
-    rep = verify_box(case, box, jobs=2)
+    rep = verify_box(case, box)
     assert rep.violations
     scanner = _Scanner(case, box.ranges, True)
     walked = range(int(scanner.lo_p[0]), int(scanner.hi_p[0]) + 1)
@@ -420,10 +418,9 @@ def _first_pass_only(monkeypatch):
 
 
 def test_checkpoint_records_hold_each_slice_final_result(tmp_path, monkeypatch):
-    # the records are written once, after the last task, in a serial scan
-    # and in a --jobs scan alike: one record per slice with its scanned and
-    # filtered counts and the minimum of its evaluated points. EII's
-    # sub-box has its minimum in pass 2 only.
+    # the records are written once, after the scan: one record per slice
+    # with its scanned and filtered counts and the minimum of its evaluated
+    # points. EII's sub-box has its minimum in pass 2 only.
     writes = []
     save = fastscan._save_checkpoint
 
@@ -433,22 +430,17 @@ def test_checkpoint_records_hold_each_slice_final_result(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fastscan, "_save_checkpoint", recorded)
     case, box = _seeded_box("EII")
-    monkeypatch.setenv("LIECHECK_CHECKPOINT_DIR", str(tmp_path / "serial"))
+    monkeypatch.setenv("LIECHECK_CHECKPOINT_DIR", str(tmp_path))
     rep = verify_box(case, box)
-    monkeypatch.setenv("LIECHECK_CHECKPOINT_DIR", str(tmp_path / "jobs"))
-    jobs = verify_box(case, box, jobs=2)
     monkeypatch.delenv("LIECHECK_CHECKPOINT_DIR")
     assert _payload(rep) == _payload(verify_box(case, box, shortcut=False))
-    assert _payload(jobs) == _payload(rep)
-    assert len(writes) == 2
-    scale = build_tables(case).scale
-    for w in writes:
-        assert set(w) == {"slices"}
-        assert sum(rec["scanned"] for rec in w["slices"].values()) == rep.scanned
-        assert sum(rec["filtered"] for rec in w["slices"].values()) == rep.filtered
-        low = min(r["min_scaled"] for r in w["slices"].values()
-                  if r["min_scaled"] is not None)
-        assert Q(low, scale) == rep.min_margin_sq
+    (w,) = writes
+    assert set(w) == {"slices"}
+    assert sum(rec["scanned"] for rec in w["slices"].values()) == rep.scanned
+    assert sum(rec["filtered"] for rec in w["slices"].values()) == rep.filtered
+    low = min(r["min_scaled"] for r in w["slices"].values()
+              if r["min_scaled"] is not None)
+    assert Q(low, build_tables(case).scale) == rep.min_margin_sq
     # pass 1 alone misses the minimum
     _first_pass_only(monkeypatch)
     assert verify_box(case, box).min_margin_sq > rep.min_margin_sq
@@ -459,8 +451,7 @@ def test_checkpoint_records_hold_each_slice_final_result(tmp_path, monkeypatch):
 # box along f, and its minimum lies in pass 2 only; the SP4R box has
 # violations and an empty lowest slice. In the EVIII sub-box of its lowest
 # published slice, the first slice with a point in pass 1 finds 52 there,
-# far above the minimum (10), so a --jobs worker that starts there runs
-# under a cutoff far above the minimum.
+# far above the minimum (10).
 SEEDED_BOXES = {
     "EI": None,
     "FI": None,
@@ -492,18 +483,25 @@ def test_seeded_boxes_cover_the_hard_cases(monkeypatch):
     case, box = eii
     scanner = _Scanner(case, box.ranges, True)
     assert scanner.perm[0] != _Scanner(case, default_box(case).ranges, True).perm[0]
-    slices = scanner.scan_slices(int(scanner.lo_p[0]), int(scanner.hi_p[0]))
+    slices = scanner.scan_slices()
     first_pass = [r.min_scaled for r in slices.values()]
     first_min = Q(min(m for m in first_pass if m is not None), scanner.tables.scale)
     assert first_min > eii_min
 
     case, box = eviii
-    scanner = _Scanner(case, box.ranges, True)
+    axis = _Scanner(case, box.ranges, True).perm[0]
+
+    def one_slice(v):
+        ranges = list(box.ranges)
+        ranges[axis] = (v, v)
+        return Box(tuple(ranges))
+
+    lo, hi = box.ranges[axis]
     first = next(
-        m for v in range(int(scanner.lo_p[0]), int(scanner.hi_p[0]) + 1)
-        if (m := scanner.scan_slices(v, v)[v].min_scaled) is not None
+        m for v in range(lo, hi + 1)
+        if (m := verify_box(case, one_slice(v)).min_margin_sq) is not None
     )
-    assert Q(first, scanner.tables.scale) - eviii_min > 40
+    assert first - eviii_min > 40
 
 
 @pytest.mark.parametrize("family", sorted(SEEDED_BOXES))
@@ -511,13 +509,12 @@ def test_seeded_prune_is_exact(family):
     case, box = _seeded_box(family)
     exhaustive = verify_box(case, box, shortcut=False)
     assert _payload(verify_box(case, box)) == _payload(exhaustive)
-    assert _payload(verify_box(case, box, jobs=2)) == _payload(exhaustive)
 
 
 @pytest.mark.parametrize("family", sorted(SEEDED_BOXES))
 def test_seeded_prune_resume_is_exact(family, ckdir):
-    # a two-process rerun over a file holding every other record scans the
-    # whole box afresh
+    # a rerun over a file holding every other record scans the whole box
+    # afresh
     case, box = _seeded_box(family)
     fresh = verify_box(case, box)
     verify_box(case, box)
@@ -525,7 +522,7 @@ def test_seeded_prune_resume_is_exact(family, ckdir):
     state = json.loads(path.read_text())
     kept = dict(sorted(state["slices"].items(), key=lambda kv: int(kv[0]))[1::2])
     path.write_text(json.dumps({"slices": kept}))
-    resumed = verify_box(case, box, jobs=2)
+    resumed = verify_box(case, box)
     assert _payload(resumed) == _payload(fresh)
 
 
@@ -625,7 +622,6 @@ def test_large_block_walk_counts_and_payload(family):
     assert rep.scanned == len(points)
     assert rep.filtered == int(filtered.sum())
     assert _payload(verify_box(case, box, shortcut=False)) == _payload(rep)
-    assert _payload(verify_box(case, box, jobs=2)) == _payload(rep)
 
 
 def _subtree(points, corner, axes, band):
@@ -662,9 +658,9 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
     batches = fastscan._Scanner._batches
     band = []
 
-    def banded(self, first, last, bounds):
+    def banded(self, bounds):
         band[:] = bounds
-        return batches(self, first, last, bounds)
+        return batches(self, bounds)
 
     def bounded(tables, coords):
         events.append(("screen", coords.copy()))
@@ -1010,7 +1006,6 @@ def test_simplex_walk_matches_the_exhaustive_scan(family):
     for box, rep in zip(boxes, reports):
         assert _payload(rep) == _brute_force_payload(case, box)
         assert _payload(verify_box(case, box, shortcut=False)) == _payload(rep)
-    assert _payload(verify_box(case, boxes[0], jobs=2)) == _payload(reports[0])
     # some box has u-small points with mu - beta dominant, which the walk drops
     assert any(
         (dom & small).any() for _, dom, small in (_box_points(case, b) for b in boxes)
@@ -1101,28 +1096,3 @@ def test_float_product_is_exact_at_the_largest_accepted_coordinate(family):
         assert got.dtype == np.float64 and got.shape == exact.shape
         assert (got.astype(object) == exact).all()
         assert max(abs(x) for x in exact.flat) > 2**20
-
-
-def test_pool_started_after_the_float_product_has_run():
-    # the serial scan runs the float64 product in this process first; a
-    # --jobs pool forked afterwards still finishes with the same payload
-    import signal
-
-    case = get_case("EIX")
-    box = parse_box(
-        "a:0..11,b:0..11,c:0..9,d:0..9,e:0..9,f:0..11,g:1..12,h:55..55", case
-    )
-    serial = verify_box(case, box)
-
-    def stuck(signum, frame):
-        raise TimeoutError("the --jobs 2 scan did not finish")
-
-    previous = signal.signal(signal.SIGALRM, stuck)
-    signal.alarm(120)
-    try:
-        parallel = verify_box(case, box, jobs=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert _payload(parallel) == _payload(serial)
-    assert serial.min_margin_sq == 56

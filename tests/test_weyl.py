@@ -6,10 +6,12 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from liecheck.cases import get_case
+from liecheck.cases import CLASSICAL_FAMILIES, FIXED_FAMILIES, get_case
+from liecheck.pencil import parabolic_bound
 from liecheck.rootdata import (
     RootSystem,
     coroot_pairing,
+    inner,
     norm_sq,
     vadd,
     vec,
@@ -17,7 +19,6 @@ from liecheck.rootdata import (
 from liecheck.weyl import (
     apply_word,
     minimal_coset_reps,
-    parabolic_longest,
     to_dominant,
 )
 
@@ -91,17 +92,21 @@ def test_longest_element_negates_chamber():
         )
 
 
-def test_parabolic_longest_stays_in_subgroup():
-    for omit in range(A3.rank):
-        word = parabolic_longest(A3, omit)
-        assert omit not in word
-        kept = [a for i, a in enumerate(A3.simple_roots) if i != omit]
-        sub = RootSystem.from_simples(kept)
-        assert word_length(word, A3) == len(sub.positive_roots)
-        # it inverts the sub-chamber: every kept simple root goes negative
-        for alpha in kept:
-            image = apply_word(word, alpha, A3)
-            assert sub.is_positive_root(vec(*(-c for c in image)))
+@pytest.mark.parametrize("family, n", [(f, None) for f in FIXED_FAMILIES] + [
+    (f, n) for f in CLASSICAL_FAMILIES for n in (2, 3, 5)
+])
+def test_parabolic_bound_is_the_longest_element_of_the_kept_subsystem(family, n):
+    # parabolic_bound(case, k) = 2 <rho_c, w0'(beta)>, w0' the longest
+    # element of the sub-system of k-simple roots without the k-th
+    case = get_case(family, n)
+    simples = case.k_system.simple_roots
+    for k in range(1, case.rank_k + 1):
+        kept = [a for i, a in enumerate(simples) if i != k - 1]
+        moved = case.beta
+        if kept:
+            sub = RootSystem.from_simples(kept)
+            moved = apply_word(longest_element(sub), case.beta, sub)
+        assert parabolic_bound(case, k) == 2 * inner(case.rho_c, moved), k
 
 
 def test_minimal_coset_reps_small():
