@@ -40,15 +40,18 @@ cheap coefficient is >= 0 (the walk refuses others), so cheap(mu) <= b is
 one more row, and usmall._walk lists the points of these rows; the walker
 drops the u-small values and those at or below the band's lower end.
 scanned is the box size and filtered the dominant sub-box minus its
-u-small points, neither depending on what is evaluated. The walk takes
-the slice coordinate first (the longest edge, first on ties), then the
-others shortest edge first, so its last coordinate, whose values
-usmall._walk yields as runs, is the longest of the others. With the
-longest edges first, a last slice's one-value coordinate came last, and a
-verify of the last EVIII slice walked 633,601 runs for 633,366 points
-(140,926 runs in this order). The order changes what is evaluated, not
-the report (below). The scan keeps one running minimum best and walks
-every pass over all slices under it:
+u-small points, neither depending on what is evaluated; both are exact
+integers, the u-small points counted by a walk of their own. The walk
+takes the longest edge first (first on ties), then the others shortest
+edge first, so its last coordinate, whose values usmall._walk yields as
+runs, is the longest of the others. The order stays because it measured
+best: walking the longest edge last took 3.7-4.1 s on EVIII against
+3.8-3.9 s, with 40,184 kernel rows against 31,982, and with the longest
+edges first a last slice's one-value coordinate came last, so a verify
+of the last EVIII slice walked 633,601 runs for 633,366 points (140,926
+runs in this order). The order changes what is evaluated, not the report
+(below). The scan keeps one running minimum best and one list of
+violations, and walks every pass over the whole box:
   * pass 1 walks {cheap <= 0}, which holds every violation, as
     cheap <= margin <= 0 for each one;
   * pass 2 walks {0 < cheap <= max(0, best)}. If pass 1 evaluated
@@ -60,9 +63,17 @@ margin_lower_bounds are all at most max(0, best), best falling after
 every kernel batch. The three bounds are at most margin(m*) = min <= best
 for the minimizer m* and for every violation (a simplex bound is at most
 the margin of each point under its row), so they are evaluated.
-k with center (SP4R: rows of both signs, small boxes) lists each slice's
-filtered points from its grid in one pass, under the same two tests.
---no-shortcut evaluates every filtered point.
+k with center (SP4R: rows of both signs, small boxes) lists the filtered
+points of its whole box grid once and evaluates them in two batches,
+{cheap <= 0} first, so that the same two tests cut the second by the
+minimum of the first. --no-shortcut evaluates every filtered point.
+
+With LIECHECK_CHECKPOINT_DIR set, scan_box writes a record file for
+inspection: one record per value of the first walked coordinate, with
+the points of the box at that value scanned and filtered (the u-small
+count walk tallied by that coordinate) and the violations among them.
+A record holds no minimum: the least margin a value's evaluated points
+reach depends on the cutoff that the other values set.
 
 Each variant j has the floor |x + rho_c|^2 <= |dom x + rho_c|^2, x =
 mu - rho_n^j: dom x - x is a sum of positive roots of k, each with
@@ -147,7 +158,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import isqrt, lcm
 
@@ -513,27 +524,9 @@ def _concave_bounds(tables: ScanTables, ends: list) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SliceResult:
-    """One slice's counts, and the minimum and violations of its evaluated
-    points: its checkpoint record, written once after the scan."""
-
-    scanned: int = 0
-    filtered: int = 0
-    min_scaled: int | None = None
-    violations: list = field(default_factory=list)
-
-    def add(self, other: _SliceResult) -> None:
-        self.scanned += other.scanned
-        self.filtered += other.filtered
-        mins = [m for m in (self.min_scaled, other.min_scaled) if m is not None]
-        self.min_scaled = min(mins, default=None)
-        self.violations += other.violations
-
-
 class _Scanner:
-    """One box: its tables, its slices along the longest coordinate, and
-    the running minimum of the margins the scan has evaluated."""
+    """One box: its tables, its walk order, the running minimum of the
+    margins the scan has evaluated and the violations it has found."""
 
     def __init__(self, case: CaseData, ranges, shortcut: bool):
         self.tables = build_tables(case)
@@ -553,18 +546,18 @@ class _Scanner:
         self.dim = len(ranges)
         self.lo = np.array([r[0] for r in ranges], dtype=np.int64)
         self.hi = np.array([r[1] for r in ranges], dtype=np.int64)
-        # the slice coordinate first, then shortest edge first (module
+        # the longest edge first, then shortest edge first (module
         # docstring); max and sorted keep the first of equal edges first
         edge = (self.hi - self.lo).tolist()
         axis = max(range(self.dim), key=edge.__getitem__)
         rest = [k for k in range(self.dim) if k != axis]
         self.perm = [axis] + sorted(rest, key=edge.__getitem__)
-        self.lo_p = self.lo[self.perm]
-        self.hi_p = self.hi[self.perm]
-        self.slices = range(int(self.lo_p[0]), int(self.hi_p[0]) + 1)
         # the sub-box of mu with mu - beta dominant, for semisimple k
         self.base = np.maximum(self.lo, self.tables.beta_coords)
         self.best = None  # smallest margin the scan has evaluated
+        self.violations = []  # (coords, scaled margin) of each margin <= 0
+        # k with center: the filtered points, listed once from the grid
+        self.grid = None if self.semisimple else self._grid()
 
     def cheap(self, coords) -> np.ndarray:
         return coords @ self.tables.cheap_coef_s - self.tables.cheap_const_s
@@ -574,14 +567,9 @@ class _Scanner:
         without the shortcut."""
         return None if not self.shortcut or self.best is None else max(0, self.best)
 
-    def scan_slices(self) -> dict[int, _SliceResult]:
-        """Evaluate every slice of the first walked coordinate in every
-        cheap-bound band of _bands(self), under the running minimum
-        self.best, and return each slice's minimum and violations (scanned
-        and filtered are slice_counts'). A slice's min_scaled covers only
-        the points evaluated, and is None if there are none."""
-        axis = self.perm[0]
-        results = {v: _SliceResult() for v in self.slices}
+    def scan(self) -> None:
+        """Evaluate the box in every cheap-bound band of _bands(self),
+        lowering self.best and collecting self.violations."""
         for band in _bands(self):
             for coords in self._batches(band):
                 cutoff = self.cutoff()
@@ -593,59 +581,46 @@ class _Scanner:
                 margins = bulk_margins_scaled(self.tables, coords)
                 low = int(margins.min())
                 self.best = low if self.best is None else min(self.best, low)
-                values = coords[:, axis]  # nondecreasing, in walk order
-                starts = np.flatnonzero(np.diff(values, prepend=values[0] - 1))
-                lows = np.minimum.reduceat(margins, starts)
-                for v, low in zip(values[starts].tolist(), lows.tolist()):
-                    results[v].add(_SliceResult(min_scaled=low))
                 for i in np.flatnonzero(margins <= 0):
-                    results[int(values[i])].violations.append(
+                    self.violations.append(
                         (tuple(int(x) for x in coords[i]), int(margins[i]))
                     )
-        return results
 
-    def slice_counts(self) -> dict[int, _SliceResult]:
-        """Per slice value, a record of its scanned and filtered points:
-        the slice size, and the dominant sub-box minus its u-small points,
-        counted by one walk with the slice coordinate first."""
-        size = int(np.prod((self.hi_p[1:] - self.lo_p[1:] + 1).astype(object)))
-        counts = {v: _SliceResult(scanned=size) for v in self.slices}
-        if not self.semisimple:
-            for v in self.slices:
-                counts[v].filtered = sum(len(c) for c in self._grid_batches(v))
-            return counts
+    def scanned(self) -> int:
+        return int(np.prod((self.hi - self.lo + 1).astype(object)))
+
+    def filtered(self) -> int:
+        """The dominant sub-box minus its u-small points, or for k with
+        center the points of the grid."""
+        if self.grid is not None:
+            return len(self.grid)
+        dominant = np.maximum(self.hi - self.base + 1, 0).astype(object)
+        return int(np.prod(dominant)) - sum(int(n.sum()) for _, n in self.small_points())
+
+    def small_points(self):
+        """The u-small points of the dominant sub-box of semisimple k, by
+        one walk with the first walked coordinate first: per walk chunk,
+        that coordinate's value and the number of points of each run."""
         base, order = self.base, self.perm
-        if (self.hi < base).any():
-            return counts
-        edges = self.hi[order] - base[order]
-        for v in range(int(base[order[0]]), int(self.hi_p[0]) + 1):
-            counts[v].filtered = int(np.prod((edges[1:] + 1).astype(object)))
         small = self.row_bounds - self.row_coeffs @ base
-        if (small < 0).any():
-            return counts
-        eye = np.eye(self.dim, dtype=np.int64)
-        coeffs = np.vstack([self.row_coeffs[:, order], eye])
-        per_slice = np.zeros(int(edges[0]) + 1, dtype=np.int64)
+        if (self.hi < base).any() or (small < 0).any():
+            return
+        coeffs = np.vstack([self.row_coeffs[:, order], np.eye(self.dim, dtype=np.int64)])
+        edges = self.hi[order] - base[order]
         for caps, prefix, _ in _walk(coeffs, np.concatenate([small, edges])):
-            np.add.at(per_slice, prefix[:, 0], caps + 1)
-        for e, n in enumerate(per_slice.tolist()):
-            counts[int(base[order[0]]) + e].filtered -= n
-        return counts
+            yield prefix[:, 0] + base[order[0]], caps + 1
 
-    def _grid_batches(self, value):
-        """The filtered points of one slice of a box of k with center,
-        tested point by point against the u-small rows and dominance."""
-        axes = [np.arange(self.lo[k], self.hi[k] + 1) for k in range(self.dim)]
-        axes[self.perm[0]] = np.array([value])
+    def _grid(self):
+        """The filtered points of a box of k with center, tested point by
+        point against the u-small rows and dominance."""
+        axes = [np.arange(lo, hi + 1) for lo, hi in zip(self.lo, self.hi)]
         grid = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([g.reshape(-1) for g in grid], axis=1).astype(np.int64)
         large = ~(coords @ self.row_coeffs.T <= self.row_bounds).all(axis=1)
         pairing = self.tables.pairing.T
         dominant = (coords @ pairing >= 0).all(axis=1)
         dominant &= ((coords - self.tables.beta_coords) @ pairing >= 0).all(axis=1)
-        coords = coords[large & dominant]
-        if len(coords):
-            yield coords
+        return coords[large & dominant]
 
     def _reach_fits(self, base, budget: int) -> bool:
         """Whether magnitude_bound covers every vertex of the simplex screen
@@ -661,11 +636,13 @@ class _Scanner:
     def _batches(self, band):
         """Yield the filtered points of the box in the band, in batches of
         at least _BATCH_ROWS rows but the last: the walk of the module
-        docstring over e = mu - base, slice coordinate first, but the
-        subtrees the simplex screen rejects at the cutoff of the moment."""
-        if not self.semisimple:
-            for value in self.slices:
-                yield from self._grid_batches(value)
+        docstring over e = mu - base, but the subtrees the simplex screen
+        rejects at the cutoff of the moment. For k with center, the grid
+        in two batches, {cheap <= 0} first, so that the screens cut the
+        second by the minimum of the first."""
+        if self.grid is not None:
+            first = self.cheap(self.grid) <= 0
+            yield from (part for part in (self.grid[first], self.grid[~first]) if len(part))
             return
         above, upto = band
         order, base = self.perm, self.base
@@ -715,32 +692,45 @@ class _Scanner:
             yield np.concatenate(pending)
 
 
-def _merge(results, scale) -> dict:
-    total = _SliceResult()
-    for r in results:
-        total.add(r)
-    low = total.min_scaled
-    return {
-        "scanned": total.scanned,
-        "filtered": total.filtered,
-        "violations": sorted((coords, Q(m, scale)) for coords, m in total.violations),
-        "min_margin_sq": None if low is None else Q(low, scale),
-    }
-
-
 def _checkpoint_path(directory, case, ranges):
-    """Slice-record file of one box scan, named by family and box, e.g.
+    """Record file of one box scan, named by family and box, e.g.
     scan-FII-0-3_0-2_0-2_1-4.json. Records are written for inspection and
     never read back: every scan runs fresh."""
     box = "_".join(f"{lo}-{hi}" for lo, hi in ranges)
     return os.path.join(directory, f"scan-{case.id.family}-{box}.json")
 
 
-def _save_checkpoint(path, done):
+def _save_checkpoint(path, records):
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"slices": {str(v): asdict(r) for v, r in sorted(done.items())}}, fh)
+        json.dump({"slices": {str(v): r for v, r in records.items()}}, fh)
     os.replace(tmp, path)
+
+
+def _records(scanner) -> dict:
+    """The records of the record file: per value v of the first walked
+    coordinate, the points of the box with that value scanned and
+    filtered, and the violations among them. The filtered counts come from
+    scanner.small_points, one walk tallied by that coordinate, or from the
+    grid."""
+    axis = scanner.perm[0]
+    lo, hi = int(scanner.lo[axis]), int(scanner.hi[axis])
+    tally = np.zeros(hi - lo + 1, dtype=np.int64)
+    if scanner.grid is not None:
+        np.add.at(tally, scanner.grid[:, axis] - lo, 1)
+        filtered = tally.tolist()
+    else:
+        for values, counts in scanner.small_points():
+            np.add.at(tally, values - lo, counts)
+        dominant = np.maximum(scanner.hi - scanner.base + 1, 0).astype(object)
+        size, first = int(np.prod(dominant[scanner.perm[1:]])), int(scanner.base[axis])
+        filtered = [(size if v >= first else 0) - n for v, n in enumerate(tally.tolist(), lo)]
+    scanned = scanner.scanned() // (hi - lo + 1)
+    records = {v: {"scanned": scanned, "filtered": n, "violations": []}
+               for v, n in enumerate(filtered, lo)}
+    for coords, margin in scanner.violations:
+        records[coords[axis]]["violations"].append((coords, margin))
+    return records
 
 
 def _bands(scanner):
@@ -775,18 +765,16 @@ def scan_box(case: CaseData, ranges, *, shortcut: bool = True, log=None) -> dict
         ckpath = _checkpoint_path(checkpoint_dir, case, ranges)
 
     t0 = time.monotonic()
-    done = scanner.slice_counts()
-    # The scan walks all slices at once: walking them one by one took 1.5
-    # to 3 times as long on the published boxes, whose slices are small
-    # enough for the per-walk cost of the walk, screen and kernel calls to
-    # dominate.
-    for value, result in scanner.scan_slices().items():
-        done[value].add(result)
+    scanner.scan()
     if log:
-        log(f"{len(done)}/{len(done)} slices done, {time.monotonic() - t0:.1f}s elapsed")
+        log(f"scan done, {time.monotonic() - t0:.1f}s elapsed")
     if ckpath:
-        _save_checkpoint(ckpath, done)
-
-    merged = _merge([done[v] for v in sorted(done)], scanner.tables.scale)
-    merged["elapsed_ms"] = int((time.monotonic() - t0) * 1000)
-    return merged
+        _save_checkpoint(ckpath, _records(scanner))
+    scale, low = scanner.tables.scale, scanner.best
+    return {
+        "scanned": scanner.scanned(),
+        "filtered": scanner.filtered(),
+        "violations": sorted((coords, Q(m, scale)) for coords, m in scanner.violations),
+        "min_margin_sq": None if low is None else Q(low, scale),
+        "elapsed_ms": int((time.monotonic() - t0) * 1000),
+    }

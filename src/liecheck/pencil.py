@@ -220,8 +220,10 @@ def verify_box(
     sorted by coordinates with their exact margins; min_margin_sq is the
     exact minimum margin over all filtered points, so the report does not
     depend on shortcut. With the LIECHECK_CHECKPOINT_DIR variable set, one
-    record per slice is written to that directory once, after the scan;
-    records are never read back.
+    record per value of the first walked coordinate (the longest edge) is
+    written to that directory once, after the scan: the points at that
+    value scanned and filtered, and the violations among them, with no
+    minimum. Records are never read back.
     """
     if box is None:
         box = default_box(case)

@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="default",
         help="'default' (the published box, EVIII and EIX included; for "
         "SL2nR, SL2n1R and SLnH every coordinate in 0..2n+2, whose scan grows "
-        "steeply with n, e.g. seconds at n = 9, a minute at n = 10) or "
+        "steeply with n, e.g. 9 s at n = 9 and 70 s at n = 10 on two cores) or "
         "explicit ranges like a:0..12,b:0..7",
     )
     _add_jobs_argument(sp)

@@ -264,8 +264,7 @@ def iter_usmall(case: CaseData):
 
 
 def enumerate_usmall(case: CaseData) -> int:
-    """Count the unitarily small k-types by the lattice walk. It runs
-    serially, since a worker pool costs more than the whole count."""
+    """Count the unitarily small k-types by the lattice walk."""
     if case.id.family == "SP4R":
         return len(next(usmall_chunks(case)))
     walk = _walk(*zip(*usmall_system(case).rows))

@@ -286,9 +286,9 @@ def test_scan_writes_one_record_per_slice_once(family, box, slices, tmp_path, mo
     saves = []
     save = fastscan._save_checkpoint
 
-    def recorded(path, done):
+    def recorded(path, records):
         saves.append(path)
-        save(path, done)
+        save(path, records)
 
     monkeypatch.setattr(fastscan, "_save_checkpoint", recorded)
     results = []
@@ -305,11 +305,24 @@ def test_scan_writes_one_record_per_slice_once(family, box, slices, tmp_path, mo
         assert len(records) == slices
         assert sum(r["scanned"] for r in records.values()) == doc["results"]["scanned"]
         assert sum(r["filtered"] for r in records.values()) == doc["results"]["filtered"]
-        low = min(r["min_scaled"] for r in records.values() if r["min_scaled"] is not None)
-        scale = fastscan.build_tables(get_case(family)).scale
-        assert Q(low, scale) == Q(doc["results"]["min_margin_sq"])
     assert len(saves) == 2 and saves[0] != saves[1]
     assert results[0] == results[1]
+
+
+def test_verify_progress_prints_one_line_after_the_scan(tmp_path, capsys):
+    # --progress adds one line, printed when the scan ends and before the
+    # summary, that counts no slices; the report does not change
+    outputs, docs = [], []
+    for extra in ([], ["--progress"]):
+        path = tmp_path / f"progress{len(extra)}.json"
+        argv = ["verify", "EII", "--box", SEEDED_EII, "--report", str(path)]
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+        docs.append(strip_timing(json.loads(path.read_text())))
+    plain, progress = outputs
+    assert progress[1:] == plain
+    assert progress[0].startswith("scan done, ") and "slice" not in progress[0]
+    assert docs[0] == docs[1]
 
 
 # Rows that reach the margin kernel and the row screen, and vertices of the

@@ -397,7 +397,8 @@ def test_checkpoint_records_add_up_to_the_report(ckdir):
     rep = verify_box(case, box)
     assert rep.violations
     scanner = _Scanner(case, box.ranges, True)
-    walked = range(int(scanner.lo_p[0]), int(scanner.hi_p[0]) + 1)
+    axis = scanner.perm[0]
+    walked = range(int(scanner.lo[axis]), int(scanner.hi[axis]) + 1)
     slices = json.loads(_only_checkpoint(ckdir).read_text())["slices"]
     assert sorted(slices, key=int) == [str(v) for v in walked]
     assert sum(rec["scanned"] for rec in slices.values()) == rep.scanned
@@ -411,6 +412,56 @@ def test_checkpoint_records_add_up_to_the_report(ckdir):
     assert recorded == list(rep.violations)
 
 
+@pytest.mark.parametrize("family", ["SP4R", "EII"])
+def test_each_record_is_the_scan_of_its_slice(family, ckdir, monkeypatch):
+    # a record covers one value of the first walked coordinate: its scanned
+    # and filtered counts and its violations are those of a scan of that
+    # slice alone (SP4R's box has violations, EII's seeded box none)
+    case, box = _seeded_box(family)
+    verify_box(case, box)
+    records = json.loads(_only_checkpoint(ckdir).read_text())["slices"]
+    monkeypatch.delenv("LIECHECK_CHECKPOINT_DIR")
+    axis = fastscan._Scanner(case, box.ranges, True).perm[0]
+    scale = build_tables(case).scale
+    assert len(records) == box.ranges[axis][1] - box.ranges[axis][0] + 1
+    assert any(rec["violations"] for rec in records.values()) == (family == "SP4R")
+    for value, rec in records.items():
+        ranges = list(box.ranges)
+        ranges[axis] = (int(value), int(value))
+        alone = verify_box(case, Box(tuple(ranges)))
+        assert (rec["scanned"], rec["filtered"]) == (alone.scanned, alone.filtered)
+        found = sorted((tuple(coords), Q(m, scale)) for coords, m in rec["violations"])
+        assert found == list(alone.violations)
+
+
+# Boxes from 0 to top in every coordinate, whose counts pass 2^63, and
+# FI's counts as figures
+HUGE_BOXES = {
+    "FI": (100_000, (100004000060000400001, 100002000009999999459)),
+    "EIV": (10_000_000, None),
+}
+
+
+@pytest.mark.parametrize("family", sorted(HUGE_BOXES))
+def test_counts_stay_exact_past_int64(family):
+    # scanned is the box size and filtered the dominant sub-box minus its
+    # u-small points, as exact integers, on boxes from 0 to top in every
+    # coordinate; the u-small points are counted here from usmall_chunks
+    case = get_case(family)
+    top, figures = HUGE_BOXES[family]
+    dim = len(default_box(case).ranges)
+    rep = verify_box(case, Box(((0, top),) * dim))
+    base = np.maximum(build_tables(case).beta_coords, 0)
+    small = sum(int((rows >= base).all(axis=1).sum()) for rows in usmall_chunks(case))
+    dominant = 1
+    for b in base.tolist():
+        dominant *= top + 1 - b
+    assert rep.scanned == (top + 1) ** dim
+    assert rep.filtered == dominant - small > 2**63
+    if figures is not None:
+        assert (rep.scanned, rep.filtered) == figures
+
+
 def _first_pass_only(monkeypatch):
     """Make every scan walk pass 1 ({cheap <= 0}) alone."""
     bands = fastscan._bands
@@ -419,13 +470,13 @@ def _first_pass_only(monkeypatch):
 
 def test_checkpoint_records_hold_each_slice_final_result(tmp_path, monkeypatch):
     # the records are written once, after the scan: one record per slice
-    # with its scanned and filtered counts and the minimum of its evaluated
-    # points. EII's sub-box has its minimum in pass 2 only.
+    # with its scanned and filtered counts and its violations, and no
+    # minimum. EII's sub-box has its minimum in pass 2 only.
     writes = []
     save = fastscan._save_checkpoint
 
-    def recorded(path, done):
-        save(path, done)
+    def recorded(path, records):
+        save(path, records)
         writes.append(json.loads(open(path, encoding="utf-8").read()))
 
     monkeypatch.setattr(fastscan, "_save_checkpoint", recorded)
@@ -436,11 +487,10 @@ def test_checkpoint_records_hold_each_slice_final_result(tmp_path, monkeypatch):
     assert _payload(rep) == _payload(verify_box(case, box, shortcut=False))
     (w,) = writes
     assert set(w) == {"slices"}
+    for rec in w["slices"].values():
+        assert set(rec) == {"scanned", "filtered", "violations"}
     assert sum(rec["scanned"] for rec in w["slices"].values()) == rep.scanned
     assert sum(rec["filtered"] for rec in w["slices"].values()) == rep.filtered
-    low = min(r["min_scaled"] for r in w["slices"].values()
-              if r["min_scaled"] is not None)
-    assert Q(low, build_tables(case).scale) == rep.min_margin_sq
     # pass 1 alone misses the minimum
     _first_pass_only(monkeypatch)
     assert verify_box(case, box).min_margin_sq > rep.min_margin_sq
@@ -483,9 +533,8 @@ def test_seeded_boxes_cover_the_hard_cases(monkeypatch):
     case, box = eii
     scanner = _Scanner(case, box.ranges, True)
     assert scanner.perm[0] != _Scanner(case, default_box(case).ranges, True).perm[0]
-    slices = scanner.scan_slices()
-    first_pass = [r.min_scaled for r in slices.values()]
-    first_min = Q(min(m for m in first_pass if m is not None), scanner.tables.scale)
+    scanner.scan()
+    first_min = Q(scanner.best, scanner.tables.scale)
     assert first_min > eii_min
 
     case, box = eviii
@@ -1046,7 +1095,6 @@ def _walk_in_order(monkeypatch, order):
         elif order == "reverse":
             tail = tail[::-1]
         self.perm = self.perm[:1] + tail
-        self.lo_p, self.hi_p = self.lo[self.perm], self.hi[self.perm]
 
     monkeypatch.setattr(fastscan._Scanner, "__init__", patched)
 
