@@ -59,10 +59,13 @@ violations, and walks every pass over the whole box:
     evaluated or the box is covered.
 A point of the band reaches the kernel only if the simplex bound of each
 frontier row above it (below), its cheap bound and its
-margin_lower_bounds are all at most max(0, best), best falling after
-every kernel batch. The three bounds are at most margin(m*) = min <= best
-for the minimizer m* and for every violation (a simplex bound is at most
-the margin of each point under its row), so they are evaluated.
+margin_lower_bounds are all at most max(0, best). The walk hands its
+points on in batches of about _CHUNK_ROWS rows, one kernel chunk, and
+best falls after every batch; the first batch goes unscreened, as no
+margin is known yet, so small batches keep the kernel's work small. The
+three bounds are at most margin(m*) = min <= best for the minimizer m*
+and for every violation (a simplex bound is at most the margin of each
+point under its row), so they are evaluated.
 k with center (SP4R: rows of both signs, small boxes) lists the filtered
 points of its whole box grid once and evaluates them in two batches,
 {cheap <= 0} first, so that the same two tests cut the second by the
@@ -164,21 +167,19 @@ from math import isqrt, lcm
 
 import numpy as np
 
-from .cases import CaseData, ambient_to_ktype, per_case
+from .cases import CaseData, per_case
 from .errors import ConstructionError
 from .rootdata import coroot_pairing, inner, norm_sq, root_closure
 from .usmall import _children, _walk, usmall_system
 
-# Walked points per screen-and-kernel batch; the running minimum falls
-# between batches. Screening each walker chunk on its own instead took
-# 277-380 ms on the last EVIII slice in process, against 261-345 ms (five
-# runs each on a 2-core machine).
-_BATCH_ROWS = 4_096
-# Rows per best-first kernel chunk, and per screen chunk over all the
-# vertices of its rows. Its (rows x variants) tables and pair arrays grow
-# with it: on the published boxes, 1,024 rows raised peak memory by 7% over a
-# per-variant kernel and 512 rows by 2%, at the same speed. It also keeps
-# each float64 product on one OpenBLAS thread (_product).
+# Rows per scan batch, per best-first kernel chunk, and per screen chunk
+# over all the vertices of its rows. Its (rows x variants) tables and pair
+# arrays grow with it: on the published boxes, 1,024 rows raised peak memory
+# by 7% over a per-variant kernel and 512 rows by 2%, at the same speed. It
+# also keeps each float64 product on one OpenBLAS thread (_product). Scan
+# batches of 4,096 rows instead sent 5,223 rows of the published EII box to
+# the kernel against 1,412, as the first batch goes unscreened, and raised
+# the traced peak of verify_box there from 1,044 to 1,451 KB.
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
 
@@ -248,7 +249,6 @@ def build_tables(case: CaseData) -> ScanTables:
     variant_nrm = [norm_sq(v) for v in case.rho_n_variants]
     rho_c_lin = [inner(b, case.rho_c) for b in basis]
     rho_c_var = [inner(v, case.rho_c) for v in case.rho_n_variants]
-    beta_c = case.beta if case.k_has_center else ambient_to_ktype(case, case.beta)
     cheap_coef = [2 * inner(b, case.beta) for b in basis]
     # rho_c norm and cheap constant
     consts = [
@@ -267,7 +267,7 @@ def build_tables(case: CaseData) -> ScanTables:
     variant_nrm_s = _ints(variant_nrm, "scaled table", scale)
     rho_c_lin_s = _ints(rho_c_lin, "scaled table", scale)
     rho_c_var_s = _ints(rho_c_var, "scaled table", scale)
-    beta_coords = _ints(list(beta_c), "beta coordinates")
+    beta_coords = _ints(case.beta_ktype, "beta coordinates")
     return ScanTables(
         scale=scale,
         pairing=pairing,
@@ -448,16 +448,10 @@ def _best_first(tables: ScanTables, m: np.ndarray) -> np.ndarray:
 
 def bulk_margins_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     """Scaled step margins spin(mu)^2 - spin(mu - beta)^2 for rows of coords.
-    Rows go in chunks of _CHUNK_ROWS, so mu - beta is formed for one chunk
-    at a time, not for a whole scan batch."""
-    out = np.empty(len(coords), dtype=np.int64)
-    for start in range(0, len(coords), _CHUNK_ROWS):
-        chunk = coords[start:start + _CHUNK_ROWS]
-        out[start:start + len(chunk)] = (
-            bulk_spin_sq_scaled(tables, chunk)
-            - bulk_spin_sq_scaled(tables, chunk - tables.beta_coords)
-        )
-    return out
+    It forms mu - beta for all the rows at once; the scan keeps that small
+    by handing it batches of about _CHUNK_ROWS rows."""
+    return (bulk_spin_sq_scaled(tables, coords)
+            - bulk_spin_sq_scaled(tables, coords - tables.beta_coords))
 
 
 def _down_value(tables: ScanTables, m: np.ndarray, first: np.ndarray,
@@ -634,12 +628,13 @@ class _Scanner:
         return magnitude_bound(self.tables, max(self.coord_max, reach)) <= _INT64_MAX
 
     def _batches(self, band):
-        """Yield the filtered points of the box in the band, in batches of
-        at least _BATCH_ROWS rows but the last: the walk of the module
-        docstring over e = mu - base, but the subtrees the simplex screen
-        rejects at the cutoff of the moment. For k with center, the grid
-        in two batches, {cheap <= 0} first, so that the screens cut the
-        second by the minimum of the first."""
+        """Yield the filtered points of the box in the band: the walk of
+        the module docstring over e = mu - base, but the subtrees the
+        simplex screen rejects at the cutoff of the moment. A batch joins
+        walk chunks until it holds at least _CHUNK_ROWS rows, the kernel's
+        chunk, so the cutoff falls after about every kernel chunk. For k
+        with center, the grid in two batches, {cheap <= 0} first, so that
+        the screens cut the second by the minimum of the first."""
         if self.grid is not None:
             first = self.cheap(self.grid) <= 0
             yield from (part for part in (self.grid[first], self.grid[~first]) if len(part))
@@ -685,7 +680,7 @@ class _Scanner:
                 continue
             pending.append(place(e))
             rows += len(e)
-            if rows >= _BATCH_ROWS:
+            if rows >= _CHUNK_ROWS:
                 yield np.concatenate(pending)
                 pending, rows = [], 0
         if pending:

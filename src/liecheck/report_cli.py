@@ -471,11 +471,17 @@ def run_selftest(golden_data=None, log=None):
         add(f"naive-bound-{family}", expected, computed, computed == Q(expected))
 
     m_lo, m_hi = 5, 100
+    # every SP4R family point the items below read, computed once
+    sp4r_points = {
+        (m, direction): sp4r_family(m, direction)
+        for direction in ("descending", "ascending")
+        for m in range(m_lo, m_hi + 1)
+    }
 
     def family_mismatches(direction, keys):
         bad = []
         for m in range(m_lo, m_hi + 1):
-            pt = sp4r_family(m, direction)
+            pt = sp4r_points[m, direction]
             for key in keys:
                 got = getattr(pt, f"{key}_sq")
                 want = _quad(published("sp4r_pencils", direction, key), m)
@@ -503,7 +509,7 @@ def run_selftest(golden_data=None, log=None):
     bad = []
     for direction in ("descending", "ascending"):
         for m in range(m_lo, m_hi + 1):
-            pt = sp4r_family(m, direction)
+            pt = sp4r_points[m, direction]
             if not pt.good_sq < pt.mid_sq < pt.bad_sq:
                 bad.append(f"{direction} m={m}")
     add(
@@ -533,7 +539,7 @@ def run_selftest(golden_data=None, log=None):
             return _row_list(usmall_system(get_case(path[1])).rows)
         if path[0] == "sp4r_pencils":
             return _fit_quad(
-                lambda m: getattr(sp4r_family(m, path[1]), f"{path[2]}_sq"),
+                lambda m: getattr(sp4r_points[m, path[1]], f"{path[2]}_sq"),
                 range(m_lo, m_hi + 1),
             )
         return None

@@ -31,10 +31,7 @@ def _checked_ambient(case: CaseData, mu) -> Vector:
 
 def spin_norm_sq(case: CaseData, mu) -> Q:
     """Exact squared spin norm of a dominant k-type."""
-    ambient = _checked_ambient(case, mu)
-    return min(
-        _variant_norm_sq(case, ambient, j) for j in range(case.num_variants)
-    )
+    return min(variant_norms_sq(case, mu))
 
 
 def variant_norms_sq(case: CaseData, mu) -> tuple[Q, ...]:

@@ -326,15 +326,18 @@ def test_verify_progress_prints_one_line_after_the_scan(tmp_path, capsys):
 
 
 # Rows that reach the margin kernel and the row screen, and vertices of the
-# simplex screen, in a scan of the EII box and of the last EIX slice
+# simplex screen, in a scan of the EII box, of the last EIX slice and of
+# the first EVI slice
 SCAN_WORK = {
-    ("EII", "default"): (5_223, 12_461, 28_503),
+    ("EII", "default"): (1_412, 16_380, 28_503),
     ("EIX", "a:0..11,b:0..11,c:0..9,d:0..9,e:0..9,f:0..11,g:1..12,h:55..55"):
         (277, 1_261, 22_447),
+    ("EVI", "a:0..22,b:0..7,c:0..7,d:0..7,e:0..7,f:1..8,g:1..1"): (1_289, 7_098, 30_738),
 }
 
 
-@pytest.mark.parametrize("family, box", sorted(SCAN_WORK), ids=["EII", "EIX-last-slice"])
+@pytest.mark.parametrize("family, box", sorted(SCAN_WORK),
+                         ids=["EII", "EIX-last-slice", "EVI-first-slice"])
 def test_scan_work_does_not_depend_on_jobs(family, box, tmp_path, monkeypatch):
     # the rows each screen and the kernel see are the same for any --jobs
     import liecheck.fastscan as fastscan
