@@ -38,34 +38,32 @@ max(box lo, beta) the points to check are e = mu - base >= 0 under the
 rows e_i <= hi_i - base_i, minus the u-small points. Every u-small and
 cheap coefficient is >= 0 (the walk refuses others), so cheap(mu) <= b is
 one more row, and usmall._walk lists the points of these rows; the walker
-drops the u-small values and those at or below the band's lower end.
+drops the u-small values and, in pass 2, those with cheap(mu) <= 0.
 scanned is the box size and filtered the dominant sub-box minus its
 u-small points, neither depending on what is evaluated; both are exact
 integers, the u-small points counted by a walk of their own. The walk
 takes the longest edge first (first on ties), then the others shortest
 edge first, so its last coordinate, whose values usmall._walk yields as
 runs, is the longest of the others. The order stays because it measured
-best: walking the longest edge last took 3.7-4.1 s on EVIII against
-3.8-3.9 s, with 40,184 kernel rows against 31,982, and with the longest
-edges first a last slice's one-value coordinate came last, so a verify
-of the last EVIII slice walked 633,601 runs for 633,366 points (140,926
-runs in this order). The order changes what is evaluated, not the report
-(below). The scan keeps one running minimum best and one list of
-violations, and walks every pass over the whole box:
+best (README, "Long scans"); it changes what is evaluated, not the
+report (below). The scan keeps one running minimum best and one list of
+violations, and walks two passes over the whole box:
   * pass 1 walks {cheap <= 0}, which holds every violation, as
     cheap <= margin <= 0 for each one;
-  * pass 2 walks {0 < cheap <= max(0, best)}. If pass 1 evaluated
-    nothing, bands of doubling width above 0 come first, until a point is
-    evaluated or the box is covered.
-A point of the band reaches the kernel only if the simplex bound of each
-frontier row above it (below), its cheap bound and its
-margin_lower_bounds are all at most max(0, best). The walk hands its
-points on in batches of about _CHUNK_ROWS rows, one kernel chunk, and
-best falls after every batch; the first batch goes unscreened, as no
-margin is known yet, so small batches keep the kernel's work small. The
-three bounds are at most margin(m*) = min <= best for the minimizer m*
-and for every violation (a simplex bound is at most the margin of each
-point under its row), so they are evaluated.
+  * pass 2 walks {0 < cheap <= max(0, best)} once. Its cheap budget starts
+    at the box's top, or at max(0, best) if lower, and the walk's screen
+    lowers the cheap slack of each new frontier row to max(0, best) -
+    cheap(prefix), dropping the rows left below 0. This is exact, as
+    max(0, best) only falls, and it never cuts pass 1, whose budget is <= 0.
+A point reaches the kernel only if the simplex bound of each frontier row
+above it (below), its cheap bound and its margin_lower_bounds are all at
+most max(0, best). The walk hands its points on in batches of about
+_CHUNK_ROWS rows, one kernel chunk, and best falls after every batch;
+the first point walked goes to the kernel alone, so that a margin is
+known before anything is screened. The three bounds are at most
+margin(m*) = min <= best for the minimizer m* and for every violation
+(a simplex bound is at most the margin of each point under its row), so
+they are evaluated.
 k with center (SP4R: rows of both signs, small boxes) lists the filtered
 points of its whole box grid once and evaluates them in two batches,
 {cheap <= 0} first, so that the same two tests cut the second by the
@@ -114,7 +112,7 @@ every integer and float64 value it computes, as for any row of the box.
 The simplex screen drops whole subtrees of the walk. Take a frontier row
 that fixes the first l walked coordinates (the prefix) and leaves k >= 1
 free, with slack s >= 0 on the cheap row, and c_i the cheap coefficients
-of the free coordinates, all > 0 (else the band is not screened).
+of the free coordinates, all > 0 (else no simplex is screened).
   1. Every point under the row is e = (prefix, y) with y >= 0 integral and
      c @ y <= s.
   2. Such a y lies in the lattice simplex with the k + 1 vertices 0 and
@@ -133,27 +131,24 @@ _children expands it. At the last level a row's subtree is its run,
 start..cap with cap <= floor(s / c), and its simplex is the segment from
 (prefix, 0) to (prefix, ceil(s / c)): a point is a simplex of one
 vertex, and the row screen and the walk's screen share one body
-(_concave_bounds). The vertices need not be points of the box:
-a vertex coordinate is at most base_i + ceil(budget / c_i), as s is at
-most the band's budget. So each band checks magnitude_bound at that
-reach, and a band whose reach fails the check (the second band of G's
-largest accepted box) is walked without the simplex screen.
+(_concave_bounds). The vertices need not be points of the box: a vertex
+coordinate is at most base_i + ceil(budget / c_i), as s only falls from
+the pass's budget, so each pass checks magnitude_bound at that reach once
+(_Scanner._reach_fits); past it (pass 2 of G's largest accepted box) the
+screen only lowers slacks.
 
-On the last EVIII slice the walk yields 220 runs of 1,512 points, all in
-pass 2, and the screens evaluate F - V at 16,448 points: 15,171 vertices
-of 4,463 frontier rows and 1,277 rows; 235 rows reach the kernel.
+On the last EVIII slice pass 1 is empty, and pass 2 yields 220 runs of
+1,512 points; its first point, alone in the kernel, is the minimum, and
+the screens evaluate F - V at 16,682 points: 15,171 vertices of 4,463
+frontier rows and 1,511 rows.
 
 A tighter floor, |x|^2 + 2 max(0, <x, rho_c>) + |rho_c|^2, and a second
 pair of floor tables for rows near the walls of k were measured against
 this one and dropped: on every published box, the last EVIII and EIX
 slices, an EVI slice and two SP4R boxes they sent the same rows to the
 kernel. Two screen sets with the simplex screen stopping above the last
-level were dropped as well. With a separate run screen on the two ends of
-each run of at least three points, a second code path, the last EVIII
-slice took 15,192 evaluations of F - V for the same 235 kernel rows.
-Without it the row screen saw 13,123 points there, and the long-slices
-benchmark took a median 0.183 s of wall time against 0.168 s with the
-screen at the last level (six alternating runs each, 2-core machine).
+level, and a separate run screen on the two ends of each run of at least
+three points, a second code path, were measured and dropped as well.
 """
 
 from __future__ import annotations
@@ -176,10 +171,7 @@ from .usmall import _children, _walk, usmall_system
 # over all the vertices of its rows. Its (rows x variants) tables and pair
 # arrays grow with it: on the published boxes, 1,024 rows raised peak memory
 # by 7% over a per-variant kernel and 512 rows by 2%, at the same speed. It
-# also keeps each float64 product on one OpenBLAS thread (_product). Scan
-# batches of 4,096 rows instead sent 5,223 rows of the published EII box to
-# the kernel against 1,412, as the first batch goes unscreened, and raised
-# the traced peak of verify_box there from 1,044 to 1,451 KB.
+# also keeps each float64 product on one OpenBLAS thread (_product).
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
 
@@ -311,11 +303,9 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     is at most the a^2 part of norm_x), so its partial sums stay below the
     total.
 
-    The simplex screen computes the same at its vertices, which are not
-    rows of the box: a vertex coordinate reaches up to
-    base_i + ceil(budget / c_i), past the box edge. So the scan calls this
-    bound once more per band, at that reach, and walks a band it refuses
-    without the simplex screen (_Scanner._reach_fits).
+    The simplex screen computes the same at its vertices, which may lie
+    past the box edge; _Scanner._reach_fits calls this bound at their
+    reach once per pass (module docstring).
     """
 
     def abs_sum(arr):
@@ -562,9 +552,12 @@ class _Scanner:
         return None if not self.shortcut or self.best is None else max(0, self.best)
 
     def scan(self) -> None:
-        """Evaluate the box in every cheap-bound band of _bands(self),
-        lowering self.best and collecting self.violations."""
-        for band in _bands(self):
+        """Evaluate the box in its cheap-bound passes (above, upto] (module
+        docstring), lowering self.best and collecting self.violations."""
+        passes = [(None, None)]
+        if self.shortcut and self.semisimple:
+            passes = [(None, 0), (0, int(self.cheap(self.hi)))]
+        for band in passes:
             for coords in self._batches(band):
                 cutoff = self.cutoff()
                 if cutoff is not None:
@@ -618,9 +611,9 @@ class _Scanner:
 
     def _reach_fits(self, base, budget: int) -> bool:
         """Whether magnitude_bound covers every vertex of the simplex screen
-        in a band whose walk starts at base with cheap budget: a vertex
+        in a pass whose walk starts at base with cheap budget: a vertex
         coordinate is at most the box's largest or base_i plus the reach
-        ceil(budget / c_i), as a row's slack is at most the budget."""
+        ceil(budget / c_i), as a row's slack only falls from the budget."""
         coef = self.tables.cheap_coef_s.tolist()
         if min(coef) <= 0:  # an unbounded simplex
             return False
@@ -628,13 +621,13 @@ class _Scanner:
         return magnitude_bound(self.tables, max(self.coord_max, reach)) <= _INT64_MAX
 
     def _batches(self, band):
-        """Yield the filtered points of the box in the band: the walk of
-        the module docstring over e = mu - base, but the subtrees the
-        simplex screen rejects at the cutoff of the moment. A batch joins
-        walk chunks until it holds at least _CHUNK_ROWS rows, the kernel's
-        chunk, so the cutoff falls after about every kernel chunk. For k
-        with center, the grid in two batches, {cheap <= 0} first, so that
-        the screens cut the second by the minimum of the first."""
+        """Yield the filtered points of the box in the pass: the walk of
+        the module docstring over e = mu - base, but the subtrees its
+        screen rejects at the cutoff of the moment. The first point goes
+        alone, then a batch joins walk chunks until it holds at least
+        _CHUNK_ROWS rows, so the cutoff falls after about every kernel
+        chunk. For k with center, the grid in two batches, {cheap <= 0}
+        first, so that the screens cut the second by the first's minimum."""
         if self.grid is not None:
             first = self.cheap(self.grid) <= 0
             yield from (part for part in (self.grid[first], self.grid[~first]) if len(part))
@@ -647,11 +640,14 @@ class _Scanner:
         coef = self.tables.cheap_coef_s[order][None, :]
         coeffs, bounds = [np.eye(self.dim, dtype=np.int64)], [edges]
         if upto is not None:
+            cutoff = self.cutoff()
+            upto = upto if cutoff is None else min(upto, cutoff)
             budget = upto - int(self.cheap(base))
-            if budget < 0:
+            if budget < 0 or (above is not None and upto <= above):
                 return
             coeffs.append(coef)
             bounds.append([budget])
+            fits = self._reach_fits(base, budget)
         drops = [(self.row_coeffs[:, order], self.row_bounds - self.row_coeffs @ base)]
         if above is not None:
             drops.append((coef, np.array([above - int(self.cheap(base))])))
@@ -661,29 +657,38 @@ class _Scanner:
             points[:, order] = e + base[order]
             return points
 
-        def screen(level, prefix, slack):  # the simplex screen
+        def screen(level, prefix, slack):  # the cheap slack, then the simplex screen
             cutoff = self.cutoff()
             if cutoff is None:
                 return np.ones(len(prefix), dtype=bool)
             corner = place(np.pad(prefix, ((0, 0), (0, self.dim - level))))
-            # the cheap row is the walk's last: its slack s bounds c @ y
-            reach = -(-slack[:, -1:] // coef[:, level:])
-            return simplex_lower_bounds(self.tables, corner, order[level:], reach) <= cutoff
+            # the cheap row is the walk's last: its slack s bounds c @ y, and
+            # falls to cutoff - cheap(corner) as the cutoff falls
+            np.minimum(slack[:, -1], cutoff - self.cheap(corner), out=slack[:, -1])
+            keep = slack[:, -1] >= 0
+            if fits:
+                reach = -(-slack[keep, -1:] // coef[:, level:])
+                bound = simplex_lower_bounds(self.tables, corner[keep], order[level:], reach)
+                keep[keep] = bound <= cutoff
+            return keep
 
-        if upto is None or not self._reach_fits(base, budget):
-            screen = None
         pending, rows = [], 0
-        walk = _walk(np.vstack(coeffs), np.concatenate(bounds), drops, screen)
+        walk = _walk(np.vstack(coeffs), np.concatenate(bounds), drops,
+                     None if upto is None else screen)
         for caps, prefix, start in walk:
             e, _ = _children(prefix, caps, start)
             if not len(e):
                 continue
-            pending.append(place(e))
-            rows += len(e)
+            points = place(e)
+            if self.best is None:  # a margin to screen the rest by
+                yield points[:1]
+                points = points[1:]
+            pending.append(points)
+            rows += len(points)
             if rows >= _CHUNK_ROWS:
                 yield np.concatenate(pending)
                 pending, rows = [], 0
-        if pending:
+        if rows:
             yield np.concatenate(pending)
 
 
@@ -726,26 +731,6 @@ def _records(scanner) -> dict:
     for coords, margin in scanner.violations:
         records[coords[axis]]["violations"].append((coords, margin))
     return records
-
-
-def _bands(scanner):
-    """The cheap-bound bands (above, upto] of a scan, in order; scanner.best,
-    the smallest margin the scan has evaluated, is read before each next
-    band. While it is None, the bands above 0 reach the lowest cheap bound
-    of the dominant sub-box, then double their width until they cover the
-    box."""
-    if not (scanner.shortcut and scanner.semisimple):
-        yield None, None
-        return
-    yield None, 0
-    above = 0
-    low, top = int(scanner.cheap(scanner.base)), int(scanner.cheap(scanner.hi))
-    while scanner.best is None and above < top:
-        upto = low if above < low else low + 2 * (above - low) + 1
-        yield above, upto
-        above = upto
-    if scanner.best is not None and scanner.best > above:
-        yield above, scanner.best
 
 
 def scan_box(case: CaseData, ranges, *, shortcut: bool = True, log=None) -> dict:

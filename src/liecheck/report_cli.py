@@ -451,6 +451,20 @@ def run_selftest(golden_data=None, log=None):
         [tuple(str(c) for c in row) for row in computed_amb],
         computed_amb == expected_amb,
     )
+    printed = [[str(Q(c)) for c in v] for v in data["sp4r_beta_pair"]]
+    computed = [[str(c) for c in v] for v in (sp4r.beta, sp4r.beta_second)]
+    add("sp4r-beta-pair", printed, computed, computed == printed)
+
+    for key, of in (("beta_ktype", lambda case: list(case.beta_ktype)),
+                    ("min_coset_words", lambda case: [list(w) for w in case.w1])):
+        for family, printed in data[key].items():
+            computed = of(get_case(family))
+            add(f"{key.replace('_', '-')}-{family}", printed, computed, computed == printed)
+
+    for family, thresholds in data["margin_thresholds"].items():
+        edges = [hi for _, hi in data["boxes"][family]]
+        expected = [t - 1 for t in thresholds]
+        add(f"box-threshold-{family}", expected, edges, edges == expected)
 
     for family, printed in data["parabolic_bounds"].items():
         case = get_case(family)

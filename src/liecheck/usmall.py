@@ -209,11 +209,12 @@ def _walk(coeffs, bounds, drops=(), screen=None):
     given, is called as screen(level, coords, slack) on each new group of
     frontier rows (coords their level leading coordinates, slack their
     rows' slacks) and returns a keep mask: a row it does not keep is
-    dropped with its whole subtree, at the last level its run.
-    A stack entry is a group's level, slacks, coords and caps; a group is
-    taken a run of rows at a time, the rest waiting below the children, so
-    a group or run has at most _FRONTIER_ROWS rows or children, or one
-    row."""
+    dropped with its whole subtree, at the last level its run. It may
+    lower the slacks it is handed, as the walk owns those arrays, but
+    must not keep a row with a slack below 0. A stack entry is a group's
+    level, slacks, coords and caps; a group is taken a run of rows at a
+    time, the rest waiting below the children, so a group or run has at
+    most _FRONTIER_ROWS rows or children, or one row."""
     coeffs, bounds = _int64_rows(zip(coeffs, bounds))
     for c, _ in drops:
         if (c < 0).any():

@@ -277,10 +277,11 @@ def test_scans_start_no_process(no_process):
     ("EVIII", "a:42..42,b:0..15,c:0..15,d:0..15,e:0..15,f:0..15,g:1..16,h:0..15", 16),
 ], ids=["EII-seeded", "EVIII-last-slice"])
 def test_scan_writes_one_record_per_slice_once(family, box, slices, tmp_path, monkeypatch):
-    # the slice records are written once, after the scan: one record per
-    # slice, which add up to the report, the same for any --jobs (EII's
-    # seeded sub-box has its minimum in pass 2 only; the last EVIII slice
-    # has no point in pass 1)
+    # the records are written once, after the scan: one record per value
+    # of the first walked coordinate, which add up to the report, the same
+    # for any --jobs (EII's seeded sub-box has its minimum in pass 2 only;
+    # the last EVIII slice has no point in pass 1, and its first point of
+    # pass 2 is the only one to reach the kernel)
     import liecheck.fastscan as fastscan
 
     saves = []
@@ -326,18 +327,21 @@ def test_verify_progress_prints_one_line_after_the_scan(tmp_path, capsys):
 
 
 # Rows that reach the margin kernel and the row screen, and vertices of the
-# simplex screen, in a scan of the EII box, of the last EIX slice and of
-# the first EVI slice
+# simplex screen, in a scan of the EII box, of the last EIX slice, of the
+# first EVI slice and of the last EVIII slice, whose first point, alone in
+# the kernel, is its minimum
 SCAN_WORK = {
-    ("EII", "default"): (1_412, 16_380, 28_503),
+    ("EII", "default"): (1_147, 17_076, 28_503),
     ("EIX", "a:0..11,b:0..11,c:0..9,d:0..9,e:0..9,f:0..11,g:1..12,h:55..55"):
         (277, 1_261, 22_447),
-    ("EVI", "a:0..22,b:0..7,c:0..7,d:0..7,e:0..7,f:1..8,g:1..1"): (1_289, 7_098, 30_738),
+    ("EVI", "a:0..22,b:0..7,c:0..7,d:0..7,e:0..7,f:1..8,g:1..1"): (1_206, 7_762, 30_738),
+    ("EVIII", "a:42..42,b:0..15,c:0..15,d:0..15,e:0..15,f:0..15,g:1..16,h:0..15"):
+        (1, 1_511, 15_171),
 }
 
 
 @pytest.mark.parametrize("family, box", sorted(SCAN_WORK),
-                         ids=["EII", "EIX-last-slice", "EVI-first-slice"])
+                         ids=["EII", "EIX-last-slice", "EVI-first-slice", "EVIII-last-slice"])
 def test_scan_work_does_not_depend_on_jobs(family, box, tmp_path, monkeypatch):
     # the rows each screen and the kernel see are the same for any --jobs
     import liecheck.fastscan as fastscan
@@ -484,6 +488,9 @@ def test_selftest_item_names_cover_contract(baseline_items):
     assert "usmall-count-EVIII" in names
     assert "usmall-count-EIX" in names
     assert "verify-box-EV" in names
+    # the golden keys that only the acceptance suite read before
+    assert {"beta-ktype-EVIII", "min-coset-words-FI", "sp4r-beta-pair",
+            "box-threshold-EIX"} <= names
 
 
 def test_selftest_detects_perturbed_constant(baseline_items):
@@ -495,6 +502,34 @@ def test_selftest_detects_perturbed_constant(baseline_items):
     }
     baseline = {item.name for item in baseline_items if not item.ok}
     assert perturbed - baseline == {"usmall-count-EI"}
+    assert baseline - perturbed == set()
+
+
+# One golden figure of each key that selftest reads beside the acceptance
+# suite, with a wrong value: the key's path, that value, and its item
+PERTURBED_KEYS = [
+    (("beta_ktype", "EVIII", 7), 1, "beta-ktype-EVIII"),
+    (("min_coset_words", "FI", 3), [3, 2, 0], "min-coset-words-FI"),
+    (("sp4r_beta_pair", 1, 1), 2, "sp4r-beta-pair"),
+    (("margin_thresholds", "EIX", 7), 57, "box-threshold-EIX"),
+]
+
+
+@pytest.mark.parametrize("path, value, name", PERTURBED_KEYS,
+                         ids=[name for _, _, name in PERTURBED_KEYS])
+def test_selftest_detects_perturbed_golden_key(path, value, name, baseline_items):
+    # flipping one figure of a golden key must surface exactly its item
+    data = copy.deepcopy(golden())
+    *parent, last = path
+    figure = data
+    for key in parent:
+        figure = figure[key]
+    figure[last] = value
+    perturbed = {
+        item.name for item in run_selftest(golden_data=data) if not item.ok
+    }
+    baseline = {item.name for item in baseline_items if not item.ok}
+    assert perturbed - baseline == {name}
     assert baseline - perturbed == set()
 
 

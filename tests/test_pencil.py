@@ -464,8 +464,9 @@ def test_counts_stay_exact_past_int64(family):
 
 def _first_pass_only(monkeypatch):
     """Make every scan walk pass 1 ({cheap <= 0}) alone."""
-    bands = fastscan._bands
-    monkeypatch.setattr(fastscan, "_bands", lambda scanner: itertools.islice(bands(scanner), 1))
+    batches = fastscan._Scanner._batches
+    monkeypatch.setattr(fastscan._Scanner, "_batches",
+                        lambda self, band: iter(()) if band[0] == 0 else batches(self, band))
 
 
 def test_checkpoint_records_hold_each_slice_final_result(tmp_path, monkeypatch):
@@ -627,7 +628,7 @@ def test_prune_skips_points_only_with_the_shortcut(monkeypatch):
 # Sub-boxes of the last slices of the long EVIII and EIX boxes: every point
 # is u-large with mu - beta dominant, and the cheap bound leaves out most of
 # them. EVIII's minimum is found in pass 1; EIX has no point in pass 1, so
-# the scan walks bands above 0 until it evaluates one.
+# the first point of pass 2 goes to the kernel alone.
 LARGE_BOXES = {
     "EVIII": "a:42..42,b:0..1,c:0..1,d:0..1,e:0..1,f:0..15,g:1..16,h:0..15",
     "EIX": "a:0..1,b:1..2,c:0..3,d:0..11,e:0..3,f:0..1,g:1..12,h:55..55",
@@ -696,9 +697,11 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
     # reaches the row screen or lies under a frontier row (at the last
     # level, a run) that the simplex screen rejected: its vertex bound
     # exceeded max(0, running minimum) and is at most the exact margin of
-    # each of its points. Until a margin is known every walked point reaches the
-    # kernel; after that, exactly the walked points whose cheap bound and
-    # margin lower bound are at most max(0, running minimum).
+    # each of its points. A row's subtree holds its points with cheap bound
+    # at most that cutoff, to which the walk lowers the row's cheap slack.
+    # Until a margin is known every walked point reaches the kernel; after
+    # that, exactly the walked points whose cheap bound and margin lower
+    # bound are at most max(0, running minimum).
     case, box, points, filtered = _large_box_points(family)
     events = []
     bound = fastscan.margin_lower_bounds
@@ -747,7 +750,8 @@ def test_large_block_walk_evaluates_points_under_the_minimum(family, monkeypatch
             for corner, r, b in zip(coords, reach, bounds.tolist()):
                 if b <= max(0, best):
                     continue
-                sub = _subtree(points[filtered], corner, axes, (cheap[filtered], above, upto))
+                top = min(upto, max(0, best))
+                sub = _subtree(points[filtered], corner, axes, (cheap[filtered], above, top))
                 # every point of the subtree lies in the row's simplex
                 y = sub[:, axes] - corner[axes]
                 scale = int(np.lcm.reduce(np.maximum(r, 1)))
@@ -880,27 +884,59 @@ def test_largest_accepted_box_is_exact(family):
     )
 
 
-def test_band_beyond_the_reach_guard_is_walked_without_the_screen(monkeypatch):
-    # on G's largest accepted box the first band above 0 screens its
-    # frontier rows, but the vertices of the next band's simplices reach
-    # past the largest coordinate magnitude_bound accepts: that band is
-    # walked without the simplex screen, not refused, and the report is
-    # that of the scan without the shortcut
+def test_pass_beyond_the_reach_guard_keeps_only_the_slack_screen(monkeypatch):
+    # on G's largest accepted box pass 1 is empty and the vertices of pass
+    # 2's simplices reach past the largest coordinate magnitude_bound
+    # accepts: pass 2 is walked, not refused, with a screen that lowers the
+    # cheap slack to the cutoff and computes no simplex bound, and the
+    # report is that of the scan without the shortcut
     case = get_case("G")
     top = largest_accepted(build_tables(case))
     box = Box(((top - 2, top),) * 2)
-    walk = fastscan._walk
-    screened = []
+    walk, simplex_bound = fastscan._walk, fastscan.simplex_lower_bounds
+    screened, simplices = [], []
 
     def recorded(coeffs, bounds, drops=(), screen=None):
-        if drops:  # a band's walk, not the count of filtered points
+        if drops:  # a pass's walk, not the count of filtered points
             screened.append(screen is not None)
         return walk(coeffs, bounds, drops, screen)
 
+    def counted(tables, corner, axes, reach):
+        simplices.append(len(corner))
+        return simplex_bound(tables, corner, axes, reach)
+
     monkeypatch.setattr(fastscan, "_walk", recorded)
+    monkeypatch.setattr(fastscan, "simplex_lower_bounds", counted)
     rep = verify_box(case, box)
-    assert screened == [True, False]
+    assert screened == [True] and simplices == []
     assert rep.filtered == 9 and rep.min_margin_sq > 0
+    assert _payload(verify_box(case, box, shortcut=False)) == _payload(rep)
+
+
+def test_scan_without_pass_1_points_walks_pass_2_once(monkeypatch):
+    # the a = 0 slice of the last EIX slice has no point in pass 1: pass 2
+    # is walked once, not in bands, and its first point goes to the kernel
+    # alone, so that its margin screens the rest
+    case = get_case("EIX")
+    box = parse_box("a:0..0,b:0..11,c:0..9,d:0..9,e:0..9,f:0..11,g:1..12,h:55..55", case)
+    walk, kernel = fastscan._walk, fastscan.bulk_margins_scaled
+    walks, calls = [], []
+
+    def recorded(coeffs, bounds, drops=(), screen=None):
+        if drops:  # a pass's walk, not the count of filtered points
+            walks.append(screen is not None)
+        return walk(coeffs, bounds, drops, screen)
+
+    def counted(tables, coords):
+        calls.append(len(coords))
+        return kernel(tables, coords)
+
+    monkeypatch.setattr(fastscan, "_walk", recorded)
+    monkeypatch.setattr(fastscan, "bulk_margins_scaled", counted)
+    rep = verify_box(case, box)
+    assert walks == [True, True]
+    assert calls[0] == 1
+    assert rep.min_margin_sq == 56
     assert _payload(verify_box(case, box, shortcut=False)) == _payload(rep)
 
 

@@ -275,6 +275,35 @@ def test_walk_with_a_screen_drops_exactly_the_rejected_subtrees(data):
     assert len(set(screened)) == len(screened)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_walk_with_a_screen_that_lowers_the_last_slack(data):
+    # a screen may lower the slacks it is handed: one that lowers the last
+    # row's slack to lower - c @ coords and drops the rows left below 0
+    # makes the walk yield exactly the grid points with c @ e <= lower
+    dim = data.draw(st.integers(1, 4))
+    edges = data.draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+    extra = data.draw(_rows(dim, 0))
+    last = np.array(data.draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim)))
+    top = data.draw(st.integers(0, 12))
+    lower = data.draw(st.integers(-2, top))
+    coeffs = np.vstack([np.eye(dim, dtype=np.int64), _arrays(extra)[0], last])
+    bounds = np.concatenate([edges, _arrays(extra)[1], [top]])
+
+    def screen(level, coords, slack):
+        s = slack[:, -1]
+        np.minimum(s, lower - coords @ last[:level], out=s)
+        return s >= 0
+
+    walked = [
+        p for caps, coords, start in usmall._walk(coeffs, bounds, screen=screen)
+        for p in usmall._children(coords, caps, start)[0].tolist()
+    ]
+    grid = np.array(list(itertools.product(*(range(e + 1) for e in edges))))
+    kept = (grid @ coeffs.T <= bounds).all(axis=1) & (grid @ last <= lower)
+    assert walked == grid[kept].tolist()
+
+
 def test_walk_refuses_negative_drop_coefficients():
     # refused before a drop set with a negative bound would be skipped
     drop = (np.array([[-1]]), np.array([-1]))
