@@ -91,10 +91,26 @@ difference of two kernel calls, so the kernel builds the table of
 mu - beta with its own product. The screens take the entries of mu - beta
 as those of mu plus step_j = 2 <beta, rho_n^j>, as lin_j moves by step_j
 from mu to mu - beta. Every table entry and floor is an integer below
-2^53 (magnitude_bound), so the float64 table is exact, and so is the
-kernel's comparison of a float64 floor with an int64 value: a value
-below 2^53 converts exactly, and one of 2^53 or more to a float of at
-least 2^53, above every floor.
+2^53 (magnitude_bound), so the float64 table is exact. The kernel asks
+whether a floor is below a value as whether the table entry is below the
+int64 value less r, and that comparison is exact too: a difference
+below 2^53 in absolute value converts exactly, and one beyond to a float
+beyond 2^53 of the same sign (rounding is monotone), beyond every entry.
+The root sum is taken in float64 and only its (rows,) result is cast to
+int64: magnitude_bound's root_entry and root_sum terms, which bound each
+addend and each partial sum, lie inside its floats bound, so every one
+is a nonnegative integer below 2^53.
+
+Every chunk writes its float64 tables into one workspace per case
+(_Workspace, made by build_tables): the (rows x variants) table, the
+(rows x roots) root table, and the two gathers and the absolute
+differences of the root sum, each at most _CHUNK_ROWS rows. Allocated
+per chunk, the tables were 553 and 229 kB on EVIII and 492 and 262 kB
+on EIX, above glibc's mmap threshold, so each chunk mapped fresh pages
+and faulted them in: a warm verify of the last EVIII slice took 2,290
+minor page faults and the last EIX slice 6,456-6,483. With the
+workspace they take 0 and 6 (2-core machine, Python 3.11.7, NumPy
+2.4.6).
 
 The screens rest on one concave bound. Fix a variant j' of mu - beta.
   1. F(mu) = min_j (lin_j + c_j) + r + |mu|^2 + |rho_c|^2, the lowest
@@ -171,14 +187,39 @@ from .usmall import _children, _walk, usmall_system
 # over all the vertices of its rows. Its (rows x variants) tables and pair
 # arrays grow with it: on the published boxes, 1,024 rows raised peak memory
 # by 7% over a per-variant kernel and 512 rows by 2%, at the same speed. It
-# also keeps each float64 product on one OpenBLAS thread (_product).
+# also keeps each float64 product on one OpenBLAS thread (_product), and it
+# sizes the workspace (_Workspace) that every chunk writes its float64
+# tables into, 1.24 MB on EVIII: made per chunk, those tables cost a warm
+# verify of the last EIX slice about 6,500 minor page faults, and 6 in the
+# workspace (module docstring).
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
 
 
+class _Workspace:
+    """The float64 tables of one chunk, made once per case and reused by
+    every chunk (module docstring): the (rows x variants) table (_table),
+    the (rows x roots) root table, and two (rows x roots) tables for the
+    root sum, the rows and the variants it gathers (_value). Every chunk
+    has at most _CHUNK_ROWS rows or pairs, so each chunk writes into the
+    leading rows; no array that a public function returns is a view of
+    these. Being shared scratch, it admits one scan of a case at a time:
+    the package starts no threads."""
+
+    def __init__(self, variants: int, roots: int):
+        self.table = np.empty((_CHUNK_ROWS, variants))
+        self.roots = np.empty((_CHUNK_ROWS, roots))
+        self.picked = np.empty((_CHUNK_ROWS, roots))
+        self.terms = np.empty((_CHUNK_ROWS, roots))
+
+    def __repr__(self):  # its shape; the contents are scratch
+        return f"_Workspace({self.table.shape[1]}, {self.roots.shape[1]})"
+
+
 @dataclass(frozen=True)
 class ScanTables:
-    """Per-case integer data for bulk squared-spin-norm evaluation."""
+    """Per-case integer data for bulk squared-spin-norm evaluation, and the
+    workspace of its chunks."""
 
     scale: int
     pairing: np.ndarray  # (lk, l): coroot pairings of the coordinate basis
@@ -197,6 +238,11 @@ class ScanTables:
     # the floor table's constants (module docstring)
     step_s: np.ndarray  # (s,): 2 * scale * <beta, rho_n variant>
     table_s: np.ndarray  # (l + 1, s): -2 variant_s.T over c_j, float64
+    # the per-call constants of _value and _down_value
+    rho_c_var2_s: np.ndarray  # (s,): 2 * rho_c_var_s
+    root_var_f: np.ndarray  # root_var_s as float64
+    beta_nrm_s: int  # scale * |beta|^2
+    workspace: _Workspace
 
 
 def _ints(values, what: str, scale=1) -> np.ndarray:
@@ -260,13 +306,15 @@ def build_tables(case: CaseData) -> ScanTables:
     rho_c_lin_s = _ints(rho_c_lin, "scaled table", scale)
     rho_c_var_s = _ints(rho_c_var, "scaled table", scale)
     beta_coords = _ints(case.beta_ktype, "beta coordinates")
+    root_var_s = shift @ root_half_s
+    gram_s = _ints(gram, "scaled table", scale)
     return ScanTables(
         scale=scale,
         pairing=pairing,
         shift=shift,
         root_s=pairing.T @ root_half_s,
-        root_var_s=shift @ root_half_s,
-        gram_s=_ints(gram, "scaled table", scale),
+        root_var_s=root_var_s,
+        gram_s=gram_s,
         variant_s=variant_s,
         variant_nrm_s=variant_nrm_s,
         rho_c_nrm_s=rho_c_nrm_s,
@@ -280,6 +328,10 @@ def build_tables(case: CaseData) -> ScanTables:
         table_s=np.vstack(
             [-2 * variant_s.T, variant_nrm_s - 2 * rho_c_var_s]
         ).astype(np.float64),
+        rho_c_var2_s=2 * rho_c_var_s,
+        root_var_f=root_var_s.astype(np.float64),
+        beta_nrm_s=int(beta_coords @ gram_s @ beta_coords),
+        workspace=_Workspace(len(variant_s), root_var_s.shape[1]),
     )
 
 
@@ -297,6 +349,9 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     values of its addends. The root sum of a variant is
     scale * 2 <dom x, rho_c> <= 2 sqrt(scale |x|^2 * scale |rho_c|^2), and
     its addends and partial sums are nonnegative and at most the whole.
+    The kernel and the screens take it in float64 (_value), which is exact
+    as root_entry, bounding each root-table entry less a variant's, and
+    root_sum both lie inside floats.
     A floor is a table entry plus r (at most lin_part + rho_c_term). The
     row screen, at rows of the box, adds a floor, one variant value
     (lin_part plus a root sum) and m @ cheap_coef_s - |beta|^2 (|beta|^2
@@ -369,9 +424,11 @@ def bulk_spin_sq_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _product(m: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _product(m: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
     """m @ table for integer rows and an integer table, as one float64
-    matrix product. Exact: magnitude_bound bounds the sum of the absolute
+    matrix product, written into out (a C-ordered float64 array of the
+    result's shape, a workspace table) or, without out, into a new array.
+    Exact: magnitude_bound bounds the sum of the absolute
     values of each entry's addends below 2^53, so every product and every
     partial sum is an integer below 2^53, in any BLAS blocking or
     summation order, with or without FMA.
@@ -386,52 +443,64 @@ def _product(m: np.ndarray, table: np.ndarray) -> np.ndarray:
     _CHUNK_ROWS rows. The table must be C-ordered: with a transposed one
     the same product took 333 us on two threads."""
     table = np.ascontiguousarray(table, dtype=np.float64)
-    return np.asarray(m, dtype=np.float64) @ table
+    return np.matmul(np.asarray(m, dtype=np.float64), table, out=out)
 
 
-def _table(tables: ScanTables, m: np.ndarray) -> np.ndarray:
+def _table(tables: ScanTables, m: np.ndarray, out=None) -> np.ndarray:
     """The float64 (rows x variants) table lin_j + c_j of mu (module
     docstring), from one product: a column of ones meets the row c."""
     padded = np.ones((len(m), m.shape[1] + 1))
     padded[:, :-1] = m
-    return _product(padded, tables.table_s)
+    return _product(padded, tables.table_s, out)
 
 
 def _row_constant(tables: ScanTables, m: np.ndarray) -> np.ndarray:
     return ((m @ tables.gram_s) * m).sum(axis=1) + tables.rho_c_nrm_s
 
 
-def _value(tables: ScanTables, root_pair: np.ndarray, table_at: np.ndarray,
+def _value(tables: ScanTables, table: np.ndarray, root_pair: np.ndarray, rows,
            variants: np.ndarray) -> np.ndarray:
-    """Values of the given variants, without the row constant, for rows
-    with root table root_pair = mu @ root_s and table entries table_at:
-    an entry plus 2 <rho_n^j, rho_c> plus the root sum."""
-    roots = np.abs(root_pair - tables.root_var_s[variants]).sum(axis=1)
-    return table_at + 2 * tables.rho_c_var_s[variants] + roots
+    """Values of the given (row, variant) pairs, without the row constant,
+    for rows with float64 tables table (_table) and root_pair = mu @ root_s:
+    an entry plus 2 <rho_n^j, rho_c> plus the root sum. rows None takes
+    the rows in order, one per variant, and skips the row gather of the
+    root table. The root sum is taken in the workspace in float64
+    and only its (pairs,) result is cast: every entry of root_pair less a
+    row of root_var_s is an integer of absolute value at most
+    magnitude_bound's root_entry, and the sum of their absolute values,
+    like each partial sum, a nonnegative integer at most its root_sum; both
+    lie inside its floats bound, below 2^53, so every float64 step is
+    exact in any summation order."""
+    work, n = tables.workspace, len(variants)
+    at = table[np.arange(n) if rows is None else rows, variants].astype(np.int64)
+    # mode "clip" writes straight into out, where "raise" buffers first;
+    # every index is in range
+    terms = np.take(tables.root_var_f, variants, axis=0, out=work.terms[:n], mode="clip")
+    if rows is not None:
+        root_pair = np.take(root_pair, rows, axis=0, out=work.picked[:n], mode="clip")
+    np.subtract(root_pair, terms, out=terms)
+    roots = np.abs(terms, out=terms).sum(axis=1).astype(np.int64)
+    return at + tables.rho_c_var2_s[variants] + roots
 
 
 def _best_first(tables: ScanTables, m: np.ndarray) -> np.ndarray:
-    """Scaled squared spin norms of the rows m. The floors, a table entry
-    plus r = 2 <mu, rho_c> in float64, and the int64 values leave out the
-    row constant scale * (|mu|^2 + |rho_c|^2); comparing the two is exact
-    (module docstring)."""
-    table = _table(tables, m)
-    floor = table + 2 * (m @ tables.rho_c_lin_s)[:, None]
-    root_pair = _product(m, tables.root_s).astype(np.int64)
-
-    def value(rows, variants):
-        at = table[rows, variants].astype(np.int64)
-        return _value(tables, root_pair[rows], at, variants)
-
-    rows = np.arange(len(m))
-    first = floor.argmin(axis=1)
-    best = value(rows, first)
-    again = floor < best[:, None]
-    again[rows, first] = False
+    """Scaled squared spin norms of the rows m, at most _CHUNK_ROWS. The
+    floors, a table entry plus r = 2 <mu, rho_c>, and the int64 values
+    leave out the row constant scale * (|mu|^2 + |rho_c|^2). A floor is
+    below a value exactly when the float64 table entry is below the int64
+    value less r, and comparing the two is exact (module docstring)."""
+    work, n = tables.workspace, len(m)
+    table = _table(tables, m, work.table[:n])
+    root_pair = _product(m, tables.root_s, work.roots[:n])
+    first = table.argmin(axis=1)
+    best = _value(tables, table, root_pair, None, first)
+    again = table < (best - 2 * (m @ tables.rho_c_lin_s))[:, None]
+    again[np.arange(n), first] = False
     rows, variants = np.divmod(np.flatnonzero(again), again.shape[1])
     for start in range(0, rows.size, _CHUNK_ROWS):
         part = slice(start, start + _CHUNK_ROWS)
-        np.minimum.at(best, rows[part], value(rows[part], variants[part]))
+        pairs = _value(tables, table, root_pair, rows[part], variants[part])
+        np.minimum.at(best, rows[part], pairs)
     best += _row_constant(tables, m)
     return best
 
@@ -445,16 +514,17 @@ def bulk_margins_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
 
 
 def _down_value(tables: ScanTables, m: np.ndarray, first: np.ndarray,
-                table_at: np.ndarray) -> np.ndarray:
-    """Per row, the value of mu - beta at variant first, whose table entry
-    is table_at, without its row constant, minus the linear
-    |mu|^2 - |mu - beta|^2 = 2 <mu, beta> - |beta|^2 (2 gram beta is
-    cheap_coef_s). A floor of mu without its row constant, minus this,
-    bounds the margin from below."""
-    beta = tables.beta_coords
-    root_pair = _product(m - beta, tables.root_s).astype(np.int64)
-    linear = m @ tables.cheap_coef_s - int(beta @ tables.gram_s @ beta)
-    return _value(tables, root_pair, table_at, first) - linear
+                table: np.ndarray) -> np.ndarray:
+    """Per row, the value of mu - beta at variant first, without its row
+    constant, minus the linear |mu|^2 - |mu - beta|^2 = 2 <mu, beta> -
+    |beta|^2 (2 gram beta is cheap_coef_s); table is the float64 table of
+    mu - beta. A floor of mu without its row constant, minus this, bounds
+    the margin from below. The root table goes into the workspace and its
+    root sum is taken in float64 (_value)."""
+    root_pair = _product(m - tables.beta_coords, tables.root_s,
+                         tables.workspace.roots[:len(m)])
+    linear = m @ tables.cheap_coef_s - tables.beta_nrm_s
+    return _value(tables, table, root_pair, None, first) - linear
 
 
 def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
@@ -486,19 +556,21 @@ def _concave_bounds(tables: ScanTables, ends: list) -> np.ndarray:
     the rows of ends (arrays of equal length, one row per simplex in each),
     with the variant of mu - beta fixed at the first. Simplices go in
     chunks of _CHUNK_ROWS // len(ends), so that no product has more than
-    _CHUNK_ROWS rows: that bounds the memory of the tables and keeps
-    OpenBLAS on one thread (_product)."""
+    _CHUNK_ROWS rows: that fits the workspace, which holds the tables, and
+    keeps OpenBLAS on one thread (_product). Once its lowest floor is
+    taken, the table of mu becomes that of mu - beta in place, each entry
+    plus step_j, an integer inside magnitude_bound, so exact."""
     out = np.empty(len(ends[0]), dtype=np.int64)
     step = max(1, _CHUNK_ROWS // len(ends))
     for start in range(0, len(out), step):
         part = [e[start:start + step] for e in ends]
         n = len(part[0])
         m = np.concatenate(part)
-        table = _table(tables, m)
+        table = _table(tables, m, tables.workspace.table[:len(m)])
         upper = table.min(axis=1).astype(np.int64) + 2 * (m @ tables.rho_c_lin_s)
-        first = np.tile((table[:n] + tables.step_s).argmin(axis=1), len(ends))
-        down_at = table[np.arange(len(m)), first].astype(np.int64) + tables.step_s[first]
-        bound = upper - _down_value(tables, m, first, down_at)
+        table += tables.step_s
+        first = np.tile(table[:n].argmin(axis=1), len(ends))
+        bound = upper - _down_value(tables, m, first, table)
         out[start:start + n] = bound.reshape(len(ends), n).min(axis=0)
     return out
 

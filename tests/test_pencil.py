@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 from fractions import Fraction as Q
 
 import numpy as np
@@ -809,8 +810,9 @@ def test_walk_screen_spares_the_row_screen_on_the_last_eviii_slice(monkeypatch):
 
 def test_screen_products_stay_under_the_chunk_size_on_the_last_eviii_slice(monkeypatch):
     # every float64 product of a verify of the last EVIII slice (kernel,
-    # row screen, simplex screen with up to nine vertices per row) has at most _CHUNK_ROWS rows, the size up
-    # to which OpenBLAS runs EVIII's 9 x 135 table on one thread
+    # row screen, simplex screen with up to nine vertices per row) has at
+    # most _CHUNK_ROWS rows, the size up to which OpenBLAS runs EVIII's
+    # 9 x 135 table on one thread and the size of the workspace it writes to
     case = get_case("EVIII")
     box = parse_box(
         "a:42..42,b:0..15,c:0..15,d:0..15,e:0..15,f:0..15,g:1..16,h:0..15", case
@@ -818,14 +820,103 @@ def test_screen_products_stay_under_the_chunk_size_on_the_last_eviii_slice(monke
     rows = []
     product = fastscan._product
 
-    def recorded(m, table):
+    def recorded(m, table, out=None):
         rows.append(len(m))
-        return product(m, table)
+        return product(m, table, out)
 
     monkeypatch.setattr(fastscan, "_product", recorded)
     rep = verify_box(case, box)
     assert rep.min_margin_sq == 56 and not rep.violations
     assert rows and max(rows) <= fastscan._CHUNK_ROWS
+
+
+# the four engine calls, each on fresh tables, so with a fresh workspace
+_FRESH_CALLS = """
+import dataclasses, json, sys
+import numpy as np
+from liecheck import fastscan
+from liecheck.cases import get_case
+
+out = []
+for family, coords, axes, reach in json.load(sys.stdin):
+    tables = fastscan.build_tables(dataclasses.replace(get_case(family)))
+    coords = np.array(coords, dtype=np.int64)
+    out.append([
+        fastscan.bulk_spin_sq_scaled(tables, coords).tolist(),
+        fastscan.bulk_margins_scaled(tables, coords).tolist(),
+        fastscan.margin_lower_bounds(tables, coords).tolist(),
+        fastscan.simplex_lower_bounds(
+            tables, coords, axes, np.array(reach, dtype=np.int64)
+        ).tolist(),
+    ])
+json.dump(out, sys.stdout)
+"""
+
+
+def test_workspace_never_leaks_into_a_result():
+    # every chunk writes its float64 tables into one workspace per case; no
+    # result shares memory with it, and calls interleaved over two cases
+    # and over 1, _CHUNK_ROWS and 2 _CHUNK_ROWS + 3 rows each equal the
+    # same call made in a fresh process
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import liecheck
+
+    rng = np.random.default_rng(20261020)
+    chunk = fastscan._CHUNK_ROWS
+    calls = []
+    for family in ("EVIII", "EIX", "EVIII"):
+        beta = np.array(get_case(family).beta_ktype, dtype=np.int64)
+        for rows in (1, chunk, 2 * chunk + 3):
+            coords = beta + rng.integers(0, 12, size=(rows, len(beta)))
+            axes = sorted(rng.choice(len(beta), size=3, replace=False).tolist())
+            reach = rng.integers(0, 6, size=(rows, len(axes)))
+            calls.append((family, coords, axes, reach))
+    workspaces = [vars(build_tables(get_case(f)).workspace).values() for f in ("EVIII", "EIX")]
+    got = []
+    for family, coords, axes, reach in calls:
+        tables = build_tables(get_case(family))
+        results = [
+            fastscan.bulk_spin_sq_scaled(tables, coords),
+            fastscan.bulk_margins_scaled(tables, coords),
+            fastscan.margin_lower_bounds(tables, coords),
+            fastscan.simplex_lower_bounds(tables, coords, axes, reach),
+        ]
+        for result in results:
+            assert result.shape == (len(coords),) and result.dtype == np.int64
+            for buffers in workspaces:
+                assert not any(np.shares_memory(result, b) for b in buffers)
+        got.append([r.tolist() for r in results])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(liecheck.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CALLS], env=env, capture_output=True, text=True,
+        input=json.dumps([(f, c.tolist(), a, r.tolist()) for f, c, a, r in calls]),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == got
+
+
+def test_warm_scan_of_the_last_eix_slice_takes_few_page_faults():
+    # the chunks write their tables into the case's workspace instead of
+    # allocating them: per 512-row chunk those were tables of 492 and 262 kB
+    # on EIX, above glibc's mmap threshold, so each was mapped and faulted
+    # in afresh, about 6,500 minor faults for a warm scan of this slice in
+    # a fresh process and 3,200 inside this suite
+    resource = pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("minor page faults are counted on Linux")
+    case = get_case("EIX")
+    box = parse_box("a:0..11,b:0..11,c:0..9,d:0..9,e:0..9,f:0..11,g:1..12,h:55..55", case)
+    verify_box(case, box)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rep = verify_box(case, box)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert rep.min_margin_sq == 56 and not rep.violations
+    assert faults < 1000
 
 
 def test_walk_refuses_negative_coefficients_for_semisimple_k(monkeypatch):
@@ -1161,7 +1252,8 @@ def test_float_product_is_exact_at_the_largest_accepted_coordinate(family):
     # _product returns the float64 matrix product; at the largest coordinate
     # magnitude_bound accepts it still equals the exact integer product, for
     # the screen's linear table and the root table, on a row count that is
-    # not a multiple of _CHUNK_ROWS
+    # not a multiple of _CHUNK_ROWS. So do the values of _value and
+    # _down_value, whose root sums are taken in float64, chunk by chunk
     case = get_case(family, 2 if family in ("SL2nR", "SL2n1R", "SLnH") else None)
     tables = build_tables(case)
     top = largest_accepted(tables)
@@ -1180,3 +1272,29 @@ def test_float_product_is_exact_at_the_largest_accepted_coordinate(family):
         assert got.dtype == np.float64 and got.shape == exact.shape
         assert (got.astype(object) == exact).all()
         assert max(abs(x) for x in exact.flat) > 2**20
+
+    def values(m, variants):  # per row, its variant's value less the row constant
+        m = m.astype(object)
+        lin = -2 * (m * tables.variant_s[variants].astype(object)).sum(axis=1)
+        terms = m @ tables.root_s.astype(object) - tables.root_var_s[variants].astype(object)
+        return lin + tables.variant_nrm_s[variants].astype(object) + abs(terms).sum(axis=1)
+
+    beta = tables.beta_coords
+    linear = (mu.astype(object) @ tables.cheap_coef_s.astype(object)
+              - int(beta @ tables.gram_s @ beta))
+    for start in range(0, rows, fastscan._CHUNK_ROWS):
+        m = mu[start:start + fastscan._CHUNK_ROWS]
+        n = len(m)
+        variants = rng.integers(0, len(tables.shift), size=n)
+        picked = rng.integers(0, n, size=n)
+        table = fastscan._table(tables, m)
+        root_pair = fastscan._product(m, tables.root_s)
+        got = fastscan._value(tables, table, root_pair, None, variants)
+        assert got.tolist() == values(m, variants).tolist()
+        got = fastscan._value(tables, table, root_pair, picked, variants)
+        assert got.tolist() == values(m[picked], variants).tolist()
+        down = fastscan._table(tables, m - beta)
+        got = fastscan._down_value(tables, m, variants, down)
+        want = values(m - beta, variants) - linear[start:start + n]
+        assert got.tolist() == want.tolist()
+        assert max(abs(x) for x in want) > 2**20
