@@ -180,7 +180,7 @@ import numpy as np
 
 from .cases import CaseData, per_case
 from .errors import ConstructionError
-from .rootdata import coroot_pairing, inner, norm_sq, root_closure
+from .rootdata import coroot_pairing, inner, norm_sq
 from .usmall import _children, _walk, usmall_system
 
 # Rows per scan batch, per best-first kernel chunk, and per screen chunk
@@ -278,8 +278,7 @@ def build_tables(case: CaseData) -> ScanTables:
     # <v, alpha> = sum_i <v, delta_i coroot> |delta_i|^2 / 2 * n_i for the
     # positive root alpha = sum_i n_i delta_i, so both root tables are the
     # integer pairing tables times half_sq times integer root coordinates
-    cartan = [[int(coroot_pairing(di, dj)) for dj in deltas] for di in deltas]
-    roots = np.array([r for r, _, _ in root_closure(cartan)], dtype=np.int64).T
+    roots = np.array(k.root_table, dtype=np.int64).T
     half_sq = [norm_sq(d) / 2 for d in deltas]
 
     gram = [[inner(a, b) for b in basis] for a in basis]

@@ -17,6 +17,7 @@ cheap bound from that split.
 
 from __future__ import annotations
 
+import math
 import re
 import string
 from dataclasses import dataclass
@@ -40,6 +41,10 @@ from .usmall import usmall_chunks
 from .weyl import to_dominant
 
 _LETTERS = string.ascii_lowercase
+# A box of k with center is listed whole before it is filtered
+# (fastscan._Scanner._grid), at about 77 bytes per point at the peak, so
+# this many points take about 1.3 GB.
+_GRID_LIMIT = 2**24
 
 
 def coordinate_names(case: CaseData) -> tuple[str, ...]:
@@ -106,7 +111,15 @@ def _validate_box(case: CaseData, box: Box) -> None:
         raise UsageError(
             f"{case.id.label} boxes have {len(names)} coordinates, got {box.dim}"
         )
-    if not case.k_has_center:
+    if case.k_has_center:
+        points = math.prod(hi - lo + 1 for lo, hi in box.ranges)
+        if points > _GRID_LIMIT:
+            raise UsageError(
+                f"{case.id.label} boxes are scanned point by point; "
+                f"{box.render(names)} has {points} points, more than the "
+                f"limit of 2^24 = {_GRID_LIMIT}"
+            )
+    else:
         for name, (lo, _) in zip(names, box.ranges):
             if lo < 0:
                 raise UsageError(

@@ -6,8 +6,9 @@ rationals are serialized as "p/q" strings, keys are sorted, and the only
 run-dependent fields are elapsed_ms and, for verify, results.elapsed_ms.
 
 Exit codes: 0 success, 1 verification or selftest failure, 2 bad usage
-or an output path (--out, --report, checkpoint directory) that cannot be
-written, 3 unknown case label.
+(an SP4R box of more than 2^24 points included) or an output path
+(--out, --report, checkpoint directory) that cannot be written, 3 unknown
+case label.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .pencil import (
     sp4r_min_m,
     verify_box,
 )
+from .rootdata import inner, norm_sq
 from .spin import spin_norm_sq, variant_norms_sq
 # perfbench/spans.py wraps report_cli.iter_usmall, so the name stays imported
 from .usmall import enumerate_usmall, iter_usmall, usmall_chunks, usmall_system
@@ -366,6 +368,21 @@ def _fit_quad(f, ms):
     return coeffs if all(_quad(coeffs, m) == f(m) for m in ms) else None
 
 
+def _text(values) -> str:
+    """Rationals in the list form golden.json prints: [3, -1/2]."""
+    return "[" + ", ".join(map(str, values)) + "]"
+
+
+def _step_linear(case: CaseData) -> tuple[list[Q], list[Q]]:
+    """The linear term of a step at variant j, sum_i coeffs_i m_i +
+    consts_j: coeffs_i = 2<omega_i, beta> over the fundamental weights of
+    k, and consts_j = -2<rho_n^j, beta> - |beta|^2."""
+    beta = case.beta
+    coeffs = [2 * inner(w, beta) for w in case.k_fund_weights]
+    consts = [-2 * inner(v, beta) - norm_sq(beta) for v in case.rho_n_variants]
+    return coeffs, consts
+
+
 def _bound_matches(computed: Q, expected) -> bool:
     if expected == "pos":
         return computed > 0
@@ -483,6 +500,30 @@ def run_selftest(golden_data=None, log=None):
         case = get_case(family)
         computed = naive_bound(case)
         add(f"naive-bound-{family}", expected, computed, computed == Q(expected))
+
+    for family, entry in data["step_linear_exact"].items():
+        coeffs, consts = _step_linear(get_case(family))
+        offsets = [entry["by_variant"].get(str(j), entry["default"])
+                   for j in range(len(consts))]
+        add(
+            f"step-linear-exact-{family}",
+            f"coeffs {entry['coeffs']}, offsets {offsets}",
+            f"coeffs {_text(coeffs)}, offsets {_text(consts)}",
+            coeffs == entry["coeffs"] and consts == offsets,
+        )
+
+    for family, entry in data["step_linear_lower"].items():
+        coeffs, consts = _step_linear(get_case(family))
+        add(
+            f"step-linear-lower-{family}",
+            f"coeffs {entry['coeffs']}, offset {entry['offset']}",
+            f"coeffs {_text(coeffs)}, offset {min(consts)}",
+            coeffs == entry["coeffs"] and min(consts) == entry["offset"],
+        )
+
+    for direction, entry in data["sp4r_pencils"].items():
+        min_m = sp4r_min_m(direction)
+        add(f"sp4r-min-m-{direction}", entry["min_m"], min_m, min_m == entry["min_m"])
 
     m_lo, m_hi = 5, 100
     # every SP4R family point the items below read, computed once
@@ -692,8 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="default",
         help="'default' (the published box, EVIII and EIX included; for "
         "SL2nR, SL2n1R and SLnH every coordinate in 0..2n+2, whose scan grows "
-        "steeply with n, e.g. 9 s at n = 9 and 70 s at n = 10 on two cores) or "
-        "explicit ranges like a:0..12,b:0..7",
+        "steeply with n) or explicit ranges like a:0..12,b:0..7",
     )
     _add_jobs_argument(sp)
     sp.add_argument(

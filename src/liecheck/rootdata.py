@@ -8,17 +8,22 @@ Exactness is kept without a Fraction per term: inner products, coroot
 pairings and the coordinates of linear combinations sum the integer
 products of their nonzero terms over one common denominator and make one
 Fraction at the end, and a reflection rebuilds only the coordinates where
-the root is nonzero, each as one Fraction. root_closure closes a system
-in integer simple-root coordinates against its integer Cartan matrix, and
-generate_positive_roots builds each ambient root once from it.
+the root is nonzero, each as one Fraction.
 
 A RootSystem bundles the simple roots of one (possibly reducible, possibly
-non-reduced) root system together with its positive roots and fundamental
-weights. Root coordinates and fundamental weights both come from the
-inverse Gram matrix of the simple roots, computed once per system by one
-Gauss-Jordan elimination over all unit right-hand sides, so they
-live inside the span of the simple roots and systems of rank lower than
-the ambient dimension work too.
+non-reduced) root system with its derived data, all derived in one pass
+on construction: the Gram matrix of the simple roots; one Gauss-Jordan
+elimination over all unit right-hand sides for its inverse, which also
+refuses dependent simple roots; and the integer Cartan matrix, checked
+and kept as cartan. Built from its simple roots alone (from_simples), a
+system is closed by one root_closure, in integer simple-root coordinates
+against that Cartan matrix, and keeps those coordinates as root_table;
+given positive roots are each checked to be nonnegative integer
+combinations of the simple roots, which fills root_table. weyl and
+fastscan.build_tables read cartan and root_table. root_coords and the
+fundamental weights come from the inverse Gram matrix, so they live inside
+the span of the simple roots and systems of rank lower than the ambient
+dimension work too.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ __all__ = [
     "combine",
     "half_sum",
     "root_closure",
-    "generate_positive_roots",
     "RootSystem",
 ]
 
@@ -160,18 +164,15 @@ def half_sum(roots: Iterable[Vector]) -> Vector:
     return vscale(Q(1, 2), total)
 
 
-def _gauss_jordan(
-    rows: Sequence[Sequence[Q]], columns: Sequence[Sequence[Q]]
-) -> list[list[Q]]:
-    """Solve rows @ x = c for every right-hand side c in columns by one
-    Gauss-Jordan elimination; with no columns it only tests regularity.
+def _gauss_jordan(rows: Sequence[Sequence[Q]]) -> list[list[Q]]:
+    """The inverse of a square rational matrix, by one Gauss-Jordan
+    elimination over all unit right-hand sides.
 
     Raises ConstructionError if the matrix is singular.
     """
     n = len(rows)
-    aug = [
-        [Q(x) for x in row] + [Q(c[i]) for c in columns] for i, row in enumerate(rows)
-    ]
+    aug = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
@@ -183,20 +184,7 @@ def _gauss_jordan(
             f = aug[r][col]
             if r != col and f != 0:
                 aug[r] = [x - f * y if y else x for x, y in zip(aug[r], aug[col])]
-    return [[aug[r][n + k] for r in range(n)] for k in range(len(columns))]
-
-
-def _gram(simples: Sequence[Vector]) -> list[list[Q]]:
-    return [[inner(a, b) for b in simples] for a in simples]
-
-
-def _solve_gram(gram: list[list[Q]], columns) -> list[list[Q]]:
-    """_gauss_jordan on the Gram matrix of the simple roots, which is
-    singular exactly when the roots are linearly dependent."""
-    try:
-        return _gauss_jordan(gram, columns)
-    except ConstructionError:
-        raise ConstructionError("simple roots are linearly dependent") from None
+    return [row[n:] for row in aug]
 
 
 def root_closure(cartan: Sequence[Sequence[int]]):
@@ -239,89 +227,89 @@ def root_closure(cartan: Sequence[Sequence[int]]):
         level = nxt
 
 
-def generate_positive_roots(simple_roots: Sequence[Vector]) -> set[Vector]:
-    """Saturate a simple system into its full positive system.
-
-    The closure (root_closure) runs on integer simple-root coordinates
-    against the integer Cartan matrix; each ambient root is built once, as
-    its parent plus a simple root.
-
-    Raises ConstructionError if the input is not a linearly independent
-    crystallographic simple system or fails to stabilize.
-    """
-    simples = [tuple(Q(c) for c in s) for s in simple_roots]
-    if not simples:
-        raise ConstructionError("empty simple system")
-    gram = _gram(simples)
-    rank = len(simples)
-    if any(gram[i][i] == 0 for i in range(rank)):
-        raise ConstructionError("zero vector in simple system")
-    _solve_gram(gram, [])  # raises on dependent simples
-    # cartan[i][j] = <alpha_i, alpha_j-check>
-    cartan = [[2 * gram[i][j] / gram[j][j] for j in range(rank)] for i in range(rank)]
-    for i, row in enumerate(cartan):
-        for j, pairing in enumerate(row):
-            if pairing.denominator != 1:
-                raise ConstructionError(
-                    f"non-integral Cartan pairing {pairing}: not crystallographic"
-                )
-            if i != j and pairing > 0:
-                raise ConstructionError("obtuse-angle condition violated for simples")
-    cartan = [[int(x) for x in row] for row in cartan]
-    ambient = {}  # root coordinates -> ambient root
-    for root, parent, i in root_closure(cartan):
-        s = simples[i]
-        ambient[root] = s if parent is None else vadd(ambient[parent], s)
-    return set(ambient.values())
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """Simple roots plus derived data for one root system.
 
     positive_roots is a sorted tuple for deterministic iteration; the set
-    view is cached for membership tests. reduced=False marks a non-reduced
-    (BC-type) system whose positive roots are supplied directly rather than
-    generated; its Weyl group is that of the underlying reduced system and
-    all reflection machinery uses the simple roots only.
+    view is cached for membership tests. Left empty (from_simples), it is
+    generated by one root_closure. root_table holds the integer simple-root
+    coordinates of each positive root, in the same order, and
+    cartan[i][j] = <alpha_i, alpha_j-check>. reduced=False marks a
+    non-reduced (BC-type) system whose positive roots are supplied directly
+    rather than generated; its Weyl group is that of the underlying reduced
+    system and all reflection machinery uses the simple roots only.
     """
 
     simple_roots: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
     reduced: bool = True
+    cartan: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    root_table: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
     _pos_set: frozenset[Vector] = field(init=False, repr=False, compare=False)
     _gram_inv: tuple[tuple[Q, ...], ...] = field(init=False, repr=False, compare=False)
     _weights: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_pos_set", frozenset(self.positive_roots))
-        n = self.rank
-        # the inverse is symmetric, so its solution columns are its rows
-        units = [[int(i == j) for j in range(n)] for i in range(n)]
-        gram_inv = _solve_gram(_gram(self.simple_roots), units)
+        simples, n = self.simple_roots, self.rank
+        if not n:
+            raise ConstructionError("empty simple system")
+        gram = [[inner(a, b) for b in simples] for a in simples]
+        if any(gram[i][i] == 0 for i in range(n)):
+            raise ConstructionError("zero vector in simple system")
+        try:
+            # the inverse is symmetric, so its rows are its columns
+            gram_inv = _gauss_jordan(gram)
+        except ConstructionError:
+            raise ConstructionError("simple roots are linearly dependent") from None
+        cartan = [[2 * gram[i][j] / gram[j][j] for j in range(n)] for i in range(n)]
+        for i, row in enumerate(cartan):
+            for j, pairing in enumerate(row):
+                if pairing.denominator != 1:
+                    raise ConstructionError(
+                        f"non-integral Cartan pairing {pairing}: not crystallographic"
+                    )
+                if i != j and pairing > 0:
+                    raise ConstructionError(
+                        "obtuse-angle condition violated for simples"
+                    )
+        cartan = tuple(tuple(map(int, row)) for row in cartan)
+        object.__setattr__(self, "cartan", cartan)
         object.__setattr__(self, "_gram_inv", tuple(map(tuple, gram_inv)))
         # <w_i, alpha_j> = delta_ij |alpha_i|^2 / 2 puts the i-th fundamental
         # weight at |alpha_i|^2 / 2 times row i of the inverse Gram matrix
-        object.__setattr__(
-            self,
-            "_weights",
-            tuple(
-                combine(self.simple_roots, [norm_sq(a) / 2 * c for c in row])
-                for a, row in zip(self.simple_roots, self._gram_inv)
-            ),
-        )
-        for r in self.positive_roots:
-            coeffs = self.root_coords(r)
-            if any(c < 0 or c.denominator != 1 for c in coeffs):
-                raise ConstructionError(
-                    f"positive root {r} is not a nonneg integer combo of simples"
-                )
+        weights = (combine(simples, [gram[i][i] / 2 * c for c in row])
+                   for i, row in enumerate(gram_inv))
+        object.__setattr__(self, "_weights", tuple(weights))
+        if self.positive_roots:
+            table = []
+            for r in self.positive_roots:
+                coeffs = self.root_coords(r)
+                if any(c < 0 or c.denominator != 1 for c in coeffs):
+                    raise ConstructionError(
+                        f"positive root {r} is not a nonneg integer combo of simples"
+                    )
+                table.append(tuple(int(c) for c in coeffs))
+            table = tuple(table)
+        else:
+            # each ambient root is built once, as its parent plus a simple root
+            ambient = {}
+            for root, parent, i in root_closure(cartan):
+                s = simples[i]
+                ambient[root] = s if parent is None else vadd(ambient[parent], s)
+            positives, table = zip(*sorted((v, r) for r, v in ambient.items()))
+            object.__setattr__(self, "positive_roots", positives)
+        object.__setattr__(self, "root_table", table)
+        object.__setattr__(self, "_pos_set", frozenset(self.positive_roots))
 
     @classmethod
     def from_simples(cls, simple_roots: Sequence[Vector]) -> "RootSystem":
+        """Raises ConstructionError unless the simple roots are a linearly
+        independent crystallographic simple system of a finite system."""
         simples = tuple(tuple(Q(c) for c in s) for s in simple_roots)
-        positives = generate_positive_roots(simples)
-        return cls(simples, tuple(sorted(positives)), reduced=True)
+        return cls(simples, (), reduced=True)
 
     @classmethod
     def non_reduced(

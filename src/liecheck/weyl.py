@@ -19,13 +19,7 @@ from math import lcm
 import numpy as np
 
 from .errors import ConstructionError, UsageError
-from .rootdata import (
-    RootSystem,
-    Vector,
-    coroot_pairing,
-    inner,
-    reflect,
-)
+from .rootdata import RootSystem, Vector, inner, reflect
 
 WeylWord = tuple[int, ...]
 
@@ -80,14 +74,14 @@ def to_dominant(
 
 
 def _reflection_matrices(system: RootSystem) -> list[np.ndarray]:
-    """Matrix of each simple reflection in the simple-root basis (integer)."""
-    rank = system.rank
+    """Matrix of each simple reflection in the simple-root basis (integer):
+    s_i sends alpha_j to alpha_j - cartan[j][i] alpha_i, so it is the
+    identity less column i of the Cartan matrix in row i."""
+    cartan = np.array(system.cartan, dtype=np.int64)
     mats = []
-    for i in range(rank):
-        m = np.eye(rank, dtype=np.int64)
-        for j in range(rank):
-            pairing = coroot_pairing(system.simple_roots[j], system.simple_roots[i])
-            m[i, j] -= int(pairing)
+    for i in range(system.rank):
+        m = np.eye(system.rank, dtype=np.int64)
+        m[i] -= cartan[:, i]
         mats.append(m)
     return mats
 

@@ -7,8 +7,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from liecheck import pencil
 from liecheck.cases import get_case
 from liecheck.data import golden
+from liecheck.errors import UsageError
+from liecheck.pencil import parse_box
 from liecheck.report_cli import main, run_selftest
 from liecheck.spin import spin_norm_sq
 from liecheck.usmall import enumerate_usmall
@@ -57,6 +60,23 @@ def test_verify_box_beyond_int64_exits_2(capsys):
     box = "a:3000000000..3000000001,b:3000000000..3000000001"
     assert main(["verify", "G", "--box", box]) == 2
     assert "too large for the exact int64 scan" in capsys.readouterr().err
+
+
+def test_verify_oversized_sp4r_box_exits_2_before_scanning(monkeypatch, capsys):
+    # k with center is scanned on its whole grid; a box past 2^24 points is
+    # refused before anything is allocated, not with a MemoryError (exit 1)
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the box was scanned")
+
+    monkeypatch.setattr(pencil, "scan_box", no_scan)
+    box = "p:-1000000..1000000,q:-1000000..1000000"
+    assert main(["verify", "SP4R", "--box", box]) == 2
+    err = capsys.readouterr().err
+    assert "4000004000001 points, more than the limit of 2^24" in err
+    case = get_case("SP4R")
+    assert parse_box("p:0..4095,q:1..4096", case).dim == 2  # 2^24 points
+    with pytest.raises(UsageError, match="16781312 points"):
+        parse_box("p:0..4095,q:1..4097", case)
 
 
 def test_malformed_flags_exit_2(capsys):
@@ -491,6 +511,12 @@ def test_selftest_item_names_cover_contract(baseline_items):
     # the golden keys that only the acceptance suite read before
     assert {"beta-ktype-EVIII", "min-coset-words-FI", "sp4r-beta-pair",
             "box-threshold-EIX"} <= names
+    # the last keys that only tests read: every family and both directions
+    data = golden()
+    for key, families in (("step-linear-exact", data["step_linear_exact"]),
+                          ("step-linear-lower", data["step_linear_lower"]),
+                          ("sp4r-min-m", data["sp4r_pencils"])):
+        assert {f"{key}-{family}" for family in families} <= names
 
 
 def test_selftest_detects_perturbed_constant(baseline_items):
@@ -512,6 +538,9 @@ PERTURBED_KEYS = [
     (("min_coset_words", "FI", 3), [3, 2, 0], "min-coset-words-FI"),
     (("sp4r_beta_pair", 1, 1), 2, "sp4r-beta-pair"),
     (("margin_thresholds", "EIX", 7), 57, "box-threshold-EIX"),
+    (("step_linear_exact", "FI", "by_variant", "7"), -11, "step-linear-exact-FI"),
+    (("step_linear_lower", "EVIII", "offset"), -31, "step-linear-lower-EVIII"),
+    (("sp4r_pencils", "ascending", "min_m"), 3, "sp4r-min-m-ascending"),
 ]
 
 

@@ -1,17 +1,25 @@
 """Root system construction and exact vector arithmetic."""
 
+import sys
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecheck.cases import ALL_FAMILIES, _e8_simples, _f4_short_first_simples
+from liecheck import rootdata
+from liecheck.cases import (
+    ALL_FAMILIES,
+    CLASSICAL_FAMILIES,
+    _e8_simples,
+    _f4_short_first_simples,
+    get_case,
+)
 from liecheck.errors import ConstructionError, UsageError
+from liecheck.fastscan import build_tables
 from liecheck.rootdata import (
     RootSystem,
     combine,
     coroot_pairing,
-    generate_positive_roots,
     half_sum,
     inner,
     norm_sq,
@@ -117,8 +125,9 @@ def test_dependent_simple_roots_rejected():
         RootSystem.non_reduced(dependent, dependent)
 
 
-def test_generate_positive_roots_closure():
-    positives = generate_positive_roots([vec(1, -1, 0), vec(0, 1, -1)])
+def test_from_simples_closure():
+    system = RootSystem.from_simples([vec(1, -1, 0), vec(0, 1, -1)])
+    positives = set(system.positive_roots)
     assert vec(1, 0, -1) in positives
     assert len(positives) == 3
 
@@ -141,8 +150,57 @@ def test_case_systems_internally_consistent(family):
             coeffs = system.root_coords(r)
             assert all(c >= 0 and c.denominator == 1 for c in coeffs)
         if system.reduced:
-            regenerated = generate_positive_roots(system.simple_roots)
+            regenerated = naive_positive_roots(system.simple_roots)
             assert regenerated == set(system.positive_roots)
+
+
+def _calls(function, run):
+    """How often function is entered while run() runs (each resumption of a
+    generator counts), seen by a profile hook, so a name bound by another
+    module's import is counted too."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is function.__code__:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_from_simples_eliminates_once():
+    simples = _e8_simples()
+    assert _calls(rootdata._gauss_jordan, lambda: RootSystem.from_simples(simples)) == 1
+
+
+@pytest.mark.parametrize("family", ["G", "EVIII", "SP4R"])
+def test_build_tables_reads_the_root_table(family):
+    case = get_case(family)
+    assert _calls(rootdata.root_closure, lambda: build_tables.__wrapped__(case)) == 0
+
+
+CASE_SYSTEM_IDS = [(f, n) for f in CLASSICAL_FAMILIES for n in (2, 4)] + [
+    (f, None) for f in ALL_FAMILIES if f not in CLASSICAL_FAMILIES
+]
+
+
+@pytest.mark.parametrize("family, n", CASE_SYSTEM_IDS)
+def test_cartan_and_root_table_match_the_roots(family, n):
+    case = get_case(family, n)
+    for system in (case.g_restricted, case.k_system):
+        simples = system.simple_roots
+        assert system.cartan == tuple(
+            tuple(coroot_pairing(a, b) for b in simples) for a in simples
+        )
+        assert len(system.root_table) == len(system.positive_roots)
+        for coords, root in zip(system.root_table, system.positive_roots):
+            assert all(type(c) is int for c in coords)
+            assert combine(simples, coords) == root
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -280,7 +338,7 @@ CLOSURE_CASES = {
 @pytest.mark.parametrize("name", CLOSURE_CASES)
 def test_positive_roots_match_naive_closure(name):
     simples, count = CLOSURE_CASES[name]
-    roots = generate_positive_roots(simples)
+    roots = set(RootSystem.from_simples(simples).positive_roots)
     assert roots == naive_positive_roots(simples)
     assert len(roots) == count
 
@@ -296,4 +354,4 @@ def test_positive_roots_match_naive_closure(name):
 )
 def test_positive_roots_keep_their_checks(simples, message):
     with pytest.raises(ConstructionError, match=message):
-        generate_positive_roots(simples)
+        RootSystem.from_simples(simples)
