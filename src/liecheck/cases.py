@@ -8,6 +8,10 @@ families of fundamental weights, and the minimal coset representatives.
 Coordinates: k-types are given by nonnegative integer coordinates against
 the k-fundamental weights, except for SP4R where the group U(2) has central
 torus and a k-type is a plain integer pair (p, q) with p >= q.
+
+The data is derived by integer products (rootdata, weyl), each Fraction
+made once at the end, and each g's root system is built once per process
+(_root_system) and shared by the cases on it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from .rootdata import (
     combine,
     coroot_pairing,
     half_sum,
+    int_product,
     norm_sq,
+    rational_rows,
     vadd,
     vec,
     vneg,
@@ -173,7 +179,10 @@ def ktype_to_ambient(case: CaseData, mu) -> Vector:
 def ambient_to_ktype(case: CaseData, v: Vector) -> KType:
     """Inverse of ktype_to_ambient for vectors in the k-weight lattice span."""
     if case.k_has_center:
-        return tuple(int(c) for c in v)
+        coords = [Q(c) for c in v]
+        if any(c.denominator != 1 for c in coords):
+            raise UsageError(f"{v} is not a k-integral weight")
+        return tuple(map(int, coords))
     coords = []
     for gamma in case.k_system.simple_roots:
         c = coroot_pairing(v, gamma)
@@ -191,11 +200,18 @@ def ambient_to_ktype(case: CaseData, v: Vector) -> KType:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _root_system(simples: tuple[Vector, ...]) -> RootSystem:
+    """One root system per simple system and process, shared by the cases
+    on it: E8, E7, the short-first F4 and C_n each serve two or three."""
+    return RootSystem.from_simples(simples)
+
+
 def _build_g2():
     a1, a2 = vec(1, -1, 0), vec(-2, 1, 1)
     g = RootSystem.from_simples([a1, a2])
     k = RootSystem.from_simples([a1, combine((a1, a2), (3, 2))])
-    p = frozenset(g.positive_roots) - frozenset(k.positive_roots)
+    p = g.positive_set - k.positive_set
     beta = combine((a1, a2), (3, 1))
     return g, k, p, beta
 
@@ -212,20 +228,20 @@ def _f4_short_first_simples() -> tuple[Vector, ...]:
 
 def _build_f1():
     simples = _f4_short_first_simples()
-    g = RootSystem.from_simples(simples)
+    g = _root_system(simples)
     gamma4 = combine(simples, (2, 4, 3, 2))
     k = RootSystem.from_simples([simples[0], simples[1], simples[2], gamma4])
-    p = frozenset(g.positive_roots) - frozenset(k.positive_roots)
+    p = g.positive_set - k.positive_set
     beta = vec(1, 0, 1, 0)
     return g, k, p, beta
 
 
 def _build_f2():
-    g = RootSystem.from_simples(_f4_short_first_simples())
+    g = _root_system(_f4_short_first_simples())
     k = RootSystem.from_simples(
         [vec(1, -1, 0, 0), vec(0, 1, -1, 0), vec(0, 0, 1, -1), vec(0, 0, 0, 1)]
     )
-    p = frozenset(g.positive_roots) - frozenset(k.positive_roots)
+    p = g.positive_set - k.positive_set
     beta = vec("1/2", "1/2", "1/2", "1/2")
     return g, k, p, beta
 
@@ -243,7 +259,7 @@ def _build_e1():
     g = RootSystem.from_simples([a1, a2, a3, a4])
     gamma1 = vadd(vadd(a2, a3), a4)
     k = RootSystem.from_simples([gamma1, a1, a2, a3])
-    kpos = frozenset(k.positive_roots)
+    kpos = k.positive_set
     # noncompact weights: the complement of k plus a second appearance of
     # every short root (the short root spaces have multiplicity two)
     p = frozenset(
@@ -255,7 +271,7 @@ def _build_e1():
 
 def _build_e4():
     simples = _f4_short_first_simples()
-    g = RootSystem.from_simples(simples)
+    g = _root_system(simples)
     k = g
     p = frozenset(r for r in g.positive_roots if norm_sq(r) == 1)
     beta = vec(1, 0, 0, 0)
@@ -288,31 +304,31 @@ def _build_e_case(family: str):
         return combine(alpha[: len(coeffs)], coeffs)
 
     if family == "EII":
-        g = RootSystem.from_simples(alpha[:6])
+        g = _root_system(alpha[:6])
         gammas = [alpha[5], alpha[4], alpha[3], alpha[2], alpha[0], comb(_E6_THETA)]
         beta_coords = (0, 0, 1, 0, 0, 1)
     elif family == "EV":
-        g = RootSystem.from_simples(alpha[:7])
+        g = _root_system(alpha[:7])
         gammas = [alpha[0]] + [alpha[i] for i in range(2, 7)] + [comb(_E6_THETA)]
         beta_coords = (0, 0, 0, 1, 0, 0, 0)
     elif family == "EVI":
-        g = RootSystem.from_simples(alpha[:7])
+        g = _root_system(alpha[:7])
         gammas = [alpha[6], alpha[5], alpha[4], alpha[3], alpha[1], alpha[2],
                   comb(_E7_THETA)]
         beta_coords = (0, 0, 0, 0, 0, 1, 1)
     elif family == "EVIII":
-        g = RootSystem.from_simples(alpha)
+        g = _root_system(alpha)
         gammas = [comb(_E7_THETA)] + [alpha[9 - i] for i in range(2, 7)] + [
             alpha[1], alpha[2]]
         beta_coords = (0, 0, 0, 0, 0, 0, 1, 0)
     elif family == "EIX":
-        g = RootSystem.from_simples(alpha)
+        g = _root_system(alpha)
         gammas = [alpha[i] for i in range(7)] + [comb(_E8_THETA)]
         beta_coords = (0, 0, 0, 0, 0, 0, 1, 1)
     else:
         raise UnknownCaseError(f"unknown case family {family!r}")
     k = RootSystem.from_simples(gammas)
-    p = frozenset(g.positive_roots) - frozenset(k.positive_roots)
+    p = g.positive_set - k.positive_set
     beta = combine(k.fundamental_weights, beta_coords)
     return g, k, p, beta
 
@@ -337,7 +353,7 @@ def _build_classical(family: str, n: int):
     singles = [_unit(n, i) for i in range(n)]
 
     if family == "SL2nR":
-        g = RootSystem.from_simples(c_simples)
+        g = _root_system(tuple(c_simples))
         d_simples = type_a + [vadd(_unit(n, n - 2), _unit(n, n - 1))]
         k = RootSystem.from_simples(d_simples)
         p = frozenset(pairs) | frozenset(doubles)
@@ -351,7 +367,7 @@ def _build_classical(family: str, n: int):
         p = frozenset(pairs) | frozenset(singles) | frozenset(doubles)
         beta = _unit(n, 0, 2)
     elif family == "SLnH":
-        g = RootSystem.from_simples(c_simples)
+        g = _root_system(tuple(c_simples))
         k = g
         p = frozenset(pairs)
         beta = vadd(_unit(n, 0), _unit(n, 1))
@@ -394,14 +410,13 @@ def build_case(case_id: CaseId) -> CaseData:
         raise UnknownCaseError(f"unknown case family {family!r}")
 
     rho_c = k.half_positive_sum()
-    rho_n = half_sum(sorted(p))
+    rho_n = half_sum(p)
     rho = vadd(rho_c, rho_n)
     w1, w1_matrices = map(tuple, minimal_coset_reps(g, k))
-    rho_coords, scale = int_root_coords(g, [rho])
-    variants = tuple(
-        vsub(combine(g.simple_roots, [Q(int(c), scale) for c in w_rho]), rho_c)
-        for w_rho in (m @ rho_coords[:, 0] for m in w1_matrices)
-    )
+    # every w(rho) - rho_c on simple-root coordinates (each term < 2**62)
+    coords, scale = int_root_coords(g, [rho, rho_c])
+    shifted = int_product(np.array(w1_matrices), coords, 2)[:, :, 0] - coords[:, 1]
+    variants = rational_rows(int_product(shifted, g.scaled_simples), scale * g.den)
     if variants[0] != rho_n:
         raise ConstructionError(
             f"{case_id.label}: identity coset image disagrees with the "

@@ -2,8 +2,9 @@
 
 Everything here works in exact integer arithmetic: k-type coordinates are
 integers, pairings against coroots are integers, and every rational
-constant (weight Gram matrix, rho_c pairings) is cleared to a common
-denominator once per case. Squared spin norms come out as int64 values
+constant (weight Gram matrix, rho_c pairings) is read from one integer
+Gram matrix and cleared to a common denominator once per case
+(build_tables). Squared spin norms come out as int64 values
 scaled by that single denominator, so comparisons and minima are exact.
 A box whose coordinates could carry an intermediate beyond int64 is
 refused before the scan starts (magnitude_bound).
@@ -174,13 +175,13 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
 from .cases import CaseData, per_case
 from .errors import ConstructionError
-from .rootdata import coroot_pairing, inner, norm_sq
+from .rootdata import int_product, int_rows
 from .usmall import _children, _walk, usmall_system
 
 # Rows per scan batch, per best-first kernel chunk, and per screen chunk
@@ -245,70 +246,56 @@ class ScanTables:
     workspace: _Workspace
 
 
-def _ints(values, what: str, scale=1) -> np.ndarray:
-    """scale times values (a list, or a list of rows) as int64, refused
-    unless every entry is an integer."""
-
-    def one(v):  # v an int or a Fraction
-        num, den = v.numerator * scale, v.denominator
-        if num % den:
-            raise ConstructionError(f"{what} is not integral: {Q(num, den)}")
-        return num // den
-
-    return np.array(
-        [[one(v) for v in row] if isinstance(row, (list, tuple)) else one(row)
-         for row in values],
-        dtype=np.int64,
-    )
+def _exact(num: np.ndarray, den, what: str) -> np.ndarray:
+    """num / den (den > 0, broadcast), refused unless it is integral."""
+    quo, rem = np.divmod(num, den)
+    if rem.any():
+        raise ConstructionError(f"{what} is not integral")
+    return quo
 
 
 @per_case
 def build_tables(case: CaseData) -> ScanTables:
+    """The scan tables of a case, every inner product read from one integer
+    Gram matrix G = X X^T, X the k-type basis, the rho_n variants, the
+    k-simple roots, rho_c and beta times their common denominator D. Each
+    rational table entry is then an integer over E = 2 D^2 (half_sq is
+    G / E, every other entry 2 G / E or 4 G / E), so scale, the least
+    common denominator of the entries, is E / gcd(E, every numerator).
+    The coroot pairings 2 G[v, delta] / G[delta, delta] must be integers."""
     k = case.k_system
-    basis = case.ktype_basis
-    deltas = k.simple_roots
-
-    pairing = _ints(
-        [[coroot_pairing(b, d) for b in basis] for d in deltas], "coordinate pairing"
-    )
-    shift = _ints(
-        [[coroot_pairing(v, d) for d in deltas] for v in case.rho_n_variants],
-        "variant pairing",
-    )
+    l, s = len(case.ktype_basis), len(case.rho_n_variants)
+    x, den = int_rows(case.ktype_basis + case.rho_n_variants + k.simple_roots
+                      + (case.rho_c, case.beta))
+    gram = int_product(x, x.T, 16)  # room for the cheap constant's 10 G
+    b, v, d, c, e = slice(0, l), slice(l, l + s), slice(l + s, -2), -2, -1
+    d_sq = gram.diagonal()[d]
+    pairing = _exact(2 * gram[d, b], d_sq[:, None], "coordinate pairing")
+    shift = _exact(2 * gram[v, d], d_sq, "variant pairing")
+    # beta's pairings with the k-simple coroots, or for k with center with
+    # the orthonormal basis; either way they must give beta back
+    if case.k_has_center:
+        beta_coords = _exact(gram[b, e], den * den, "beta coordinate")
+    else:
+        beta_coords = _exact(2 * gram[d, e], d_sq, "beta coordinate")
+    if (beta_coords @ x[b] != x[e]).any():
+        raise ConstructionError(f"{case.id.label}: beta is not in the k-type span")
+    # the numerators over E: gram, variant, variant_nrm, half_sq, rho_c_lin,
+    # rho_c_var, cheap_coef and the two constants
+    parts = (2 * gram[b, b], 2 * gram[v, b], 2 * gram.diagonal()[v], d_sq,
+             2 * gram[b, c], 2 * gram[v, c], 4 * gram[b, e],
+             np.array([2 * gram[c, c],
+                       4 * gram[c, e] + 4 * gram[v, e].max() + 2 * gram[e, e]]))
+    common = gcd(2 * den * den, *(int(np.gcd.reduce(p, axis=None)) for p in parts))
+    (gram_s, variant_s, variant_nrm_s, half_sq_s, rho_c_lin_s, rho_c_var_s,
+     cheap_coef_s, consts_s) = (p // common for p in parts)
     # <v, alpha> = sum_i <v, delta_i coroot> |delta_i|^2 / 2 * n_i for the
     # positive root alpha = sum_i n_i delta_i, so both root tables are the
     # integer pairing tables times half_sq times integer root coordinates
-    roots = np.array(k.root_table, dtype=np.int64).T
-    half_sq = [norm_sq(d) / 2 for d in deltas]
-
-    gram = [[inner(a, b) for b in basis] for a in basis]
-    variant = [[inner(b, v) for b in basis] for v in case.rho_n_variants]
-    variant_nrm = [norm_sq(v) for v in case.rho_n_variants]
-    rho_c_lin = [inner(b, case.rho_c) for b in basis]
-    rho_c_var = [inner(v, case.rho_c) for v in case.rho_n_variants]
-    cheap_coef = [2 * inner(b, case.beta) for b in basis]
-    # rho_c norm and cheap constant
-    consts = [
-        norm_sq(case.rho_c),
-        2 * inner(case.rho_c, case.beta)
-        + 2 * max(inner(v, case.beta) for v in case.rho_n_variants)
-        + norm_sq(case.beta),
-    ]
-    rationals = [x for row in gram + variant for x in row] + (
-        variant_nrm + half_sq + rho_c_lin + rho_c_var + cheap_coef + consts
-    )
-    scale = lcm(*(Q(x).denominator for x in rationals))
-    rho_c_nrm_s, cheap_const_s = _ints(consts, "scaled constant", scale).tolist()
-    root_half_s = _ints(half_sq, "scaled table", scale)[:, None] * roots
-    variant_s = _ints(variant, "scaled table", scale)
-    variant_nrm_s = _ints(variant_nrm, "scaled table", scale)
-    rho_c_lin_s = _ints(rho_c_lin, "scaled table", scale)
-    rho_c_var_s = _ints(rho_c_var, "scaled table", scale)
-    beta_coords = _ints(case.beta_ktype, "beta coordinates")
+    root_half_s = half_sq_s[:, None] * np.array(k.root_table, dtype=np.int64).T
     root_var_s = shift @ root_half_s
-    gram_s = _ints(gram, "scaled table", scale)
     return ScanTables(
-        scale=scale,
+        scale=2 * den * den // common,
         pairing=pairing,
         shift=shift,
         root_s=pairing.T @ root_half_s,
@@ -316,12 +303,12 @@ def build_tables(case: CaseData) -> ScanTables:
         gram_s=gram_s,
         variant_s=variant_s,
         variant_nrm_s=variant_nrm_s,
-        rho_c_nrm_s=rho_c_nrm_s,
+        rho_c_nrm_s=int(consts_s[0]),
         rho_c_lin_s=rho_c_lin_s,
         rho_c_var_s=rho_c_var_s,
         beta_coords=beta_coords,
-        cheap_coef_s=_ints(cheap_coef, "scaled table", scale),
-        cheap_const_s=cheap_const_s,
+        cheap_coef_s=cheap_coef_s,
+        cheap_const_s=int(consts_s[1]),
         step_s=2 * (variant_s @ beta_coords),
         # C-ordered (_product); the last row is c_j
         table_s=np.vstack(

@@ -772,6 +772,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # "--mu -1,-3" as "--mu=-1,-3": argparse takes -1,-3 for an option
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--mu" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1: i + 1] = [f"--mu={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

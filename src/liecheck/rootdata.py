@@ -7,31 +7,35 @@ No floating point is used anywhere in this module.
 Exactness is kept without a Fraction per term: inner products, coroot
 pairings and the coordinates of linear combinations sum the integer
 products of their nonzero terms over one common denominator and make one
-Fraction at the end, and a reflection rebuilds only the coordinates where
-the root is nonzero, each as one Fraction.
+Fraction at the end. Bulk data is integer: int_rows writes vectors as the
+rows of an int64 matrix over their least common denominator D,
+int_product multiplies under a magnitude guard, and rational_rows makes
+one Fraction per distinct value of integer rows over one denominator.
 
-A RootSystem bundles the simple roots of one (possibly reducible, possibly
-non-reduced) root system with its derived data, all derived in one pass
-on construction: the Gram matrix of the simple roots; one Gauss-Jordan
-elimination over all unit right-hand sides for its inverse, which also
-refuses dependent simple roots; and the integer Cartan matrix, checked
-and kept as cartan. Built from its simple roots alone (from_simples), a
-system is closed by one root_closure, in integer simple-root coordinates
-against that Cartan matrix, and keeps those coordinates as root_table;
-given positive roots are each checked to be nonnegative integer
-combinations of the simple roots, which fills root_table. weyl and
-fastscan.build_tables read cartan and root_table. root_coords and the
-fundamental weights come from the inverse Gram matrix, so they live inside
-the span of the simple roots and systems of rank lower than the ambient
-dimension work too.
+A RootSystem derives everything in one pass on construction from
+scaled_simples, its simple roots times D: the Gram matrix, its inverse by
+one fraction-free Gauss-Jordan elimination (which refuses dependent
+simple roots), the integer Cartan matrix (cartan) and the simple-root
+coordinates of the fundamental weights (weight_coords). Built from its
+simple roots alone (from_simples), a system is closed by one root_closure
+in integer simple-root coordinates, kept as root_table, and its positive
+roots are root_table @ scaled_simples over D, sorted as integer rows: with
+one positive denominator, the order of the Fraction vectors. Given
+positive roots are each checked to be nonnegative integer combinations of
+the simple roots, which fills root_table. root_coords and the fundamental
+weights live inside the span of the simple roots, so systems of rank
+lower than the ambient dimension work too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConstructionError, UsageError
 
@@ -50,6 +54,9 @@ __all__ = [
     "reflect",
     "combine",
     "half_sum",
+    "int_rows",
+    "int_product",
+    "rational_rows",
     "root_closure",
     "RootSystem",
 ]
@@ -154,37 +161,70 @@ def combine(vectors: Sequence[Vector], coeffs: Iterable) -> Vector:
 
 
 def half_sum(roots: Iterable[Vector]) -> Vector:
-    """Half the sum of the given vectors (a multiset: repeats count)."""
-    roots = list(roots)
-    if not roots:
+    """Half the sum of the given vectors (a multiset: repeats count),
+    summed as integers over their common denominator."""
+    rows, den = _int_lists(list(roots))
+    if not rows:
         raise UsageError("half_sum of an empty collection")
-    total = roots[0]
-    for r in roots[1:]:
-        total = vadd(total, r)
-    return vscale(Q(1, 2), total)
+    return rational_rows([[sum(col) for col in zip(*rows, strict=True)]], 2 * den)[0]
 
 
-def _gauss_jordan(rows: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    """The inverse of a square rational matrix, by one Gauss-Jordan
-    elimination over all unit right-hand sides.
+def _int_lists(vectors: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
 
-    Raises ConstructionError if the matrix is singular.
-    """
+
+def int_rows(vectors: Sequence[Sequence]) -> tuple[np.ndarray, int]:
+    """(M, D): the vectors (ints or Fractions) times D, the least common
+    denominator of their entries, as the rows of one int64 matrix M.
+    Raises ConstructionError if an entry of M is beyond int64."""
+    rows, den = _int_lists(vectors)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), -1), den
+    except OverflowError:
+        raise ConstructionError("vectors beyond int64 over their denominator") from None
+
+
+def int_product(a: np.ndarray, b: np.ndarray, headroom: int = 1) -> np.ndarray:
+    """a @ b in int64 (either may be a stack of matrices). Raises
+    ConstructionError unless headroom * k * max|a| * max|b| < 2**63, k the
+    inner dimension: that bounds every partial sum, and leaves room to
+    take headroom times each entry."""
+    top = [max(int(m.max(initial=0)), -int(m.min(initial=0))) for m in (a, b)]
+    if headroom * a.shape[-1] * top[0] * top[1] >= 2**63:
+        raise ConstructionError("integer product beyond int64")
+    return a @ b
+
+
+def rational_rows(rows, den: int) -> tuple[Vector, ...]:
+    """Integer rows (lists or an array) over den as Fraction vectors, one
+    Fraction made per distinct value."""
+    rows = np.asarray(rows).tolist()
+    made = {x: Q(x, den) for x in {x for row in rows for x in row}}
+    return tuple(tuple(map(made.__getitem__, row)) for row in rows)
+
+
+def _gauss_jordan(rows: Sequence[Sequence[int]], den: int = 1) -> list[list[Q]]:
+    """The inverse of the rational matrix rows / den (rows an integer
+    matrix), by one fraction-free Gauss-Jordan elimination over all unit
+    right-hand sides: a row operation cross-multiplies, then divides the
+    row by the gcd of its entries; each row of the inverse is divided by
+    its pivot at the end. Raises ConstructionError if it is singular."""
     n = len(rows)
-    aug = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise ConstructionError("singular linear system")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv if x else x for x in aug[col]]
+        top = aug[col]
         for r in range(n):
             f = aug[r][col]
-            if r != col and f != 0:
-                aug[r] = [x - f * y if y else x for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            if r != col and f:
+                row = [top[col] * x - f * y for x, y in zip(aug[r], top)]
+                g = gcd(*row)
+                aug[r] = [x // g for x in row]
+    return [[Q(x * den, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
 
 
 def root_closure(cartan: Sequence[Sequence[int]]):
@@ -195,16 +235,19 @@ def root_closure(cartan: Sequence[Sequence[int]]):
 
     Uses root strings: for a root r and simple s, r+s is a root iff
     p - <r, s-check> >= 1 where p is the largest k with r - k*s a root.
-    Builds by height, so the downward string is always known already.
+    Builds by height, so the downward string is always known already; a
+    root carries its pairings with the simple coroots (its parent's plus
+    row i of the Cartan matrix).
     Every root height is below the Coxeter number h of its simple
     component, and h <= max(2r, 30) for rank r (2r for B_r and C_r, 30
     for E8), so a closure still growing at that height is not finite.
     """
     rank = len(cartan)
     max_height = max(2 * rank, 30)
-    level = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    known = set(level)
-    for i, unit in enumerate(level):
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    level = [(unit, tuple(cartan[i])) for i, unit in enumerate(units)]
+    known = set(units)
+    for i, unit in enumerate(units):
         yield unit, None, i
     height = 1
     while level:
@@ -212,7 +255,7 @@ def root_closure(cartan: Sequence[Sequence[int]]):
         if height > max_height:
             raise ConstructionError("root closure did not stabilize")
         nxt = []
-        for r in level:
+        for r, pairings in level:
             for i in range(rank):
                 cand = r[:i] + (r[i] + 1,) + r[i + 1:]
                 if cand in known:
@@ -220,22 +263,27 @@ def root_closure(cartan: Sequence[Sequence[int]]):
                 p = 0
                 while r[i] > p and r[:i] + (r[i] - p - 1,) + r[i + 1:] in known:
                     p += 1
-                if p - sum(c * row[i] for c, row in zip(r, cartan)) >= 1:
+                if p - pairings[i] >= 1:
                     known.add(cand)
-                    nxt.append(cand)
+                    nxt.append((cand, tuple(map(add, pairings, cartan[i]))))
                     yield cand, r, i
         level = nxt
+
+
+def _derived():
+    return field(init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class RootSystem:
     """Simple roots plus derived data for one root system.
 
-    positive_roots is a sorted tuple for deterministic iteration; the set
-    view is cached for membership tests. Left empty (from_simples), it is
+    positive_roots is a sorted tuple for deterministic iteration, and
+    positive_set its set view, built once. Left empty (from_simples), it is
     generated by one root_closure. root_table holds the integer simple-root
     coordinates of each positive root, in the same order, and
-    cartan[i][j] = <alpha_i, alpha_j-check>. reduced=False marks a
+    cartan[i][j] = <alpha_i, alpha_j-check>. scaled_simples is the simple
+    roots times den (module docstring). reduced=False marks a
     non-reduced (BC-type) system whose positive roots are supplied directly
     rather than generated; its Weyl group is that of the underlying reduced
     system and all reflection machinery uses the simple roots only.
@@ -244,45 +292,47 @@ class RootSystem:
     simple_roots: tuple[Vector, ...]
     positive_roots: tuple[Vector, ...]
     reduced: bool = True
-    cartan: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    root_table: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _pos_set: frozenset[Vector] = field(init=False, repr=False, compare=False)
-    _gram_inv: tuple[tuple[Q, ...], ...] = field(init=False, repr=False, compare=False)
-    _weights: tuple[Vector, ...] = field(init=False, repr=False, compare=False)
+    cartan: tuple[tuple[int, ...], ...] = _derived()
+    root_table: tuple[tuple[int, ...], ...] = _derived()
+    weight_coords: tuple[tuple[Q, ...], ...] = _derived()
+    scaled_simples: np.ndarray = _derived()
+    den: int = _derived()
+    positive_set: frozenset[Vector] = _derived()
+    _gram_inv: tuple[tuple[Q, ...], ...] = _derived()
+    _weights: tuple[Vector, ...] = _derived()
 
     def __post_init__(self):
         simples, n = self.simple_roots, self.rank
         if not n:
             raise ConstructionError("empty simple system")
-        gram = [[inner(a, b) for b in simples] for a in simples]
-        if any(gram[i][i] == 0 for i in range(n)):
+        scaled, den = int_rows(simples)
+        gram_int = int_product(scaled, scaled.T, 2)
+        diag = gram_int.diagonal().tolist()
+        if 0 in diag:
             raise ConstructionError("zero vector in simple system")
         try:
             # the inverse is symmetric, so its rows are its columns
-            gram_inv = _gauss_jordan(gram)
+            gram_inv = _gauss_jordan(gram_int.tolist(), den * den)
         except ConstructionError:
             raise ConstructionError("simple roots are linearly dependent") from None
-        cartan = [[2 * gram[i][j] / gram[j][j] for j in range(n)] for i in range(n)]
-        for i, row in enumerate(cartan):
-            for j, pairing in enumerate(row):
-                if pairing.denominator != 1:
-                    raise ConstructionError(
-                        f"non-integral Cartan pairing {pairing}: not crystallographic"
-                    )
-                if i != j and pairing > 0:
-                    raise ConstructionError(
-                        "obtuse-angle condition violated for simples"
-                    )
-        cartan = tuple(tuple(map(int, row)) for row in cartan)
-        object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "_gram_inv", tuple(map(tuple, gram_inv)))
+        # cartan[i][j] = 2 G_ij / G_jj
+        cartan, rest = np.divmod(2 * gram_int, gram_int.diagonal())
+        if rest.any():
+            raise ConstructionError("non-integral Cartan pairing: not crystallographic")
+        if (cartan[~np.eye(n, dtype=bool)] > 0).any():
+            raise ConstructionError("obtuse-angle condition violated for simples")
+        cartan = tuple(map(tuple, cartan.tolist()))
         # <w_i, alpha_j> = delta_ij |alpha_i|^2 / 2 puts the i-th fundamental
         # weight at |alpha_i|^2 / 2 times row i of the inverse Gram matrix
-        weights = (combine(simples, [gram[i][i] / 2 * c for c in row])
-                   for i, row in enumerate(gram_inv))
-        object.__setattr__(self, "_weights", tuple(weights))
+        coords = tuple(tuple(Q(diag[i], 2 * den * den) * c for c in row)
+                       for i, row in enumerate(gram_inv))
+        weights, weight_den = int_rows(coords)
+        weights = rational_rows(int_product(weights, scaled), weight_den * den)
+        for name, value in (("cartan", cartan), ("weight_coords", coords),
+                            ("scaled_simples", scaled), ("den", den),
+                            ("_gram_inv", tuple(map(tuple, gram_inv))),
+                            ("_weights", weights)):
+            object.__setattr__(self, name, value)
         if self.positive_roots:
             table = []
             for r in self.positive_roots:
@@ -294,15 +344,13 @@ class RootSystem:
                 table.append(tuple(int(c) for c in coeffs))
             table = tuple(table)
         else:
-            # each ambient root is built once, as its parent plus a simple root
-            ambient = {}
-            for root, parent, i in root_closure(cartan):
-                s = simples[i]
-                ambient[root] = s if parent is None else vadd(ambient[parent], s)
-            positives, table = zip(*sorted((v, r) for r, v in ambient.items()))
-            object.__setattr__(self, "positive_roots", positives)
+            # the ambient roots times den, sorted as integer rows
+            table = [root for root, _, _ in root_closure(cartan)]
+            ambient = int_product(np.array(table, dtype=np.int64), scaled)
+            ambient, table = zip(*sorted(zip(ambient.tolist(), table)))
+            object.__setattr__(self, "positive_roots", rational_rows(ambient, den))
         object.__setattr__(self, "root_table", table)
-        object.__setattr__(self, "_pos_set", frozenset(self.positive_roots))
+        object.__setattr__(self, "positive_set", frozenset(self.positive_roots))
 
     @classmethod
     def from_simples(cls, simple_roots: Sequence[Vector]) -> "RootSystem":
@@ -328,7 +376,7 @@ class RootSystem:
         return self._weights
 
     def is_positive_root(self, v: Vector) -> bool:
-        return v in self._pos_set
+        return v in self.positive_set
 
     def root_coords(self, v: Vector) -> list[Q]:
         """Coordinates of v in the simple-root basis: its pairings with the
@@ -339,10 +387,3 @@ class RootSystem:
 
     def half_positive_sum(self) -> Vector:
         return half_sum(self.positive_roots)
-
-    def dominance_vector(self) -> Vector:
-        """Sum of fundamental weights: strictly dominant, regular for W."""
-        total = self._weights[0]
-        for w in self._weights[1:]:
-            total = vadd(total, w)
-        return total

@@ -4,7 +4,8 @@ A k-type mu is unitarily small when every twisted fundamental-weight
 hyperplane bound holds: <mu + 2 rho_c, w xi> <= 2 <rho, xi> over all
 minimal coset representatives w and restricted fundamental weights xi.
 For semisimple k each such bound is, in k-type coordinates, a linear
-inequality with nonnegative coefficients. Counting and listing share one
+inequality with nonnegative coefficients; all of them come from one
+integer product (usmall_system). Counting and listing share one
 breadth-first int64 walk: each frontier row carries the slack every
 inequality has left, and its next coordinate takes every value up to the
 least slack // c over the rows with c > 0. Groups of frontier rows are
@@ -30,15 +31,13 @@ for another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
 from .cases import CaseData, ktype_is_dominant, per_case, _normalize_ktype
 from .errors import ConstructionError, UsageError
-from .rootdata import inner
-from .weyl import int_root_coords
+from .rootdata import int_product, int_rows
 
 _FRONTIER_ROWS = 1_024  # rows of a frontier group of the walk
 
@@ -89,35 +88,33 @@ def usmall_system(case: CaseData) -> InequalitySystem:
     """The hyperplane rows in k-type coordinates. For k with center (SP4R)
     those are ambient coordinates: coefficients may be negative, and the
     rows are kept unpruned, as the pruning is valid only where every
-    coordinate is >= 0."""
+    coordinate is >= 0. The rows are integer products (_build_system):
+    the coset matrices times the xi's simple-root coordinates give every
+    w(xi), and one guarded int64 product pairs them all with the k-type
+    basis and rho_c; equal rows are dropped before each is divided by the
+    gcd of its entries."""
     return _build_system(case)
 
 
 def _build_system(case: CaseData) -> InequalitySystem:
     g = case.g_restricted
-    # the xi on simple-root coordinates, and what w(xi) is paired with: the
-    # k-type basis vectors and rho_c against the simple roots, and rho
-    # against xi, all over one common denominator den
-    xis, scale = int_root_coords(g, case.g_fund_weights)
-    pairs = [[inner(b, a) for a in g.simple_roots] for b in case.ktype_basis]
-    pairs.append([inner(case.rho_c, a) for a in g.simple_roots])
-    rho_xi = [inner(case.rho, xi) for xi in case.g_fund_weights]
-    den = lcm(*(x.denominator for x in chain(rho_xi, *pairs)))
-    pairs = [[int(x * den) for x in row] for row in pairs]
-    rho_xi = [int(x * den) for x in rho_xi]
-    raw = set()
-    for word, m in zip(case.w1, case.w1_matrices):
-        # column i: scale times the coordinates of w(xi_i); each row comes
-        # out as den * scale times its coefficients and bound
-        for image, r_xi in zip((m @ xis).T.tolist(), rho_xi):
-            *coeffs, rho_c_pair = (
-                sum(p * x for p, x in zip(row, image)) for row in pairs
-            )
-            if not case.k_has_center and any(c < 0 for c in coeffs):
-                raise ConstructionError(
-                    f"{case.id.label}: negative coefficient for word {word}"
-                )
-            raw.add(_primitive_row(coeffs, 2 * (r_xi * scale - rho_c_pair)))
+    # xis: the xi on simple-root coordinates times a scale, as columns;
+    # pairs: the k-type basis, rho_c and rho paired with the simple roots
+    # times an integer den; each row comes out as den * scale times itself
+    xis = int_rows(g.weight_coords)[0].T
+    vectors = int_rows(case.ktype_basis + (case.rho_c, case.rho))[0]
+    pairs = int_product(vectors, g.scaled_simples.T)
+    rho_xi = int_product(pairs[-1], xis, 4)
+    images = int_product(np.array(case.w1_matrices), xis)
+    table = int_product(pairs[:-1], images, 4)  # (words, basis + rho_c, xi)
+    coeffs = table[:, :-1].transpose(0, 2, 1)
+    negative = (coeffs < 0).any(axis=(1, 2)) & (not case.k_has_center)
+    if negative.any():
+        word = case.w1[int(negative.argmax())]
+        raise ConstructionError(f"{case.id.label}: negative coefficient for word {word}")
+    rows = np.concatenate([coeffs, 2 * (rho_xi - table[:, -1])[:, :, None]], axis=2)
+    raw = {_primitive_row(row[:-1], row[-1])
+           for row in set(map(tuple, rows.reshape(-1, rows.shape[2]).tolist()))}
     if case.k_has_center:
         return InequalitySystem(tuple(sorted(raw)))
     return InequalitySystem(_prune_dominated(raw))

@@ -19,7 +19,7 @@ from math import lcm
 import numpy as np
 
 from .errors import ConstructionError, UsageError
-from .rootdata import RootSystem, Vector, inner, reflect
+from .rootdata import RootSystem, Vector, inner, int_rows, reflect
 
 WeylWord = tuple[int, ...]
 
@@ -73,19 +73,6 @@ def to_dominant(
     return v, tuple(reversed(applied))
 
 
-def _reflection_matrices(system: RootSystem) -> list[np.ndarray]:
-    """Matrix of each simple reflection in the simple-root basis (integer):
-    s_i sends alpha_j to alpha_j - cartan[j][i] alpha_i, so it is the
-    identity less column i of the Cartan matrix in row i."""
-    cartan = np.array(system.cartan, dtype=np.int64)
-    mats = []
-    for i in range(system.rank):
-        m = np.eye(system.rank, dtype=np.int64)
-        m[i] -= cartan[:, i]
-        mats.append(m)
-    return mats
-
-
 def int_root_coords(system: RootSystem, vectors) -> tuple[np.ndarray, int]:
     """Simple-root coordinates of the vectors as the columns of one integer
     matrix, times their least common denominator; returns (matrix, scale)."""
@@ -107,9 +94,13 @@ def minimal_coset_reps(
     Membership test: w^{-1}(gamma) is a positive g-root for every k-simple
     gamma. Search is breadth-first over words by length, expanding members
     on the right by simple reflections (the member set is closed under
-    taking prefixes of reduced words), deduplicating by the image of a
-    strictly dominant regular vector. Words come out in length-then-lex
-    order with the identity first.
+    taking prefixes of reduced words), deduplicating by w^{-1} of the sum
+    of the fundamental weights, a strictly dominant regular vector. A
+    frontier carries those w^{-1} images and the gammas' in integer
+    simple-root coordinates, where (w s_i)^{-1} = s_i w^{-1} lowers
+    coordinate i by the pairing with the i-th simple coroot (column i of
+    the Cartan matrix). Only members get a matrix, their parent's times
+    s_i. Words come out in length-then-lex order with the identity first.
     """
     for gamma in k_system.simple_roots:
         if not g_system.is_positive_root(gamma):
@@ -117,33 +108,32 @@ def minimal_coset_reps(
                 f"k-simple {gamma} is not a positive root of the ambient system"
             )
     rank = g_system.rank
-    refl = _reflection_matrices(g_system)
+    cartan = np.array(g_system.cartan, dtype=np.int64)
     gammas, _ = int_root_coords(g_system, k_system.simple_roots)
-    seed, _ = int_root_coords(g_system, [g_system.dominance_vector()])
-    fingerprint_seed = seed[:, 0]
-
-    def member(m_inv: np.ndarray) -> bool:
-        return not (m_inv @ gammas < 0).any()
-
-    ident = np.eye(rank, dtype=np.int64)
+    seed = int_rows(g_system.weight_coords)[0].sum(axis=0)[:, None]
+    letters = np.arange(rank)
     words: list[WeylWord] = [()]
-    matrices = [ident]
-    seen = {tuple(fingerprint_seed)}
-    frontier: list[tuple[WeylWord, np.ndarray, np.ndarray]] = [((), ident, ident)]
-    while frontier:
-        nxt = []
-        for word, mat, mat_inv in frontier:
-            for i in range(rank):
-                new_mat = mat @ refl[i]
-                fp = tuple(new_mat @ fingerprint_seed)
-                if fp in seen:
-                    continue
-                seen.add(fp)
-                new_inv = refl[i] @ mat_inv
-                if member(new_inv):
-                    new_word = word + (i,)
-                    words.append(new_word)
-                    matrices.append(new_mat)
-                    nxt.append((new_word, new_mat, new_inv))
-        frontier = nxt
-    return words, matrices
+    seen = {tuple(seed[:, 0].tolist())}
+    # (members, rank, 1 + k-rank): the w^{-1} images of the seed and gammas
+    images = np.concatenate([seed, gammas], axis=1)[None]
+    mats = np.eye(rank, dtype=np.int64)[None]
+    levels, front = [mats], [()]
+    while len(front):
+        # cand[f, i]: s_i applied to member f's images
+        cand = np.repeat(images[:, None], rank, axis=1)
+        cand[:, letters, letters] -= np.einsum("fjc,ji->fic", images, cartan)
+        cand = cand.reshape(-1, rank, images.shape[2])
+        member = (cand[:, :, 1:] >= 0).all(axis=(1, 2)).tolist()
+        kept = []
+        for idx, fingerprint in enumerate(map(tuple, cand[:, :, 0].tolist())):
+            if member[idx] and fingerprint not in seen:
+                seen.add(fingerprint)
+                kept.append(idx)
+        parent, letter = np.divmod(np.array(kept, dtype=np.int64), rank)
+        # m s_i = m less column i of m times column i of the Cartan matrix
+        mats = mats[parent] - mats[parent, :, letter][:, :, None] * cartan.T[letter][:, None, :]
+        front = [front[f] + (i,) for f, i in zip(parent.tolist(), letter.tolist())]
+        words += front
+        levels.append(mats)
+        images = cand[kept]
+    return words, list(np.concatenate(levels))

@@ -1,9 +1,12 @@
 """Exact helpers that only the tests use: longest elements, word lengths,
 whole orbits and word matrices, on top of the package's single-vector
 reflections; a rational linear solver; the split of a step into its
-conjugation and linear terms; and the margin lower bounds of the screen."""
+conjugation and linear terms; the margin lower bounds of the screen; and
+the Fraction derivations of the case data that the package now derives
+by integer products."""
 
 from fractions import Fraction as Q
+from math import lcm
 
 import numpy as np
 
@@ -13,20 +16,32 @@ from liecheck.pencil import pencil_member
 from liecheck.rootdata import (
     RootSystem,
     Vector,
+    combine,
     coroot_pairing,
     inner,
     norm_sq,
     reflect,
+    root_closure,
+    vadd,
     vneg,
     vsub,
 )
+from liecheck.usmall import _primitive_row, _prune_dominated
 from liecheck.weyl import WeylWord, apply_word, to_dominant
+
+
+def dominance_vector(system: RootSystem) -> Vector:
+    """Sum of fundamental weights: strictly dominant, regular for W."""
+    total = system.fundamental_weights[0]
+    for w in system.fundamental_weights[1:]:
+        total = vadd(total, w)
+    return total
 
 
 def longest_element(system: RootSystem) -> WeylWord:
     """Reduced word for the longest element (sends the dominant chamber to
     its negative)."""
-    anti = vneg(system.dominance_vector())
+    anti = vneg(dominance_vector(system))
     _, word = to_dominant(anti, system)
     return word
 
@@ -200,3 +215,151 @@ def margin_lower_bounds_two_floor(tables, coords):
         tables, coords,
         lambda m, lin: lin + tables.variant_nrm_s + np.maximum(_pair(tables, m), 0),
     )
+
+
+# -- the Fraction derivations of the case data --------------------------------
+#
+# rootdata, weyl.minimal_coset_reps, cases.build_case, usmall._build_system
+# and fastscan.build_tables derive a case's data by integer products; these
+# are Fraction derivations of the same data, one inner product or
+# reflection at a time, for the tests to hold them to.
+
+
+def fraction_system(system: RootSystem) -> dict:
+    """The derived fields of a root system from its simple roots alone:
+    the Cartan matrix from coroot pairings, the simple-root coordinates of
+    each fundamental weight by a linear solve, the weights by combine, and
+    (for a reduced system) the positive roots as Fraction sums along the
+    closure, sorted as Fraction vectors, with their coordinates."""
+    simples = system.simple_roots
+    n = len(simples)
+    gram = [[inner(a, b) for b in simples] for a in simples]
+    coords = tuple(
+        tuple(solve_linear(gram, [gram[i][i] / 2 * (i == j) for j in range(n)]))
+        for i in range(n)
+    )
+    cartan = tuple(tuple(int(coroot_pairing(a, b)) for b in simples) for a in simples)
+    out = {
+        "cartan": cartan,
+        "weight_coords": coords,
+        "fundamental_weights": tuple(combine(simples, c) for c in coords),
+    }
+    if system.reduced:
+        ambient = {}
+        for root, parent, i in root_closure(cartan):
+            ambient[root] = simples[i] if parent is None else vadd(ambient[parent], simples[i])
+        positives, table = zip(*sorted((v, r) for r, v in ambient.items()))
+        out.update(positive_roots=positives, root_table=table)
+    return out
+
+
+def fraction_coset_reps(g: RootSystem, k: RootSystem):
+    """(words, matrices) of the minimal coset representatives by a
+    breadth-first search over Fraction vectors: member w s_i when
+    s_i w^{-1}(gamma) is a positive root of g for every k-simple gamma,
+    first found by word length, then frontier order, then letter; an
+    element w is known by w^{-1} of the dominance vector."""
+    seed = dominance_vector(g)
+    seen = {seed}
+    words = [()]
+    frontier = [((), seed, k.simple_roots)]
+    while frontier:
+        nxt = []
+        for word, fingerprint, images in frontier:
+            for i, alpha in enumerate(g.simple_roots):
+                new = reflect(fingerprint, alpha)
+                if new in seen:
+                    continue
+                seen.add(new)
+                moved = tuple(reflect(v, alpha) for v in images)
+                if all(g.is_positive_root(v) for v in moved):
+                    words.append(word + (i,))
+                    nxt.append((word + (i,), new, moved))
+        frontier = nxt
+    return words, word_matrices(words, g)
+
+
+def fraction_variants(case) -> tuple[Vector, ...]:
+    """w(rho) - rho_c for every coset representative w, word by word."""
+    g = case.g_restricted
+    return tuple(vsub(apply_word(w, case.rho, g), case.rho_c) for w in case.w1)
+
+
+def fraction_usmall_rows(case):
+    """The rows of usmall_system from Fraction inner products with each
+    w(xi), w applied word by word, cleared of denominators."""
+    g = case.g_restricted
+    raw = set()
+    for word in case.w1:
+        for xi in g.fundamental_weights:
+            image = apply_word(word, xi, g)
+            row = [inner(b, image) for b in case.ktype_basis]
+            row.append(2 * (inner(case.rho, xi) - inner(case.rho_c, image)))
+            den = lcm(*(x.denominator for x in row))
+            row = [int(x * den) for x in row]
+            raw.add(_primitive_row(row[:-1], row[-1]))
+    if case.k_has_center:
+        return tuple(sorted(raw))
+    return _prune_dominated(raw)
+
+
+def fraction_tables(case) -> dict:
+    """Every field of fastscan.build_tables but the workspace, from
+    Fraction coroot pairings and inner products over their least common
+    denominator."""
+    k = case.k_system
+    basis, deltas, variants = case.ktype_basis, k.simple_roots, case.rho_n_variants
+    rho_c, beta = case.rho_c, case.beta
+
+    def ints(values, scale=1):
+        out = np.array(values, dtype=object) * scale
+        assert all(x.denominator == 1 for x in out.flat)
+        return out.astype(np.int64)
+
+    pairing = ints([[coroot_pairing(b, d) for b in basis] for d in deltas])
+    shift = ints([[coroot_pairing(v, d) for d in deltas] for v in variants])
+    roots = np.array(k.root_table, dtype=np.int64).T
+    half_sq = [norm_sq(d) / 2 for d in deltas]
+    gram = [[inner(a, b) for b in basis] for a in basis]
+    variant = [[inner(b, v) for b in basis] for v in variants]
+    variant_nrm = [norm_sq(v) for v in variants]
+    rho_c_lin = [inner(b, rho_c) for b in basis]
+    rho_c_var = [inner(v, rho_c) for v in variants]
+    cheap_coef = [2 * inner(b, beta) for b in basis]
+    consts = [
+        norm_sq(rho_c),
+        2 * inner(rho_c, beta) + 2 * max(inner(v, beta) for v in variants) + norm_sq(beta),
+    ]
+    flat = [x for row in gram + variant for x in row]
+    rationals = flat + variant_nrm + half_sq + rho_c_lin + rho_c_var + cheap_coef + consts
+    scale = lcm(*(Q(x).denominator for x in rationals))
+    root_half_s = ints(half_sq, scale)[:, None] * roots
+    variant_s = ints(variant, scale)
+    variant_nrm_s = ints(variant_nrm, scale)
+    rho_c_var_s = ints(rho_c_var, scale)
+    root_var_s = shift @ root_half_s
+    gram_s = ints(gram, scale)
+    beta_coords = ints(list(case.beta_ktype))
+    return {
+        "scale": scale,
+        "pairing": pairing,
+        "shift": shift,
+        "root_s": pairing.T @ root_half_s,
+        "root_var_s": root_var_s,
+        "gram_s": gram_s,
+        "variant_s": variant_s,
+        "variant_nrm_s": variant_nrm_s,
+        "rho_c_nrm_s": int(consts[0] * scale),
+        "rho_c_lin_s": ints(rho_c_lin, scale),
+        "rho_c_var_s": rho_c_var_s,
+        "beta_coords": beta_coords,
+        "cheap_coef_s": ints(cheap_coef, scale),
+        "cheap_const_s": int(consts[1] * scale),
+        "step_s": 2 * (variant_s @ beta_coords),
+        "table_s": np.vstack(
+            [-2 * variant_s.T, variant_nrm_s - 2 * rho_c_var_s]
+        ).astype(np.float64),
+        "rho_c_var2_s": 2 * rho_c_var_s,
+        "root_var_f": root_var_s.astype(np.float64),
+        "beta_nrm_s": int(beta_coords @ gram_s @ beta_coords),
+    }

@@ -1,10 +1,14 @@
 """Case registry: construction, validation, coordinate conversions."""
 
+from fractions import Fraction as Q
+
+import numpy as np
 import pytest
 
 from liecheck.cases import (
     ALL_FAMILIES,
     CLASSICAL_FAMILIES,
+    FIXED_FAMILIES,
     CaseId,
     ambient_to_ktype,
     get_case,
@@ -14,9 +18,18 @@ from liecheck.cases import (
     validate_case,
 )
 from liecheck.errors import UnknownCaseError, UsageError
+from liecheck.fastscan import build_tables
 from liecheck.rootdata import coroot_pairing, half_sum, norm_sq, vadd
+from liecheck.usmall import usmall_system
 
 from conftest import sample_case
+from oracle import (
+    fraction_coset_reps,
+    fraction_system,
+    fraction_tables,
+    fraction_usmall_rows,
+    fraction_variants,
+)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -57,6 +70,52 @@ def test_case_id_labels():
 def test_get_case_caches():
     assert get_case("G") is get_case("G")
     assert get_case("SLnH", 3) is get_case("SLnH", 3)
+
+
+@pytest.mark.parametrize(
+    "families", [("EVIII", "EIX"), ("EV", "EVI"), ("FI", "FII", "EIV")]
+)
+def test_cases_on_one_g_share_its_root_system(families):
+    first, *rest = (get_case(f).g_restricted for f in families)
+    assert all(g is first for g in rest)
+
+
+ORACLE_IDS = [(f, None) for f in FIXED_FAMILIES] + [
+    (f, n) for f in CLASSICAL_FAMILIES for n in range(2, 7)
+]
+
+
+@pytest.mark.parametrize("family, n", ORACLE_IDS)
+def test_integer_derivations_match_the_fraction_oracle(family, n):
+    case = get_case(family, n)
+    g, k = case.g_restricted, case.k_system
+    for system in (g, k):
+        for name, value in fraction_system(system).items():
+            assert getattr(system, name) == value, name
+    words, matrices = fraction_coset_reps(g, k)
+    assert case.w1 == tuple(words)
+    assert len(case.w1_matrices) == len(matrices)
+    for m, expected in zip(case.w1_matrices, matrices):
+        assert m.dtype == expected.dtype and np.array_equal(m, expected)
+    assert case.rho_n_variants == fraction_variants(case)
+    assert usmall_system(case).rows == fraction_usmall_rows(case)
+    tables = build_tables(case)
+    for name, expected in fraction_tables(case).items():
+        value = getattr(tables, name)
+        assert type(value) is type(expected), name
+        if isinstance(expected, np.ndarray):
+            assert value.dtype == expected.dtype, name
+            assert np.array_equal(value, expected), name
+        else:
+            assert value == expected, name
+
+
+def test_sp4r_ambient_to_ktype_refuses_a_non_integral_weight():
+    case = get_case("SP4R")
+    assert ambient_to_ktype(case, (Q(3), Q(-1))) == (3, -1)
+    for v in [(Q(3, 2), Q(3, 2)), (Q(2), Q(1, 3))]:
+        with pytest.raises(UsageError, match="not a k-integral weight"):
+            ambient_to_ktype(case, v)
 
 
 def test_list_cases_covers_registry():

@@ -103,6 +103,12 @@ def test_spin_norm_sp4r_fraction(capsys):
     assert out == "5"  # norm of rho=(2,1)
 
 
+@pytest.mark.parametrize("mu", [["--mu", "-1,-3"], ["--mu=-1,-3"]])
+def test_spin_norm_sp4r_negative_first_coordinate(mu, capsys):
+    assert main(["spin-norm", "SP4R", *mu]) == 0
+    assert capsys.readouterr().out.strip() == "5"
+
+
 def test_case_show_runs(capsys):
     assert main(["case", "show", "FI"]) == 0
     out = capsys.readouterr().out

@@ -6,10 +6,11 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecheck import rootdata
+from liecheck import rootdata, usmall
 from liecheck.cases import (
     ALL_FAMILIES,
     CLASSICAL_FAMILIES,
+    FIXED_FAMILIES,
     _e8_simples,
     _f4_short_first_simples,
     get_case,
@@ -176,6 +177,13 @@ def _calls(function, run):
 def test_from_simples_eliminates_once():
     simples = _e8_simples()
     assert _calls(rootdata._gauss_jordan, lambda: RootSystem.from_simples(simples)) == 1
+
+
+@pytest.mark.parametrize("family", FIXED_FAMILIES)
+def test_tables_and_usmall_rows_take_no_fraction_inner_product(family):
+    case = get_case(family)
+    assert _calls(rootdata._dot, lambda: build_tables.__wrapped__(case)) == 0
+    assert _calls(rootdata._dot, lambda: usmall._build_system(case)) == 0
 
 
 @pytest.mark.parametrize("family", ["G", "EVIII", "SP4R"])
