@@ -83,48 +83,87 @@ mu - rho_n^j: dom x - x is a sum of positive roots of k, each with
 -2 <mu, rho_n^j>, c_j = |rho_n^j|^2 - 2 <rho_n^j, rho_c> and r =
 2 <mu, rho_c>, the floor is lin_j + c_j + r and the value lin_j + c_j +
 2 <rho_n^j, rho_c> plus the root sum, each plus the row constant
-|mu|^2 + |rho_c|^2. So one float64 (rows x variants) table lin + c
-(_table) serves the kernel and both screens: a floor is a table entry
-plus r, a value a table entry plus 2 <rho_n^j, rho_c> plus the root sum.
-The kernel evaluates the lowest floor first and skips every variant
-whose floor is not below the value found; bulk_margins_scaled is the
-difference of two kernel calls, so the kernel builds the table of
-mu - beta with its own product. The screens take the entries of mu - beta
-as those of mu plus step_j = 2 <beta, rho_n^j>, as lin_j moves by step_j
-from mu to mu - beta. Every table entry and floor is an integer below
-2^53 (magnitude_bound), so the float64 table is exact. The kernel asks
-whether a floor is below a value as whether the table entry is below the
-int64 value less r, and that comparison is exact too: a difference
-below 2^53 in absolute value converts exactly, and one beyond to a float
-beyond 2^53 of the same sign (rounding is monotone), beyond every entry.
-The root sum is taken in float64 and only its (rows,) result is cast to
-int64: magnitude_bound's root_entry and root_sum terms, which bound each
-addend and each partial sum, lie inside its floats bound, so every one
-is a nonnegative integer below 2^53.
+|mu|^2 + |rho_c|^2. So the kernel's float64 (rows x variants) table
+lin + c (_table) gives a floor as an entry plus r, and a value as an
+entry plus 2 <rho_n^j, rho_c> plus the root sum. The kernel evaluates
+the lowest floor first and skips every variant whose floor is not below
+the value found; bulk_margins_scaled is the difference of two kernel
+calls, so the kernel builds the table of mu - beta with its own product.
+Every table entry and floor is an integer below 2^53 (magnitude_bound),
+so the float64 table is exact. The kernel asks whether a floor is below
+a value as whether the table entry is below the int64 value less r, and
+that comparison is exact too: a difference below 2^53 in absolute value
+converts exactly, and one beyond to a float beyond 2^53 of the same sign
+(rounding is monotone), beyond every entry. The root sum is taken in
+float64 and only its (rows,) result is cast to int64: magnitude_bound's
+root_entry and root_sum terms, which bound each addend and each partial
+sum, lie inside its floats bound, so every one is a nonnegative integer
+below 2^53.
 
-Every chunk writes its float64 tables into one workspace per case
-(_Workspace, made by build_tables): the (rows x variants) table, the
-(rows x roots) root table, and the two gathers and the absolute
-differences of the root sum, each at most _CHUNK_ROWS rows. Allocated
-per chunk, the tables were 553 and 229 kB on EVIII and 492 and 262 kB
-on EIX, above glibc's mmap threshold, so each chunk mapped fresh pages
-and faulted them in: a warm verify of the last EVIII slice took 2,290
-minor page faults and the last EIX slice 6,456-6,483. With the
-workspace they take 0 and 6 (2-core machine, Python 3.11.7, NumPy
-2.4.6).
+The lowest floor has a closed form. Let Delta+(p) be the noncompact
+positive roots (case.p_positive), so that 2 rho_n = sum of Delta+(p)
+and rho_n^j = w_j rho - rho_c for w_j in W^1, the w with w^-1 Delta+(k)
+in Delta+(g). For mu k-dominant,
+  min_j (lin_j + c_j) = |rho|^2 - |rho_c|^2
+                        - sum over gamma in Delta+(p) of |<mu + 2 rho_c, gamma>|.
+  1. |rho_n^j + rho_c| = |w_j rho| = |rho| (validate_case checks it), so
+     c_j = |rho|^2 - |rho_c|^2 - 4 <rho_n^j, rho_c>, and lin_j + c_j =
+     |rho|^2 - |rho_c|^2 - <mu + 2 rho_c, 2 rho_n^j>.
+  2. w_j in W^1 keeps Delta+(k) positive: Delta+(k) lies in w_j Delta+(g).
+     The roots of k and of p, counted with multiplicity, are W(g)-stable,
+     so 2 w_j rho, the sum of their members in w_j Delta+(g), is 2 rho_c
+     plus one of +gamma, -gamma for each gamma in Delta+(p): 2 rho_n^j =
+     sum of +-gamma, and <mu + 2 rho_c, 2 rho_n^j> is at most the sum of
+     the |<mu + 2 rho_c, gamma>|.
+  3. The chamber of v = mu + 2 rho_c attains it: take w in W(g) with
+     w^-1 v dominant. v is strictly k-dominant, so w^-1 sends Delta+(k)
+     into Delta+(g) and w is some w_j; every root in w Delta+(g) pairs
+     with v to at least 0, so each sign in step 2 is that of the pairing.
+The screens take F from this form, so they need no (rows x variants)
+table. For semisimple k their rows lie in the orthant mu >= 0 (k-type
+coordinates on the fundamental weights of k, base >= beta >= 0), where
+the pairing sum_i mu_i <omega_i, gamma> + <2 rho_c, gamma> keeps one sign
+exactly when its coefficients share it. The absolute value of such a
+sign-fixed root is linear on the orthant and joins the bound's linear
+column (bound_lin_s, bound_const_s); the others keep theirs
+(floor_roots_s): 29 of 64 roots on EVIII, 35 of 56 on EIX, 15 of 20 on
+EII, 0 or 1 on the classical series. For k with center (SP4R) the rows
+fill no orthant, and every root keeps its absolute value.
+
+Every chunk writes its float64 tables into one workspace per process
+(_Workspace), each role's buffer grown to a full chunk of the widest
+table asked for: the kernel's (rows x variants) table, its (rows x
+roots) root table and the two gathers of its root sum, and the screens'
+vertex rows, corner table, floor and root tables, each at most
+_CHUNK_ROWS rows. Allocated per chunk, the kernel's and screens' tables
+were 553 and 229 kB on EVIII and 492 and 262 kB on EIX, above glibc's
+mmap threshold, so each chunk mapped fresh pages and faulted them in: a
+warm verify of the last EVIII slice took 2,290 minor page faults and the
+last EIX slice 6,456-6,483. In a workspace they take 0 and 6 (2-core
+machine, Python 3.11.7, NumPy 2.4.6). A workspace per case kept one set
+of buffers per case scanned: verify on the ten published boxes in one
+process peaked at 40.9 MB RSS with one per case, 37.5 MB with one per
+process.
 
 The screens rest on one concave bound. Fix a variant j' of mu - beta.
   1. F(mu) = min_j (lin_j + c_j) + r + |mu|^2 + |rho_c|^2, the lowest
      floor, is at most spin(mu)^2; less |mu|^2 it is a minimum of affine
-     functions of mu, so concave.
+     functions of mu, so concave, and on the rows of the screens it is
+     the closed form above, a constant plus a linear function less a sum
+     of absolute values of affine functions, concave on all of R^n.
   2. The value V(mu) of mu - beta at j' is at least spin(mu - beta)^2;
      less |mu - beta|^2 it is an affine function plus the root sum, a sum
      of absolute values of affine functions, so convex.
   3. So F - V <= margin, and F - V is concave, as the |mu|^2 -
      |mu - beta|^2 = 2 <mu, beta> - |beta|^2 that the two leave is linear.
+Less the absolute values, F - V is one linear column over all j', with
+the sign-fixed roots and that linear remainder folded in, less the value
+of mu - beta at j' without its root sum (_concave_bounds).
 margin_lower_bounds is F - V at each row, j' the row argmin of lin + c +
-step, the lowest-floor variant of mu - beta; magnitude_bound covers
-every integer and float64 value it computes, as for any row of the box.
+step_j (down_table_s, step_j = 2 <beta, rho_n^j>, as lin_j moves by
+step_j from mu to mu - beta), the lowest-floor variant of mu - beta;
+magnitude_bound covers every integer and float64 value it computes, as
+for any row of the box.
 
 The simplex screen drops whole subtrees of the walk. Take a frontier row
 that fixes the first l walked coordinates (the prefix) and leaves k >= 1
@@ -135,10 +174,12 @@ of the free coordinates, all > 0 (else no simplex is screened).
   2. Such a y lies in the lattice simplex with the k + 1 vertices 0 and
      t_i e_i, t_i = ceil(s / c_i): sum_i y_i / t_i <= sum_i y_i c_i / s
      <= 1 (for s = 0, y = 0, and every vertex is the corner (prefix, 0)).
-  3. F - V with j' fixed is concave on all of R^n, not only on the
-     dominant cone: F less |mu|^2 is a minimum of affine functions of
-     real mu, and V less |mu - beta|^2 an affine function plus a sum of
-     absolute values of affine functions.
+  3. The screen's F - V with j' fixed, the closed form with the
+     sign-fixed roots taken as linear, is concave on all of R^n: F less
+     |mu|^2 is then a linear function less a sum of absolute values of
+     affine functions, and V less |mu - beta|^2 an affine function plus
+     such a sum. It is the true F - V on the orthant mu >= 0, which holds
+     the simplex, as it holds every vertex (coordinates >= base >= 0).
   4. So on the simplex F - V is least at a vertex, and its least vertex
      value bounds the margin at every point under the row.
 simplex_lower_bounds takes that least value, with j' the lowest-floor
@@ -190,37 +231,40 @@ from .usmall import _children, _walk, usmall_system
 # by 7% over a per-variant kernel and 512 rows by 2%, at the same speed. It
 # also keeps each float64 product on one OpenBLAS thread (_product), and it
 # sizes the workspace (_Workspace) that every chunk writes its float64
-# tables into, 1.24 MB on EVIII: made per chunk, those tables cost a warm
-# verify of the last EIX slice about 6,500 minor page faults, and 6 in the
-# workspace (module docstring).
+# tables into: made per chunk, those tables cost a warm verify of the last
+# EIX slice about 6,500 minor page faults, and 6 in the workspace (module
+# docstring).
 _CHUNK_ROWS = 512
 _INT64_MAX = 2**63 - 1
 
 
 class _Workspace:
-    """The float64 tables of one chunk, made once per case and reused by
-    every chunk (module docstring): the (rows x variants) table (_table),
-    the (rows x roots) root table, and two (rows x roots) tables for the
-    root sum, the rows and the variants it gathers (_value). Every chunk
-    has at most _CHUNK_ROWS rows or pairs, so each chunk writes into the
-    leading rows; no array that a public function returns is a view of
-    these. Being shared scratch, it admits one scan of a case at a time:
-    the package starts no threads."""
+    """The float64 scratch tables that every chunk of every scan in the
+    process writes into (module docstring): one flat buffer per role,
+    grown to a full chunk of the widest table asked for, so a chunk
+    writes into the leading rows of a reused buffer. No array that a
+    public function returns is a view of these. Being shared scratch, it
+    admits one scan at a time: the package starts no threads."""
 
-    def __init__(self, variants: int, roots: int):
-        self.table = np.empty((_CHUNK_ROWS, variants))
-        self.roots = np.empty((_CHUNK_ROWS, roots))
-        self.picked = np.empty((_CHUNK_ROWS, roots))
-        self.terms = np.empty((_CHUNK_ROWS, roots))
+    def __init__(self):
+        self.buffers = {}
 
-    def __repr__(self):  # its shape; the contents are scratch
-        return f"_Workspace({self.table.shape[1]}, {self.roots.shape[1]})"
+    def __call__(self, role: str, rows: int, width: int) -> np.ndarray:
+        """A C-ordered (rows, width) view of the role's buffer, rows at
+        most _CHUNK_ROWS."""
+        size = rows * width
+        buf = self.buffers.get(role)
+        if buf is None or len(buf) < size:
+            buf = self.buffers[role] = np.empty(_CHUNK_ROWS * width)
+        return buf[:size].reshape(rows, width)
+
+
+_WORKSPACE = _Workspace()
 
 
 @dataclass(frozen=True)
 class ScanTables:
-    """Per-case integer data for bulk squared-spin-norm evaluation, and the
-    workspace of its chunks."""
+    """Per-case integer data for bulk squared-spin-norm evaluation."""
 
     scale: int
     pairing: np.ndarray  # (lk, l): coroot pairings of the coordinate basis
@@ -237,13 +281,22 @@ class ScanTables:
     cheap_coef_s: np.ndarray  # (l,): 2 * scale * <basis_k, beta>, nonneg
     cheap_const_s: int  # scale * (2<rho_c,beta> + 2 max_j<rho_n_j,beta> + |beta|^2)
     # the floor table's constants (module docstring)
-    step_s: np.ndarray  # (s,): 2 * scale * <beta, rho_n variant>
     table_s: np.ndarray  # (l + 1, s): -2 variant_s.T over c_j, float64
-    # the per-call constants of _value and _down_value
+    down_table_s: np.ndarray  # (l + 1, s): table_s with c_j + step_j, float64
+    # the screen's concave bound (module docstring): the noncompact positive
+    # roots gamma whose pairing with mu + 2 rho_c can change sign on the scan
+    # domain, the bound's linear column (with the sign-fixed roots) and its
+    # constant; the three as one float64 table, and the root table of
+    # mu - beta, each over a constant row
+    floor_roots_s: np.ndarray  # (l + 1, c): scale * <basis_k, gamma> over <2 rho_c, gamma>
+    bound_lin_s: np.ndarray  # (l,)
+    bound_const_s: int
+    screen_s: np.ndarray  # (l + 1, 1 + c): bound_lin_s, floor_roots_s, float64
+    root_down_s: np.ndarray  # (l + 1, |Delta+(k)|): root_s over -beta @ root_s, float64
+    # the per-call constants of _value
     rho_c_var2_s: np.ndarray  # (s,): 2 * rho_c_var_s
     root_var_f: np.ndarray  # root_var_s as float64
     beta_nrm_s: int  # scale * |beta|^2
-    workspace: _Workspace
 
 
 def _exact(num: np.ndarray, den, what: str) -> np.ndarray:
@@ -258,17 +311,20 @@ def _exact(num: np.ndarray, den, what: str) -> np.ndarray:
 def build_tables(case: CaseData) -> ScanTables:
     """The scan tables of a case, every inner product read from one integer
     Gram matrix G = X X^T, X the k-type basis, the rho_n variants, the
-    k-simple roots, rho_c and beta times their common denominator D. Each
-    rational table entry is then an integer over E = 2 D^2 (half_sq is
-    G / E, every other entry 2 G / E or 4 G / E), so scale, the least
-    common denominator of the entries, is E / gcd(E, every numerator).
-    The coroot pairings 2 G[v, delta] / G[delta, delta] must be integers."""
+    k-simple roots, the noncompact positive roots, rho_c and beta times
+    their common denominator D. Each rational table entry is then an
+    integer over E = 2 D^2 (half_sq is G / E, every other entry 2 G / E or
+    4 G / E), so scale, the least common denominator of the entries, is
+    E / gcd(E, every numerator). The coroot pairings 2 G[v, delta] /
+    G[delta, delta] must be integers, and so must the noncompact root
+    pairings of the screen at that scale."""
     k = case.k_system
-    l, s = len(case.ktype_basis), len(case.rho_n_variants)
+    l, s, r = len(case.ktype_basis), len(case.rho_n_variants), len(k.simple_roots)
     x, den = int_rows(case.ktype_basis + case.rho_n_variants + k.simple_roots
-                      + (case.rho_c, case.beta))
+                      + tuple(sorted(case.p_positive)) + (case.rho_c, case.beta))
     gram = int_product(x, x.T, 16)  # room for the cheap constant's 10 G
-    b, v, d, c, e = slice(0, l), slice(l, l + s), slice(l + s, -2), -2, -1
+    b, v, d = slice(0, l), slice(l, l + s), slice(l + s, l + s + r)
+    n, c, e = slice(l + s + r, -2), -2, -1
     d_sq = gram.diagonal()[d]
     pairing = _exact(2 * gram[d, b], d_sq[:, None], "coordinate pairing")
     shift = _exact(2 * gram[v, d], d_sq, "variant pairing")
@@ -293,12 +349,29 @@ def build_tables(case: CaseData) -> ScanTables:
     # positive root alpha = sum_i n_i delta_i, so both root tables are the
     # integer pairing tables times half_sq times integer root coordinates
     root_half_s = half_sq_s[:, None] * np.array(k.root_table, dtype=np.int64).T
+    root_s = pairing.T @ root_half_s
     root_var_s = shift @ root_half_s
+    step_s = 2 * (variant_s @ beta_coords)
+    beta_nrm_s = int(beta_coords @ gram_s @ beta_coords)
+    # per noncompact positive root gamma, scale * <basis_k, gamma> over
+    # scale * <2 rho_c, gamma>; for semisimple k the scan domain is the
+    # orthant mu >= 0, where the pairing of mu + 2 rho_c with gamma keeps
+    # one sign exactly when the whole column does (module docstring)
+    roots_s = _exact(np.vstack([2 * gram[b, n], 4 * gram[c, n]]), common,
+                     "noncompact root pairing")
+    sign = np.zeros(roots_s.shape[1], dtype=np.int64)
+    if not case.k_has_center:
+        sign = np.where((roots_s >= 0).all(axis=0), 1, np.where((roots_s <= 0).all(axis=0), -1, 0))
+    fixed = roots_s @ sign
+    floor_roots_s = roots_s[:, sign == 0]
+    bound_lin_s = 2 * rho_c_lin_s + cheap_coef_s - fixed[:-1]
+    # scale * (|rho|^2 - |rho_c|^2), read at the variant rho_n
+    bound_const_s = int(variant_nrm_s[0] + 2 * rho_c_var_s[0] - beta_nrm_s - fixed[-1])
     return ScanTables(
         scale=2 * den * den // common,
         pairing=pairing,
         shift=shift,
-        root_s=pairing.T @ root_half_s,
+        root_s=root_s,
         root_var_s=root_var_s,
         gram_s=gram_s,
         variant_s=variant_s,
@@ -309,15 +382,23 @@ def build_tables(case: CaseData) -> ScanTables:
         beta_coords=beta_coords,
         cheap_coef_s=cheap_coef_s,
         cheap_const_s=int(consts_s[1]),
-        step_s=2 * (variant_s @ beta_coords),
-        # C-ordered (_product); the last row is c_j
+        # C-ordered (_product); the last row is c_j, or c_j + step_j
         table_s=np.vstack(
             [-2 * variant_s.T, variant_nrm_s - 2 * rho_c_var_s]
         ).astype(np.float64),
+        down_table_s=np.vstack(
+            [-2 * variant_s.T, variant_nrm_s - 2 * rho_c_var_s + step_s]
+        ).astype(np.float64),
+        floor_roots_s=floor_roots_s,
+        bound_lin_s=bound_lin_s,
+        bound_const_s=bound_const_s,
+        screen_s=np.hstack(
+            [np.append(bound_lin_s, bound_const_s)[:, None], floor_roots_s]
+        ).astype(np.float64),
+        root_down_s=np.vstack([root_s, -(beta_coords @ root_s)]).astype(np.float64),
         rho_c_var2_s=2 * rho_c_var_s,
         root_var_f=root_var_s.astype(np.float64),
-        beta_nrm_s=int(beta_coords @ gram_s @ beta_coords),
-        workspace=_Workspace(len(variant_s), root_var_s.shape[1]),
+        beta_nrm_s=beta_nrm_s,
     )
 
 
@@ -335,18 +416,23 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     values of its addends. The root sum of a variant is
     scale * 2 <dom x, rho_c> <= 2 sqrt(scale |x|^2 * scale |rho_c|^2), and
     its addends and partial sums are nonnegative and at most the whole.
-    The kernel and the screens take it in float64 (_value), which is exact
-    as root_entry, bounding each root-table entry less a variant's, and
-    root_sum both lie inside floats.
-    A floor is a table entry plus r (at most lin_part + rho_c_term). The
-    row screen, at rows of the box, adds a floor, one variant value
-    (lin_part plus a root sum) and m @ cheap_coef_s - |beta|^2 (|beta|^2
-    is at most the a^2 part of norm_x), so its partial sums stay below the
-    total.
+    The kernel and the screens take it in float64 (_value,
+    _concave_bounds), which is exact as root_entry, bounding each
+    root-table entry less a variant's, and root_sum both lie inside floats.
+    A floor is a table entry plus r (at most lin_part + rho_c_term), and
+    so is an entry of the screens' corner table (down_table_s).
 
-    The simplex screen computes the same at its vertices, which may lie
-    past the box edge; _Scanner._reach_fits calls this bound at their
-    reach once per pass (module docstring).
+    The screens take their whole bound in float64 (_concave_bounds): the
+    linear column (at most lin_col), less the absolute values of the floor
+    roots (each at most its addends, together at most floor_sum) and of
+    the root table of mu - beta less a variant's (root_sum), less a
+    variant value of mu - beta without its root sum (lin_part, and so are
+    the moves along each axis). Each sum and partial sum, and the bound,
+    is at most screen = lin_col + floor_sum + root_sum + lin_part in
+    absolute value, which lies inside floats; so the bound is an exact
+    integer, cast to int64 once. The simplex screen computes the same at
+    its vertices, which may lie past the box edge; _Scanner._reach_fits
+    calls this bound at their reach once per pass (module docstring).
     """
 
     def abs_sum(arr):
@@ -367,7 +453,12 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     root_entry = a * abs_max(tables.root_s.T) + int(np.abs(tables.root_var_s).max())
     cheap = coord_max * abs_sum(tables.cheap_coef_s) + abs(tables.cheap_const_s)
     total = 2 * norm_x + rho_c_term + root_sum + root_entry + tables.rho_c_nrm_s + cheap
-    floats = max(lin_part + rho_c_term, root_entry, root_sum)
+    # the screen's row: its linear column, the absolute sum of its floor
+    # roots, the root sum, and a variant value of mu - beta
+    lin_col = a * abs_sum(tables.bound_lin_s) + abs(tables.bound_const_s)
+    floor_sum = a * abs_sum(tables.floor_roots_s[:-1]) + abs_sum(tables.floor_roots_s[-1])
+    screen = lin_col + floor_sum + root_sum + lin_part
+    floats = max(lin_part + rho_c_term, root_entry, screen)
     return max(total, floats << 10)
 
 
@@ -457,13 +548,15 @@ def _value(tables: ScanTables, table: np.ndarray, root_pair: np.ndarray, rows,
     like each partial sum, a nonnegative integer at most its root_sum; both
     lie inside its floats bound, below 2^53, so every float64 step is
     exact in any summation order."""
-    work, n = tables.workspace, len(variants)
+    n, width = len(variants), root_pair.shape[1]
     at = table[np.arange(n) if rows is None else rows, variants].astype(np.int64)
     # mode "clip" writes straight into out, where "raise" buffers first;
     # every index is in range
-    terms = np.take(tables.root_var_f, variants, axis=0, out=work.terms[:n], mode="clip")
+    terms = np.take(tables.root_var_f, variants, axis=0, out=_WORKSPACE("terms", n, width),
+                    mode="clip")
     if rows is not None:
-        root_pair = np.take(root_pair, rows, axis=0, out=work.picked[:n], mode="clip")
+        root_pair = np.take(root_pair, rows, axis=0, out=_WORKSPACE("picked", n, width),
+                            mode="clip")
     np.subtract(root_pair, terms, out=terms)
     roots = np.abs(terms, out=terms).sum(axis=1).astype(np.int64)
     return at + tables.rho_c_var2_s[variants] + roots
@@ -475,9 +568,9 @@ def _best_first(tables: ScanTables, m: np.ndarray) -> np.ndarray:
     leave out the row constant scale * (|mu|^2 + |rho_c|^2). A floor is
     below a value exactly when the float64 table entry is below the int64
     value less r, and comparing the two is exact (module docstring)."""
-    work, n = tables.workspace, len(m)
-    table = _table(tables, m, work.table[:n])
-    root_pair = _product(m, tables.root_s, work.roots[:n])
+    n = len(m)
+    table = _table(tables, m, _WORKSPACE("table", n, tables.table_s.shape[1]))
+    root_pair = _product(m, tables.root_s, _WORKSPACE("roots", n, tables.root_s.shape[1]))
     first = table.argmin(axis=1)
     best = _value(tables, table, root_pair, None, first)
     again = table < (best - 2 * (m @ tables.rho_c_lin_s))[:, None]
@@ -499,65 +592,78 @@ def bulk_margins_scaled(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
             - bulk_spin_sq_scaled(tables, coords - tables.beta_coords))
 
 
-def _down_value(tables: ScanTables, m: np.ndarray, first: np.ndarray,
-                table: np.ndarray) -> np.ndarray:
-    """Per row, the value of mu - beta at variant first, without its row
-    constant, minus the linear |mu|^2 - |mu - beta|^2 = 2 <mu, beta> -
-    |beta|^2 (2 gram beta is cheap_coef_s); table is the float64 table of
-    mu - beta. A floor of mu without its row constant, minus this, bounds
-    the margin from below. The root table goes into the workspace and its
-    root sum is taken in float64 (_value)."""
-    root_pair = _product(m - tables.beta_coords, tables.root_s,
-                         tables.workspace.roots[:len(m)])
-    linear = m @ tables.cheap_coef_s - tables.beta_nrm_s
-    return _value(tables, table, root_pair, None, first) - linear
-
-
 def margin_lower_bounds(tables: ScanTables, coords: np.ndarray) -> np.ndarray:
-    """Exact integer lower bounds on bulk_margins_scaled for rows of coords:
-    the concave bound of the module docstring at each row, its variant of
-    mu - beta the row's lowest-floor one. It costs one (rows x variants)
-    table and one root sum per row, where the kernel needs at least two
-    root sums and usually more."""
-    return _concave_bounds(tables, [coords])
+    """Exact integer lower bounds on bulk_margins_scaled for rows of coords,
+    mu and mu - beta dominant: the concave bound of the module docstring at
+    each row, its variant of mu - beta the row's lowest-floor one. It costs
+    one root sum per row, where the kernel needs at least two and usually
+    more."""
+    return _concave_bounds(tables, coords, [], coords[:, :0])
 
 
 def simplex_lower_bounds(tables: ScanTables, corner: np.ndarray, axes,
                          reach: np.ndarray) -> np.ndarray:
-    """Per row of corner (k-type coordinates), an exact integer lower bound
-    on bulk_margins_scaled at every lattice point of the simplex with the
-    vertices corner and corner + reach[:, i] e_axes[i], reach >= 0: the
-    least vertex value of the concave bound of the module docstring, its
-    variant of mu - beta the lowest-floor one of corner - beta."""
-    ends = [corner]
-    for i, axis in enumerate(axes):
-        vertex = corner.copy()
-        vertex[:, axis] += reach[:, i]
-        ends.append(vertex)
-    return _concave_bounds(tables, ends)
+    """Per row of corner (k-type coordinates, corner - beta dominant), an
+    exact integer lower bound on bulk_margins_scaled at every lattice point
+    of the simplex with the vertices corner and corner + reach[:, i]
+    e_axes[i], reach >= 0: the least vertex value of the concave bound of
+    the module docstring, its variant of mu - beta the lowest-floor one of
+    corner - beta."""
+    return _concave_bounds(tables, corner, axes, reach)
 
 
-def _concave_bounds(tables: ScanTables, ends: list) -> np.ndarray:
-    """Per simplex, the least value of the concave bound over its vertices,
-    the rows of ends (arrays of equal length, one row per simplex in each),
-    with the variant of mu - beta fixed at the first. Simplices go in
-    chunks of _CHUNK_ROWS // len(ends), so that no product has more than
+def _concave_bounds(tables: ScanTables, corner: np.ndarray, axes,
+                    reach: np.ndarray) -> np.ndarray:
+    """Per simplex, the least value of the concave bound over its vertices
+    corner and corner + reach[:, i] e_axes[i], with the variant j' of
+    mu - beta the lowest-floor one of the corner. Simplices go in chunks
+    of _CHUNK_ROWS // (1 + len(axes)), so that no product has more than
     _CHUNK_ROWS rows: that fits the workspace, which holds the tables, and
-    keeps OpenBLAS on one thread (_product). Once its lowest floor is
-    taken, the table of mu becomes that of mu - beta in place, each entry
-    plus step_j, an integer inside magnitude_bound, so exact."""
-    out = np.empty(len(ends[0]), dtype=np.int64)
-    step = max(1, _CHUNK_ROWS // len(ends))
+    keeps OpenBLAS on one thread (_product). Each chunk writes its vertex
+    rows (v, 1), one block per vertex of every simplex, into the workspace
+    and runs three products: the corners' table of mu - beta
+    (down_table_s), whose row argmin is j'; screen_s, the bound's linear
+    part and its floor roots; and root_down_s, the root table of mu - beta,
+    less the row of j'. Absolute values and sums against ones finish the
+    two sums. The value of mu - beta at j' less its root sum is the
+    corner's table entry plus 2 <rho_n^j', rho_c>, moved along axis i by
+    -2 reach_i <e_i, rho_n^j'>. Every float64 value is an integer below
+    2^53 (magnitude_bound)."""
+    dim, blocks = corner.shape[1], len(axes) + 1
+    axes = np.asarray(axes, dtype=np.intp)
+    variants, floors = tables.down_table_s.shape[1], tables.screen_s.shape[1]
+    roots = tables.root_down_s.shape[1]
+    floor_ones, root_ones = np.ones(floors), np.ones(roots)
+    floor_ones[0] = 0.0  # the linear column is kept, not summed
+    moves = -2.0 * tables.variant_s[:, axes]  # (variants, free axes)
+    out = np.empty(len(corner), dtype=np.int64)
+    step = max(1, _CHUNK_ROWS // blocks)
     for start in range(0, len(out), step):
-        part = [e[start:start + step] for e in ends]
-        n = len(part[0])
-        m = np.concatenate(part)
-        table = _table(tables, m, tables.workspace.table[:len(m)])
-        upper = table.min(axis=1).astype(np.int64) + 2 * (m @ tables.rho_c_lin_s)
-        table += tables.step_s
-        first = np.tile(table[:n].argmin(axis=1), len(ends))
-        bound = upper - _down_value(tables, m, first, table)
-        out[start:start + n] = bound.reshape(len(ends), n).min(axis=0)
+        part = corner[start:start + step]
+        n, size = len(part), blocks * len(part)
+        rows = _WORKSPACE("rows", size, dim + 1)
+        vertices = rows.reshape(blocks, n, dim + 1)
+        vertices[:, :, :dim] = part
+        rows[:, dim] = 1.0
+        gone = reach[start:start + n].T  # (free axes, n)
+        vertices[np.arange(1, blocks)[:, None], np.arange(n), axes[:, None]] += gone
+        down = _product(rows[:n], tables.down_table_s, _WORKSPACE("table", n, variants))
+        first = down.argmin(axis=1)
+        lows = down[np.arange(n), first] + tables.rho_c_var2_s[first]
+        floor = _product(rows, tables.screen_s, _WORKSPACE("floor", size, floors))
+        root = _product(rows, tables.root_down_s, _WORKSPACE("roots", size, roots))
+        # mode "clip" writes straight into out; every index is in range
+        picked = np.take(tables.root_var_f, first, axis=0, mode="clip",
+                         out=_WORKSPACE("picked", n, roots))
+        by_vertex = root.reshape(blocks, n, roots)
+        np.subtract(by_vertex, picked, out=by_vertex)
+        bound = floor[:, 0].copy()
+        bound -= np.matmul(np.abs(floor, out=floor), floor_ones)
+        bound -= np.matmul(np.abs(root, out=root), root_ones)
+        bound = bound.reshape(blocks, n)
+        bound -= lows
+        bound[1:] -= moves[first].T * gone
+        out[start:start + n] = bound.min(axis=0)
     return out
 
 
@@ -719,7 +825,8 @@ class _Scanner:
             cutoff = self.cutoff()
             if cutoff is None:
                 return np.ones(len(prefix), dtype=bool)
-            corner = place(np.pad(prefix, ((0, 0), (0, self.dim - level))))
+            corner = np.repeat(base[None, :], len(prefix), axis=0)
+            corner[:, order[:level]] += prefix
             # the cheap row is the walk's last: its slack s bounds c @ y, and
             # falls to cutoff - cheap(corner) as the cutoff falls
             np.minimum(slack[:, -1], cutoff - self.cheap(corner), out=slack[:, -1])
@@ -806,12 +913,16 @@ def scan_box(case: CaseData, ranges, *, shortcut: bool = True, log=None) -> dict
     scanner.scan()
     if log:
         log(f"scan done, {time.monotonic() - t0:.1f}s elapsed")
+    filtered = None
     if ckpath:
-        _save_checkpoint(ckpath, _records(scanner))
+        # the records tally the u-small points already: walk them once
+        records = _records(scanner)
+        _save_checkpoint(ckpath, records)
+        filtered = sum(r["filtered"] for r in records.values())
     scale, low = scanner.tables.scale, scanner.best
     return {
         "scanned": scanner.scanned(),
-        "filtered": scanner.filtered(),
+        "filtered": scanner.filtered() if filtered is None else filtered,
         "violations": sorted((coords, Q(m, scale)) for coords, m in scanner.violations),
         "min_margin_sq": None if low is None else Q(low, scale),
         "elapsed_ms": int((time.monotonic() - t0) * 1000),

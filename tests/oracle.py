@@ -206,6 +206,14 @@ def simplex_lower_bounds_exact(tables, corner, axes, reach):
     return bounds
 
 
+def fraction_lowest_floor(case, mu):
+    """The lowest floor min_j |mu - rho_n^j + rho_c|^2 over the rho_n
+    variants, in Fraction arithmetic on the ambient weight of the k-type
+    coordinates mu."""
+    x = vadd(ktype_to_ambient(case, mu), case.rho_c)
+    return min(norm_sq(vsub(x, v)) for v in case.rho_n_variants)
+
+
 def margin_lower_bounds_two_floor(tables, coords):
     """The screen fastscan used before the single floor: the tighter floor
     |x|^2 + 2 max(0, <x, rho_c>) + |rho_c|^2 for mu and for mu - beta.
@@ -304,9 +312,11 @@ def fraction_usmall_rows(case):
 
 
 def fraction_tables(case) -> dict:
-    """Every field of fastscan.build_tables but the workspace, from
-    Fraction coroot pairings and inner products over their least common
-    denominator."""
+    """Every field of fastscan.build_tables, from Fraction coroot pairings
+    and inner products over their least common denominator. A noncompact
+    positive root's pairing with mu + 2 rho_c keeps its sign on the dominant
+    orthant mu >= 0 of semisimple k when every basis pairing and the rho_c
+    pairing share it; for k with center every root counts as changing."""
     k = case.k_system
     basis, deltas, variants = case.ktype_basis, k.simple_roots, case.rho_n_variants
     rho_c, beta = case.rho_c, case.beta
@@ -340,26 +350,49 @@ def fraction_tables(case) -> dict:
     root_var_s = shift @ root_half_s
     gram_s = ints(gram, scale)
     beta_coords = ints(list(case.beta_ktype))
+    beta_nrm_s = int(beta_coords @ gram_s @ beta_coords)
+    rho_c_lin_s, cheap_coef_s = ints(rho_c_lin, scale), ints(cheap_coef, scale)
+    p_roots = sorted(case.p_positive)
+    noncompact = ints([[inner(b, g) for g in p_roots] for b in basis]
+                      + [[2 * inner(rho_c, g) for g in p_roots]], scale)
+    changing, fixed = [], np.zeros(len(basis) + 1, dtype=np.int64)
+    for column in noncompact.T:
+        if case.k_has_center or not ((column >= 0).all() or (column <= 0).all()):
+            changing.append(column)
+        else:
+            fixed += column if (column >= 0).all() else -column
+    floor_roots_s = np.array(changing, dtype=np.int64).reshape(-1, len(basis) + 1).T
+    bound_lin_s = 2 * rho_c_lin_s + cheap_coef_s - fixed[:-1]
+    bound_const_s = int((norm_sq(case.rho) - norm_sq(rho_c)) * scale) - beta_nrm_s - int(fixed[-1])
+    root_s = pairing.T @ root_half_s
+    const = variant_nrm_s - 2 * rho_c_var_s
     return {
         "scale": scale,
         "pairing": pairing,
         "shift": shift,
-        "root_s": pairing.T @ root_half_s,
+        "root_s": root_s,
         "root_var_s": root_var_s,
         "gram_s": gram_s,
         "variant_s": variant_s,
         "variant_nrm_s": variant_nrm_s,
         "rho_c_nrm_s": int(consts[0] * scale),
-        "rho_c_lin_s": ints(rho_c_lin, scale),
+        "rho_c_lin_s": rho_c_lin_s,
         "rho_c_var_s": rho_c_var_s,
         "beta_coords": beta_coords,
-        "cheap_coef_s": ints(cheap_coef, scale),
+        "cheap_coef_s": cheap_coef_s,
         "cheap_const_s": int(consts[1] * scale),
-        "step_s": 2 * (variant_s @ beta_coords),
-        "table_s": np.vstack(
-            [-2 * variant_s.T, variant_nrm_s - 2 * rho_c_var_s]
+        "table_s": np.vstack([-2 * variant_s.T, const]).astype(np.float64),
+        "down_table_s": np.vstack(
+            [-2 * variant_s.T, const + 2 * (variant_s @ beta_coords)]
         ).astype(np.float64),
+        "floor_roots_s": floor_roots_s,
+        "bound_lin_s": bound_lin_s,
+        "bound_const_s": bound_const_s,
+        "screen_s": np.column_stack(
+            [np.append(bound_lin_s, bound_const_s), floor_roots_s]
+        ).astype(np.float64),
+        "root_down_s": np.vstack([root_s, -(beta_coords @ root_s)]).astype(np.float64),
         "rho_c_var2_s": 2 * rho_c_var_s,
         "root_var_f": root_var_s.astype(np.float64),
-        "beta_nrm_s": int(beta_coords @ gram_s @ beta_coords),
+        "beta_nrm_s": beta_nrm_s,
     }

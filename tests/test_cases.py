@@ -1,5 +1,6 @@
 """Case registry: construction, validation, coordinate conversions."""
 
+import dataclasses
 from fractions import Fraction as Q
 
 import numpy as np
@@ -100,7 +101,9 @@ def test_integer_derivations_match_the_fraction_oracle(family, n):
     assert case.rho_n_variants == fraction_variants(case)
     assert usmall_system(case).rows == fraction_usmall_rows(case)
     tables = build_tables(case)
-    for name, expected in fraction_tables(case).items():
+    oracle = fraction_tables(case)
+    assert set(oracle) == {f.name for f in dataclasses.fields(tables)}
+    for name, expected in oracle.items():
         value = getattr(tables, name)
         assert type(value) is type(expected), name
         if isinstance(expected, np.ndarray):

@@ -29,7 +29,7 @@ from liecheck.spin import spin_norm_sq, variant_norms_sq
 from liecheck.usmall import usmall_chunks, usmall_system
 
 from conftest import largest_accepted
-from oracle import decompose_step
+from oracle import decompose_step, margin_lower_bounds_one_point
 
 # frozen outcomes of the default-box scans for the quick families
 EXPECTED_SCANS = {
@@ -435,6 +435,32 @@ def test_each_record_is_the_scan_of_its_slice(family, ckdir, monkeypatch):
         assert found == list(alone.violations)
 
 
+@pytest.mark.parametrize("family, spec", [
+    ("EII", None), ("SP4R", None), ("FI", "a:0..100000,b:0..100000,c:0..100000,d:0..100000"),
+])
+def test_scan_with_records_walks_the_usmall_points_once(family, spec, tmp_path, monkeypatch):
+    # with LIECHECK_CHECKPOINT_DIR set, filtered is the sum of the records'
+    # filtered counts, so the u-small points are walked once for both, and
+    # the report equals the one without records (FI's counts pass 2^63)
+    case, box = _seeded_box(family)
+    if spec is not None:
+        box = parse_box(spec, case)
+    walks = []
+    small_points = fastscan._Scanner.small_points
+
+    def counted(self):
+        walks.append(1)
+        return small_points(self)
+
+    monkeypatch.setattr(fastscan._Scanner, "small_points", counted)
+    plain = verify_box(case, box)
+    monkeypatch.setenv("LIECHECK_CHECKPOINT_DIR", str(tmp_path))
+    walks.clear()
+    recorded = verify_box(case, box)
+    assert _payload(recorded) == _payload(plain)
+    assert len(walks) == (0 if case.k_has_center else 1)
+
+
 # Boxes from 0 to top in every coordinate, whose counts pass 2^63, and
 # FI's counts as figures
 HUGE_BOXES = {
@@ -830,7 +856,8 @@ def test_screen_products_stay_under_the_chunk_size_on_the_last_eviii_slice(monke
     assert rows and max(rows) <= fastscan._CHUNK_ROWS
 
 
-# the four engine calls, each on fresh tables, so with a fresh workspace
+# the four engine calls, each on fresh tables, in a fresh process, so with
+# a fresh workspace
 _FRESH_CALLS = """
 import dataclasses, json, sys
 import numpy as np
@@ -854,8 +881,8 @@ json.dump(out, sys.stdout)
 
 
 def test_workspace_never_leaks_into_a_result():
-    # every chunk writes its float64 tables into one workspace per case; no
-    # result shares memory with it, and calls interleaved over two cases
+    # every chunk writes its float64 tables into one workspace per process;
+    # no result shares memory with it, and calls interleaved over two cases
     # and over 1, _CHUNK_ROWS and 2 _CHUNK_ROWS + 3 rows each equal the
     # same call made in a fresh process
     import os
@@ -874,7 +901,6 @@ def test_workspace_never_leaks_into_a_result():
             axes = sorted(rng.choice(len(beta), size=3, replace=False).tolist())
             reach = rng.integers(0, 6, size=(rows, len(axes)))
             calls.append((family, coords, axes, reach))
-    workspaces = [vars(build_tables(get_case(f)).workspace).values() for f in ("EVIII", "EIX")]
     got = []
     for family, coords, axes, reach in calls:
         tables = build_tables(get_case(family))
@@ -884,10 +910,11 @@ def test_workspace_never_leaks_into_a_result():
             fastscan.margin_lower_bounds(tables, coords),
             fastscan.simplex_lower_bounds(tables, coords, axes, reach),
         ]
+        buffers = fastscan._WORKSPACE.buffers.values()
+        assert buffers
         for result in results:
             assert result.shape == (len(coords),) and result.dtype == np.int64
-            for buffers in workspaces:
-                assert not any(np.shares_memory(result, b) for b in buffers)
+            assert not any(np.shares_memory(result, b) for b in buffers)
         got.append([r.tolist() for r in results])
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(liecheck.__file__).resolve().parent.parent)
@@ -901,8 +928,8 @@ def test_workspace_never_leaks_into_a_result():
 
 
 def test_warm_scan_of_the_last_eix_slice_takes_few_page_faults():
-    # the chunks write their tables into the case's workspace instead of
-    # allocating them: per 512-row chunk those were tables of 492 and 262 kB
+    # the chunks write their tables into the process's workspace instead
+    # of allocating them: per 512-row chunk those were tables of 492 and 262 kB
     # on EIX, above glibc's mmap threshold, so each was mapped and faulted
     # in afresh, about 6,500 minor faults for a warm scan of this slice in
     # a fresh process and 3,200 inside this suite
@@ -1251,9 +1278,10 @@ def test_walk_order_does_not_change_the_report(name, monkeypatch):
 def test_float_product_is_exact_at_the_largest_accepted_coordinate(family):
     # _product returns the float64 matrix product; at the largest coordinate
     # magnitude_bound accepts it still equals the exact integer product, for
-    # the screen's linear table and the root table, on a row count that is
-    # not a multiple of _CHUNK_ROWS. So do the values of _value and
-    # _down_value, whose root sums are taken in float64, chunk by chunk
+    # the kernel's linear table, the screen's two tables and the root table,
+    # on a row count that is not a multiple of _CHUNK_ROWS. So do the
+    # values of _value, whose root sums are taken in float64, and the
+    # screen's bounds, all of whose sums are, chunk by chunk
     case = get_case(family, 2 if family in ("SL2nR", "SL2n1R", "SLnH") else None)
     tables = build_tables(case)
     top = largest_accepted(tables)
@@ -1263,8 +1291,11 @@ def test_float_product_is_exact_at_the_largest_accepted_coordinate(family):
     mu[0], mu[1] = top, -top  # corners, where the entries are largest
     const = tables.variant_nrm_s - 2 * tables.rho_c_var_s
     lin_const = np.vstack([-2 * tables.variant_s.T, const])
+    padded = np.column_stack([mu, np.ones(rows, np.int64)])
     for m, table in (
-        (np.column_stack([mu, np.ones(rows, np.int64)]), lin_const),
+        (padded, lin_const),
+        (padded, tables.screen_s.astype(np.int64)),
+        (padded, tables.root_down_s.astype(np.int64)),
         (mu - tables.beta_coords, tables.root_s),
     ):
         got = fastscan._product(m, table)
@@ -1279,9 +1310,13 @@ def test_float_product_is_exact_at_the_largest_accepted_coordinate(family):
         terms = m @ tables.root_s.astype(object) - tables.root_var_s[variants].astype(object)
         return lin + tables.variant_nrm_s[variants].astype(object) + abs(terms).sum(axis=1)
 
-    beta = tables.beta_coords
-    linear = (mu.astype(object) @ tables.cheap_coef_s.astype(object)
-              - int(beta @ tables.gram_s @ beta))
+    # the screen's rows need mu and mu - beta dominant: for k with center
+    # (p, q) with p - q >= 2, else mu >= beta
+    if case.k_has_center:
+        q = rng.integers(-top, top - 1, size=rows)
+        dominant = np.stack([q + 2 + rng.integers(0, top - 1 - q), q], axis=1)
+    else:
+        dominant = np.maximum(np.abs(mu), tables.beta_coords)
     for start in range(0, rows, fastscan._CHUNK_ROWS):
         m = mu[start:start + fastscan._CHUNK_ROWS]
         n = len(m)
@@ -1293,8 +1328,7 @@ def test_float_product_is_exact_at_the_largest_accepted_coordinate(family):
         assert got.tolist() == values(m, variants).tolist()
         got = fastscan._value(tables, table, root_pair, picked, variants)
         assert got.tolist() == values(m[picked], variants).tolist()
-        down = fastscan._table(tables, m - beta)
-        got = fastscan._down_value(tables, m, variants, down)
-        want = values(m - beta, variants) - linear[start:start + n]
-        assert got.tolist() == want.tolist()
+        m = dominant[start:start + fastscan._CHUNK_ROWS]
+        want = margin_lower_bounds_one_point(tables, m.astype(object))
+        assert fastscan.margin_lower_bounds(tables, m).tolist() == want.tolist()
         assert max(abs(x) for x in want) > 2**20

@@ -31,6 +31,7 @@ from liecheck.weyl import to_dominant
 
 from conftest import BIG_FAMILIES, SMALL_FAMILIES, largest_accepted, run_points
 from oracle import (
+    fraction_lowest_floor,
     margin_lower_bounds_one_point,
     margin_lower_bounds_two_floor,
     orbit,
@@ -313,6 +314,80 @@ def test_one_table_screen_equals_the_two_floor_screen(family, n):
         assert (bounds <= bulk_margins_scaled(tables, rows)).all()
     if case.num_variants > 1:
         assert _tied(tables, far - beta).any() or _tied(tables, near - beta).any()
+
+
+# -- the lowest floor in closed form -----------------------------------------
+
+LEMMA_CASES = [(family, None) for family in SMALL_FAMILIES + BIG_FAMILIES] + [
+    (family, n) for family in CLASSICAL_FAMILIES for n in range(2, 10)
+]
+
+
+def _closed_form_floor(tables, mu):
+    """scale * F(mu), F the lowest floor, from the screen's tables: the
+    linear column and its constant, less the floor roots' absolute values
+    and the |mu|^2 - |mu - beta|^2 = 2 <mu, beta> - |beta|^2 that the column
+    also holds, plus the row constant |mu|^2 + |rho_c|^2."""
+    def dot(column, row):
+        return sum(c * x for c, x in zip(column, row))
+
+    mu = list(mu)
+    lin = dot(tables.bound_lin_s.tolist(), mu) + tables.bound_const_s
+    floors = sum(abs(dot(col, mu + [1])) for col in tables.floor_roots_s.T.tolist())
+    linear = dot(tables.cheap_coef_s.tolist(), mu) - tables.beta_nrm_s
+    norm = dot([dot(row, mu) for row in tables.gram_s.tolist()], mu)
+    return lin - floors - linear + norm + tables.rho_c_nrm_s
+
+
+@pytest.mark.parametrize("family,n", LEMMA_CASES)
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_lowest_floor_has_its_closed_form_on_the_dominant_cone(family, n, data):
+    # for k-dominant mu, min_j |mu - rho_n^j + rho_c|^2 = |mu + rho_c|^2 +
+    # |rho|^2 - |rho_c|^2 - sum over the noncompact positive roots gamma of
+    # |<mu + 2 rho_c, gamma>| (the fastscan docstring), which the screen
+    # reads from its tables with the sign-fixed roots folded into the
+    # linear column: against the Fraction minimum over the variants, with
+    # coordinates up to the largest that magnitude_bound accepts mixed with
+    # small ones near the walls of k; SP4R on dominant grid points p >= q
+    case = get_case(family, n)
+    tables = build_tables(case)
+    top = largest_accepted(tables)
+    if case.k_has_center:
+        coordinate = st.one_of(st.integers(-top, top), st.integers(-20, 20))
+        mu = tuple(sorted(data.draw(st.tuples(coordinate, coordinate)), reverse=True))
+    else:
+        coordinate = st.one_of(
+            st.integers(0, top), st.integers(top - 1000, top), st.integers(0, 5)
+        )
+        mu = data.draw(st.tuples(*[coordinate] * case.ktype_dim))
+    assert ktype_is_dominant(case, mu)
+    expected = fraction_lowest_floor(case, mu)
+    assert Q(_closed_form_floor(tables, mu), tables.scale) == expected
+
+
+@pytest.mark.parametrize("family", ["EVIII", "EIX"])
+def test_warm_screen_chunk_allocates_no_large_block(family):
+    # a full screen chunk (128 simplices of 4 vertices, 512 rows) writes
+    # its tables into the workspace: a warm call keeps its allocations at
+    # any moment below 128 KiB together, so it allocates no block of
+    # 128 KiB or more, glibc's default mmap threshold, above which each
+    # chunk would map fresh pages and fault them in
+    tracemalloc = pytest.importorskip("tracemalloc")
+    tables = build_tables(get_case(family))
+    rng = np.random.default_rng(20261022)
+    corner = tables.beta_coords + rng.integers(0, 12, size=(fastscan._CHUNK_ROWS // 4, 8))
+    axes = [1, 4, 6]
+    reach = rng.integers(0, 6, size=(len(corner), len(axes)))
+    fastscan.simplex_lower_bounds(tables, corner, axes, reach)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fastscan.simplex_lower_bounds(tables, corner, axes, reach)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 128 * 1024
 
 
 # Before the float64 products, magnitude_bound accepted box coordinates up to
