@@ -73,7 +73,8 @@ minimum of the first. --no-shortcut evaluates every filtered point.
 With LIECHECK_CHECKPOINT_DIR set, scan_box writes a record file for
 inspection: one record per value of the first walked coordinate, with
 the points of the box at that value scanned and filtered (the u-small
-count walk tallied by that coordinate) and the violations among them.
+count walk that gives the report its filtered count, tallied by that
+coordinate) and the violations among them.
 A record holds no minimum: the least margin a value's evaluated points
 reach depends on the cutoff that the other values set.
 
@@ -125,8 +126,8 @@ coordinates on the fundamental weights of k, base >= beta >= 0), where
 the pairing sum_i mu_i <omega_i, gamma> + <2 rho_c, gamma> keeps one sign
 exactly when its coefficients share it. The absolute value of such a
 sign-fixed root is linear on the orthant and joins the bound's linear
-column (bound_lin_s, bound_const_s); the others keep theirs
-(floor_roots_s): 29 of 64 roots on EVIII, 35 of 56 on EIX, 15 of 20 on
+column (screen_s, column 0); the others keep theirs (screen_s, the
+remaining columns): 29 of 64 roots on EVIII, 35 of 56 on EIX, 15 of 20 on
 EII, 0 or 1 on the classical series. For k with center (SP4R) the rows
 fill no orthant, and every root keeps its absolute value.
 
@@ -283,15 +284,13 @@ class ScanTables:
     # the floor table's constants (module docstring)
     table_s: np.ndarray  # (l + 1, s): -2 variant_s.T over c_j, float64
     down_table_s: np.ndarray  # (l + 1, s): table_s with c_j + step_j, float64
-    # the screen's concave bound (module docstring): the noncompact positive
-    # roots gamma whose pairing with mu + 2 rho_c can change sign on the scan
-    # domain, the bound's linear column (with the sign-fixed roots) and its
-    # constant; the three as one float64 table, and the root table of
-    # mu - beta, each over a constant row
-    floor_roots_s: np.ndarray  # (l + 1, c): scale * <basis_k, gamma> over <2 rho_c, gamma>
-    bound_lin_s: np.ndarray  # (l,)
-    bound_const_s: int
-    screen_s: np.ndarray  # (l + 1, 1 + c): bound_lin_s, floor_roots_s, float64
+    # the screen's concave bound (module docstring): its linear column (with
+    # the sign-fixed roots), then per noncompact positive root gamma whose
+    # pairing with mu + 2 rho_c can change sign on the scan domain
+    # scale * <basis_k, gamma>; each over its constant, <2 rho_c, gamma>
+    # for a root. The root table of mu - beta, likewise over a constant row
+    screen_s: np.ndarray  # (l + 1, 1 + c)
+    screen_f: np.ndarray  # screen_s as float64
     root_down_s: np.ndarray  # (l + 1, |Delta+(k)|): root_s over -beta @ root_s, float64
     # the per-call constants of _value
     rho_c_var2_s: np.ndarray  # (s,): 2 * rho_c_var_s
@@ -362,11 +361,11 @@ def build_tables(case: CaseData) -> ScanTables:
     sign = np.zeros(roots_s.shape[1], dtype=np.int64)
     if not case.k_has_center:
         sign = np.where((roots_s >= 0).all(axis=0), 1, np.where((roots_s <= 0).all(axis=0), -1, 0))
-    fixed = roots_s @ sign
-    floor_roots_s = roots_s[:, sign == 0]
-    bound_lin_s = 2 * rho_c_lin_s + cheap_coef_s - fixed[:-1]
-    # scale * (|rho|^2 - |rho_c|^2), read at the variant rho_n
-    bound_const_s = int(variant_nrm_s[0] + 2 * rho_c_var_s[0] - beta_nrm_s - fixed[-1])
+    # the linear column over its constant, scale * (|rho|^2 - |rho_c|^2)
+    # read at the variant rho_n
+    lin = np.append(2 * rho_c_lin_s + cheap_coef_s,
+                    variant_nrm_s[0] + 2 * rho_c_var_s[0] - beta_nrm_s) - roots_s @ sign
+    screen_s = np.column_stack([lin, roots_s[:, sign == 0]])
     return ScanTables(
         scale=2 * den * den // common,
         pairing=pairing,
@@ -389,12 +388,8 @@ def build_tables(case: CaseData) -> ScanTables:
         down_table_s=np.vstack(
             [-2 * variant_s.T, variant_nrm_s - 2 * rho_c_var_s + step_s]
         ).astype(np.float64),
-        floor_roots_s=floor_roots_s,
-        bound_lin_s=bound_lin_s,
-        bound_const_s=bound_const_s,
-        screen_s=np.hstack(
-            [np.append(bound_lin_s, bound_const_s)[:, None], floor_roots_s]
-        ).astype(np.float64),
+        screen_s=screen_s,
+        screen_f=screen_s.astype(np.float64),
         root_down_s=np.vstack([root_s, -(beta_coords @ root_s)]).astype(np.float64),
         rho_c_var2_s=2 * rho_c_var_s,
         root_var_f=root_var_s.astype(np.float64),
@@ -455,8 +450,8 @@ def magnitude_bound(tables: ScanTables, coord_max: int) -> int:
     total = 2 * norm_x + rho_c_term + root_sum + root_entry + tables.rho_c_nrm_s + cheap
     # the screen's row: its linear column, the absolute sum of its floor
     # roots, the root sum, and a variant value of mu - beta
-    lin_col = a * abs_sum(tables.bound_lin_s) + abs(tables.bound_const_s)
-    floor_sum = a * abs_sum(tables.floor_roots_s[:-1]) + abs_sum(tables.floor_roots_s[-1])
+    lin_col = a * abs_sum(tables.screen_s[:-1, 0]) + abs(int(tables.screen_s[-1, 0]))
+    floor_sum = a * abs_sum(tables.screen_s[:-1, 1:]) + abs_sum(tables.screen_s[-1, 1:])
     screen = lin_col + floor_sum + root_sum + lin_part
     floats = max(lin_part + rho_c_term, root_entry, screen)
     return max(total, floats << 10)
@@ -622,7 +617,7 @@ def _concave_bounds(tables: ScanTables, corner: np.ndarray, axes,
     keeps OpenBLAS on one thread (_product). Each chunk writes its vertex
     rows (v, 1), one block per vertex of every simplex, into the workspace
     and runs three products: the corners' table of mu - beta
-    (down_table_s), whose row argmin is j'; screen_s, the bound's linear
+    (down_table_s), whose row argmin is j'; screen_f, the bound's linear
     part and its floor roots; and root_down_s, the root table of mu - beta,
     less the row of j'. Absolute values and sums against ones finish the
     two sums. The value of mu - beta at j' less its root sum is the
@@ -631,7 +626,7 @@ def _concave_bounds(tables: ScanTables, corner: np.ndarray, axes,
     2^53 (magnitude_bound)."""
     dim, blocks = corner.shape[1], len(axes) + 1
     axes = np.asarray(axes, dtype=np.intp)
-    variants, floors = tables.down_table_s.shape[1], tables.screen_s.shape[1]
+    variants, floors = tables.down_table_s.shape[1], tables.screen_f.shape[1]
     roots = tables.root_down_s.shape[1]
     floor_ones, root_ones = np.ones(floors), np.ones(roots)
     floor_ones[0] = 0.0  # the linear column is kept, not summed
@@ -650,7 +645,7 @@ def _concave_bounds(tables: ScanTables, corner: np.ndarray, axes,
         down = _product(rows[:n], tables.down_table_s, _WORKSPACE("table", n, variants))
         first = down.argmin(axis=1)
         lows = down[np.arange(n), first] + tables.rho_c_var2_s[first]
-        floor = _product(rows, tables.screen_s, _WORKSPACE("floor", size, floors))
+        floor = _product(rows, tables.screen_f, _WORKSPACE("floor", size, floors))
         root = _product(rows, tables.root_down_s, _WORKSPACE("roots", size, roots))
         # mode "clip" writes straight into out; every index is in range
         picked = np.take(tables.root_var_f, first, axis=0, mode="clip",
@@ -739,14 +734,6 @@ class _Scanner:
 
     def scanned(self) -> int:
         return int(np.prod((self.hi - self.lo + 1).astype(object)))
-
-    def filtered(self) -> int:
-        """The dominant sub-box minus its u-small points, or for k with
-        center the points of the grid."""
-        if self.grid is not None:
-            return len(self.grid)
-        dominant = np.maximum(self.hi - self.base + 1, 0).astype(object)
-        return int(np.prod(dominant)) - sum(int(n.sum()) for _, n in self.small_points())
 
     def small_points(self):
         """The u-small points of the dominant sub-box of semisimple k, by
@@ -872,27 +859,40 @@ def _save_checkpoint(path, records):
     os.replace(tmp, path)
 
 
-def _records(scanner) -> dict:
-    """The records of the record file: per value v of the first walked
-    coordinate, the points of the box with that value scanned and
-    filtered, and the violations among them. The filtered counts come from
-    scanner.small_points, one walk tallied by that coordinate, or from the
-    grid."""
+def _filtered(scanner):
+    """The filtered points of the box: their number and, per value v of
+    the first walked coordinate from lo to hi, the number with that value.
+    For semisimple k they are the dominant sub-box less its u-small points,
+    tallied by v in one walk of scanner.small_points; for k with center
+    the points of the grid. The per-value counts come lazily, as only the
+    record file reads them and an edge may pass 10^7."""
     axis = scanner.perm[0]
     lo, hi = int(scanner.lo[axis]), int(scanner.hi[axis])
-    tally = np.zeros(hi - lo + 1, dtype=np.int64)
     if scanner.grid is not None:
-        np.add.at(tally, scanner.grid[:, axis] - lo, 1)
-        filtered = tally.tolist()
-    else:
-        for values, counts in scanner.small_points():
-            np.add.at(tally, values - lo, counts)
-        dominant = np.maximum(scanner.hi - scanner.base + 1, 0).astype(object)
-        size, first = int(np.prod(dominant[scanner.perm[1:]])), int(scanner.base[axis])
-        filtered = [(size if v >= first else 0) - n for v, n in enumerate(tally.tolist(), lo)]
+        tally = np.bincount(scanner.grid[:, axis] - lo, minlength=hi - lo + 1)
+        return len(scanner.grid), iter(tally.tolist())
+    first = int(scanner.base[axis])
+    tally = np.zeros(0, dtype=np.int64)  # the u-small points at first + index
+    for values, counts in scanner.small_points():
+        grow = int(values.max()) - first + 1 - len(tally)
+        if grow > 0:
+            tally = np.concatenate([tally, np.zeros(max(grow, len(tally)), dtype=np.int64)])
+        np.add.at(tally, values - first, counts)
+    dominant = np.maximum(scanner.hi - scanner.base + 1, 0).astype(object)
+    size, small = int(np.prod(dominant[scanner.perm[1:]])), dict(enumerate(tally.tolist(), first))
+    by_value = ((size if v >= first else 0) - small.get(v, 0) for v in range(lo, hi + 1))
+    return size * int(dominant[axis]) - int(tally.sum()), by_value
+
+
+def _records(scanner, by_value) -> dict:
+    """The records of the record file: per value v of the first walked
+    coordinate, the points of the box with that value scanned and
+    filtered (by_value, from _filtered), and the violations among them."""
+    axis = scanner.perm[0]
+    lo, hi = int(scanner.lo[axis]), int(scanner.hi[axis])
     scanned = scanner.scanned() // (hi - lo + 1)
     records = {v: {"scanned": scanned, "filtered": n, "violations": []}
-               for v, n in enumerate(filtered, lo)}
+               for v, n in zip(range(lo, hi + 1), by_value)}
     for coords, margin in scanner.violations:
         records[coords[axis]]["violations"].append((coords, margin))
     return records
@@ -913,16 +913,13 @@ def scan_box(case: CaseData, ranges, *, shortcut: bool = True, log=None) -> dict
     scanner.scan()
     if log:
         log(f"scan done, {time.monotonic() - t0:.1f}s elapsed")
-    filtered = None
+    filtered, by_value = _filtered(scanner)
     if ckpath:
-        # the records tally the u-small points already: walk them once
-        records = _records(scanner)
-        _save_checkpoint(ckpath, records)
-        filtered = sum(r["filtered"] for r in records.values())
+        _save_checkpoint(ckpath, _records(scanner, by_value))
     scale, low = scanner.tables.scale, scanner.best
     return {
         "scanned": scanner.scanned(),
-        "filtered": scanner.filtered() if filtered is None else filtered,
+        "filtered": filtered,
         "violations": sorted((coords, Q(m, scale)) for coords, m in scanner.violations),
         "min_margin_sq": None if low is None else Q(low, scale),
         "elapsed_ms": int((time.monotonic() - t0) * 1000),

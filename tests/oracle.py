@@ -361,9 +361,9 @@ def fraction_tables(case) -> dict:
             changing.append(column)
         else:
             fixed += column if (column >= 0).all() else -column
-    floor_roots_s = np.array(changing, dtype=np.int64).reshape(-1, len(basis) + 1).T
-    bound_lin_s = 2 * rho_c_lin_s + cheap_coef_s - fixed[:-1]
-    bound_const_s = int((norm_sq(case.rho) - norm_sq(rho_c)) * scale) - beta_nrm_s - int(fixed[-1])
+    lin = np.append(2 * rho_c_lin_s + cheap_coef_s,
+                    int((norm_sq(case.rho) - norm_sq(rho_c)) * scale) - beta_nrm_s) - fixed
+    screen_s = np.column_stack([lin] + changing)
     root_s = pairing.T @ root_half_s
     const = variant_nrm_s - 2 * rho_c_var_s
     return {
@@ -385,12 +385,8 @@ def fraction_tables(case) -> dict:
         "down_table_s": np.vstack(
             [-2 * variant_s.T, const + 2 * (variant_s @ beta_coords)]
         ).astype(np.float64),
-        "floor_roots_s": floor_roots_s,
-        "bound_lin_s": bound_lin_s,
-        "bound_const_s": bound_const_s,
-        "screen_s": np.column_stack(
-            [np.append(bound_lin_s, bound_const_s), floor_roots_s]
-        ).astype(np.float64),
+        "screen_s": screen_s,
+        "screen_f": screen_s.astype(np.float64),
         "root_down_s": np.vstack([root_s, -(beta_coords @ root_s)]).astype(np.float64),
         "rho_c_var2_s": 2 * rho_c_var_s,
         "root_var_f": root_var_s.astype(np.float64),

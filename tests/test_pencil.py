@@ -439,9 +439,10 @@ def test_each_record_is_the_scan_of_its_slice(family, ckdir, monkeypatch):
     ("EII", None), ("SP4R", None), ("FI", "a:0..100000,b:0..100000,c:0..100000,d:0..100000"),
 ])
 def test_scan_with_records_walks_the_usmall_points_once(family, spec, tmp_path, monkeypatch):
-    # with LIECHECK_CHECKPOINT_DIR set, filtered is the sum of the records'
-    # filtered counts, so the u-small points are walked once for both, and
-    # the report equals the one without records (FI's counts pass 2^63)
+    # filtered and the records' per-value counts come from one walk of the
+    # u-small points, with LIECHECK_CHECKPOINT_DIR set or not, the records
+    # add up to filtered, and the report equals the one without records
+    # (FI's counts pass 2^63)
     case, box = _seeded_box(family)
     if spec is not None:
         box = parse_box(spec, case)
@@ -454,11 +455,15 @@ def test_scan_with_records_walks_the_usmall_points_once(family, spec, tmp_path, 
 
     monkeypatch.setattr(fastscan._Scanner, "small_points", counted)
     plain = verify_box(case, box)
+    assert len(walks) == (0 if case.k_has_center else 1)
     monkeypatch.setenv("LIECHECK_CHECKPOINT_DIR", str(tmp_path))
     walks.clear()
     recorded = verify_box(case, box)
     assert _payload(recorded) == _payload(plain)
     assert len(walks) == (0 if case.k_has_center else 1)
+    (path,) = tmp_path.glob("scan-*.json")
+    slices = json.loads(path.read_text())["slices"]
+    assert sum(rec["filtered"] for rec in slices.values()) == plain.filtered
 
 
 # Boxes from 0 to top in every coordinate, whose counts pass 2^63, and
@@ -1294,7 +1299,7 @@ def test_float_product_is_exact_at_the_largest_accepted_coordinate(family):
     padded = np.column_stack([mu, np.ones(rows, np.int64)])
     for m, table in (
         (padded, lin_const),
-        (padded, tables.screen_s.astype(np.int64)),
+        (padded, tables.screen_s),
         (padded, tables.root_down_s.astype(np.int64)),
         (mu - tables.beta_coords, tables.root_s),
     ):

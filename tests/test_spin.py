@@ -332,8 +332,10 @@ def _closed_form_floor(tables, mu):
         return sum(c * x for c, x in zip(column, row))
 
     mu = list(mu)
-    lin = dot(tables.bound_lin_s.tolist(), mu) + tables.bound_const_s
-    floors = sum(abs(dot(col, mu + [1])) for col in tables.floor_roots_s.T.tolist())
+    column, *roots = tables.screen_s.T.tolist()
+    padded = mu + [1]
+    lin = dot(column, padded)
+    floors = sum(abs(dot(col, padded)) for col in roots)
     linear = dot(tables.cheap_coef_s.tolist(), mu) - tables.beta_nrm_s
     norm = dot([dot(row, mu) for row in tables.gram_s.tolist()], mu)
     return lin - floors - linear + norm + tables.rho_c_nrm_s
